@@ -46,7 +46,6 @@ _CONFIG_KEYS = {
     "tol": float,
     "output": str,
     "format": str,
-    "threads": int,
 }
 
 
@@ -62,7 +61,6 @@ class RunConfig:
     tol: float = 1.0e-13
     output: str | None = None
     format: str = "csv"
-    threads: int = 1
 
 
 class ConfigError(ValueError):
@@ -93,7 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--tol", type=float, help="oracle iteration tolerance (selftest)")
         p.add_argument("--output", help="output file path (default stdout)")
         p.add_argument("--format", choices=("csv", "json"), help="output format")
-        p.add_argument("--threads", type=int, help="wavefront workers (env FD_THREADS)")
         p.add_argument("--config", help="key = value config file; flags override it")
     return parser
 
@@ -151,7 +148,6 @@ def parse_config(argv, config_file: str | None = None) -> RunConfig:
     fromfile = _read_config_file(path) if path else {}
 
     cfg = RunConfig(mode=ns.mode)
-    threads_set = False
     for key in _CONFIG_KEYS:
         flag = getattr(ns, key, None)
         value = flag if flag is not None else fromfile.get(key)
@@ -159,17 +155,7 @@ def parse_config(argv, config_file: str | None = None) -> RunConfig:
             continue
         if key == "n_list":
             value = _parse_n_list(value) if isinstance(value, str) else value
-        if key == "threads":
-            threads_set = True
         setattr(cfg, key, value)
-
-    if not threads_set:
-        env = os.environ.get("FD_THREADS")
-        if env:
-            try:
-                cfg.threads = int(env)
-            except ValueError as exc:
-                raise ConfigError(f"env FD_THREADS expects int, got {env!r}") from exc
 
     _validate(cfg)
     return cfg
@@ -204,8 +190,6 @@ def _validate(cfg: RunConfig):
         )
     if cfg.tol <= 0:
         raise ConfigError(f"key `tol` expects a positive float, got {cfg.tol}")
-    if cfg.threads < 1:
-        raise ConfigError(f"key `threads` expects a positive int, got {cfg.threads}")
     if cfg.format not in ("csv", "json"):
         raise ConfigError(f"key `format` must be csv or json, got {cfg.format!r}")
 
@@ -350,7 +334,7 @@ def _emit(text: str, output: str | None):
 
 def _run_solve(cfg: RunConfig) -> int:
     preset = _resolve_problem(cfg.problem)
-    expansion = fd_solve(preset.problem, cfg.n1, cfg.n2, cfg.rank, cfg.cheb_order, cfg.threads)
+    expansion = fd_solve(preset.problem, cfg.n1, cfg.n2, cfg.rank, cfg.cheb_order)
     total = expansion.partial_sum(cfg.rank)
     grid = expansion.grid
     s = unit_cheb_nodes(cfg.cheb_order)
@@ -395,7 +379,6 @@ def _run_study(cfg: RunConfig) -> int:
         meshes=tuple((n, n) for n in cfg.n_list),
         max_rank=cfg.rank,
         p=cfg.cheb_order,
-        threads=cfg.threads,
     )
     report = convergence_study(spec)
     if cfg.format == "csv":

@@ -335,15 +335,27 @@ def max_edge_jump(f: PiecewiseField) -> float:
     return jump
 
 
-def _sample_2d(fn, xn: np.ndarray, yn: np.ndarray) -> np.ndarray:
-    """Evaluate fn on a tensor grid, preferring a vectorized call."""
-    xg, yg = np.meshgrid(xn, yn, indexing="ij")
+def _sample_grid(fn, x: np.ndarray, y: np.ndarray):
+    """fn on broadcast coordinate arrays in one call, or None if fn is scalar-only.
+
+    `x` and `y` broadcast together to the target shape (no copy is made); the
+    result must have exactly that shape, or be a scalar, to be accepted.
+    """
+    xg, yg = np.broadcast_arrays(x, y)
     try:
         out = np.asarray(fn(xg, yg), dtype=float)
-        if out.shape == xg.shape:
-            return out
-        if out.ndim == 0:
-            return np.full(xg.shape, float(out))
     except Exception:
-        pass
+        return None
+    if out.shape == xg.shape:
+        return out
+    if out.ndim == 0:
+        return np.full(xg.shape, float(out))
+    return None
+
+
+def _sample_2d(fn, xn: np.ndarray, yn: np.ndarray) -> np.ndarray:
+    """Evaluate fn on a tensor grid, preferring a vectorized call."""
+    out = _sample_grid(fn, xn[:, None], yn[None, :])
+    if out is not None:
+        return out
     return np.array([[float(fn(x, y)) for y in yn] for x in xn])

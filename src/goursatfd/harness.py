@@ -16,10 +16,18 @@ from typing import Callable
 
 import numpy as np
 
-from .field import Grid, bary_matrix, cheb_diff_matrix, unit_cheb_nodes
+from .field import (
+    Grid,
+    _sample_2d,
+    _sample_grid,
+    bary_matrix,
+    cheb_diff_matrix,
+    corner_table,
+    unit_cheb_nodes,
+)
+from .kernels import KernelRangeError
 from .series import Nonlinearity
-from .solver import FdExpansion, GoursatProblem, solve_basic, solve_correction
-from .field import corner_table
+from .solver import FdExpansion, FdSolverError, GoursatProblem, solve_basic, solve_correction
 
 __all__ = [
     "Preset",
@@ -160,8 +168,7 @@ PRESETS = {
 # solve driver and error metrics
 
 
-def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int,
-             threads: int = 1) -> FdExpansion:
+def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExpansion:
     """Basic solve plus corrections 1..m; partial sums give every lower rank."""
     if m < 0:
         raise ValueError(f"rank must be non-negative, got {m}")
@@ -171,23 +178,28 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int,
         raise ValueError(f"cheb order must lie in {P_RANGE[0]}..{P_RANGE[1]}, got {p}")
     grid = Grid(problem.X, problem.Y, n1, n2)
     expansion = FdExpansion(problem, grid, p)
-    u0, table0, coeffs = solve_basic(problem, grid, p, threads)
+    u0, table0, coeffs = solve_basic(problem, grid, p)
     expansion.corrections.append(u0)
     expansion.corner_tables.append(table0)
     expansion.cell_coeffs = coeffs
     for k in range(1, m + 1):
-        uk = solve_correction(expansion, k, threads)
+        uk = solve_correction(expansion, k)
         expansion.corrections.append(uk)
         expansion.corner_tables.append(corner_table(uk))
     return expansion
 
 
 def _exact_on_fractions(exact, grid: Grid, fracs: np.ndarray) -> np.ndarray:
-    """Exact values on every cell at fixed local fractions of the cell."""
-    from .field import _sample_2d
+    """Exact values on every cell at fixed local fractions of the cell.
 
+    One call on broadcast (N1, N2, F, F) coordinates when `exact` takes
+    arrays; cell by cell otherwise.
+    """
     nx = grid.x_nodes[:-1, None] + grid.h1 * fracs[None, :]
     ny = grid.y_nodes[:-1, None] + grid.h2 * fracs[None, :]
+    out = _sample_grid(exact, nx[:, None, :, None], ny[None, :, None, :])
+    if out is not None:
+        return out
     out = np.empty((grid.N1, grid.N2, len(fracs), len(fracs)))
     for i in range(grid.N1):
         for j in range(grid.N2):
@@ -207,15 +219,16 @@ def error_vs_exact(expansion: FdExpansion, exact, m: int, refine: int = 5) -> fl
     if not 0 <= m <= expansion.rank:
         raise ValueError(f"rank {m} not in stored range 0..{expansion.rank}")
     grid, p = expansion.grid, expansion.order
-    total = expansion.partial_sum(m).values
     exact_nodes = _exact_on_fractions(exact, grid, unit_cheb_nodes(p))
-    err = float(np.max(np.abs(total - exact_nodes)))
+    total = expansion.partial_sum(m).values
+    err_ref = 0.0
     if refine > 1:
         r = np.linspace(0.0, 1.0, refine)
         exact_ref = _exact_on_fractions(exact, grid, r)
         approx_ref = _eval_on_fractions(total, p, r)
-        err = max(err, float(np.max(np.abs(approx_ref - exact_ref))))
-    return err
+        err_ref = float(np.max(np.abs(approx_ref - exact_ref)))
+    total -= exact_nodes  # in place: on the largest meshes this is the peak memory
+    return max(float(np.max(np.abs(total, out=total))), err_ref)
 
 
 def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
@@ -251,7 +264,6 @@ class StudySpec:
     max_rank: int
     p: int = 12
     refine: int = 5
-    threads: int = 1
 
     def __post_init__(self):
         if self.max_rank < 0 or self.max_rank > MAX_RANK:
@@ -288,7 +300,7 @@ def convergence_study(spec: StudySpec) -> ErrorReport:
     for n1, n2 in spec.meshes:
         try:
             report.rows.extend(_study_mesh(spec, n1, n2))
-        except Exception as exc:
+        except (FdSolverError, KernelRangeError) as exc:
             report.failures.append((n1, n2, f"{type(exc).__name__}: {exc}"))
     return report
 
@@ -298,10 +310,10 @@ def _study_mesh(spec: StudySpec, n1: int, n2: int):
     grid_h1 = problem.X / n1
     grid_h2 = problem.Y / n2
     start = time.perf_counter()
-    expansion = fd_solve(problem, n1, n2, 0, spec.p, spec.threads)
+    expansion = fd_solve(problem, n1, n2, 0, spec.p)
     walls = [1000.0 * (time.perf_counter() - start)]
     for k in range(1, spec.max_rank + 1):
-        uk = solve_correction(expansion, k, spec.threads)
+        uk = solve_correction(expansion, k)
         expansion.corrections.append(uk)
         expansion.corner_tables.append(corner_table(uk))
         walls.append(1000.0 * (time.perf_counter() - start))

@@ -3,7 +3,9 @@
 The kernel is R(xi, eta; x, y) = 0F1(1; -c*(xi - x)*(eta - y)), an entire
 function of its argument.  Cells are small at desk scale, so the argument
 stays tiny and plain series summation is both fast and accurate; there is no
-asymptotic branch.
+asymptotic branch.  The scalar `hyp0f1` is the reference evaluation; the
+solver sums the same series term by term against precomputed moments, using
+`series_length` and `series_terms` below.
 """
 
 from __future__ import annotations
@@ -12,7 +14,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["KernelRangeError", "RiemannKernel", "hyp0f1", "riemann", "riemann_d1", "riemann_d2"]
+__all__ = [
+    "KernelRangeError",
+    "RiemannKernel",
+    "hyp0f1",
+    "riemann",
+    "riemann_d1",
+    "riemann_d2",
+    "series_length",
+    "series_terms",
+]
 
 Z_MAX = 1.0e4
 MAX_TERMS = 500
@@ -45,36 +56,32 @@ def hyp0f1(b: float, z: float) -> float:
     return total
 
 
-def hyp0f1_array(b: float, z: np.ndarray, zmax: float | None = None) -> np.ndarray:
-    """Vectorized 0F1 over an array, by Horner evaluation of the series.
+def series_length(zmax: float) -> int:
+    """Number of 0F1 series terms needed for every |z| <= zmax.
 
-    The truncation order is chosen from `zmax` (defaults to max |z|) so that
-    the dropped tail is below 1e-18 relative; agrees with `hyp0f1` to
-    roundoff.
+    The count K is the smallest with zmax^(K-1) / ((K-1)!)^2 <= 1e-18, capped
+    at 501; the terms of 0F1(b; z) for b >= 1 are no larger.  Arguments with
+    |z| > 1e4 are rejected.
     """
-    z = np.asarray(z, dtype=float)
-    if zmax is None:
-        zmax = float(np.max(np.abs(z))) if z.size else 0.0
     if zmax > Z_MAX:
         raise KernelRangeError(f"|z| = {zmax:.3g} exceeds {Z_MAX:.0g}; refine the mesh")
-    coeffs = _series_coeffs(b, zmax)
-    out = np.full(z.shape, coeffs[-1])
-    for c in coeffs[-2::-1]:
-        out *= z
-        out += c
+    n, term = 1, 1.0
+    while term > 1.0e-18 and n <= MAX_TERMS:
+        term *= zmax / (n * n)
+        n += 1
+    return n
+
+
+def series_terms(b: float, z: np.ndarray, n: int) -> np.ndarray:
+    """Rows z^k / ((b)_k k!) for k < n, one row per entry of the 1-d array z.
+
+    Built by the term recurrence, so no power of z is formed: for |z| up to
+    1e4 the largest coefficient stays near 1e84 and nothing overflows.
+    """
+    k = np.arange(1, n)
+    out = np.ones((z.size, n))
+    np.cumprod(z[:, None] / ((b + k - 1) * k), axis=1, out=out[:, 1:])
     return out
-
-
-def _series_coeffs(b: float, zmax: float) -> np.ndarray:
-    # 1/((b)_k k!) up to the order where the tail at |z| = zmax is negligible
-    coeffs = [1.0]
-    term = 1.0
-    for k in range(MAX_TERMS):
-        coeffs.append(coeffs[-1] / ((b + k) * (k + 1)))
-        term *= zmax / ((b + k) * (k + 1))
-        if term <= 1.0e-18:
-            break
-    return np.array(coeffs)
 
 
 @dataclass(frozen=True)

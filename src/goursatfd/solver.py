@@ -2,29 +2,51 @@
 
 Rank 0 ("basic problem"): on each mesh cell the multiplier N(u) is frozen at
 the cell's lower-left corner value, so the cell problem is linear with a
-constant coefficient and is solved in closed form through the Riemann kernel:
+constant coefficient c and is solved in closed form through the Riemann
+kernel R = 0F1(1; -c (xi - x)(eta - y)):
 
     u(x, y) = u(x0, y) + int_{x0}^{x} R(xi, y0; x, y) du/dxi(xi, y0) dxi
             - int_{y0}^{y} dR/deta(x0, eta; x, y) u(x0, eta) deta
             + int_{x0}^{x} int_{y0}^{y} R(xi, eta; x, y) rhs(xi, eta) dxi deta.
 
-Cells are marched in wavefront order, so each cell's corner value and edge
-traces are available when the cell is reached.  Higher ranks solve linear
-correction problems on the same cells; their sources combine Adomian
-polynomials of the multiplier evaluated at corner values (a piecewise
-constant field) and at the running point, plus an explicit source
--N'(u0_corner) * uk_corner * u0(x, y) carrying the correction's own corner
-value, which the march has already produced.
+Higher ranks solve linear correction problems on the same cells; their
+sources combine Adomian polynomials of the multiplier evaluated at corner
+values (a piecewise constant field) and at the running point, plus an
+explicit source -N'(u0_corner) * uk_corner * u0(x, y) carrying the
+correction's own corner value, which the march has already produced.
 
-All integrals use fresh Clenshaw-Curtis rules on the variable sub-intervals
-with integrands interpolated barycentrically from the cell tensors.  The
-sub-interval geometry in cell-local coordinates is identical for every cell,
-so the interpolation tensors are precomputed once per order P.
+Moment expansion.  The integrals use Clenshaw-Curtis rules on the variable
+sub-intervals, with integrands interpolated barycentrically from the cell
+tensors.  In cell-local coordinates the sub-rule geometry is the same for
+every cell: with sigma the CGL nodes of [0, 1], the rule for [0, sigma_t]
+has weights WSUB[t, q] at nodes sigma_t * sigma_q, W[t, q, p] interpolates
+cell nodes to them, and the kernel argument is zeta = c h1 h2 times products
+of DXM[t, q] = sigma_t (sigma_q - 1) and sigma.  Expanding the entire series
+0F1(b; z) = sum_k z^k / ((b)_k k!) therefore splits every kernel integral
+into c-independent moment matrices
+
+    A_k[t, p] = sum_q WSUB[t, q] DXM[t, q]^k W[t, q, p]
+
+weighted by scalar series terms in zeta:
+
+    bottom   h1 sum_k zeta^k / (k!)^2 (A_k b')[t] sigma_u^k
+    left     -zeta sum_k zeta^k / (k! (k+1)!) sigma_t^(k+1) (A_k left)[u]
+    area     h1 h2 sum_k (-zeta)^k / (k!)^2 (A_k rhs A_k^T)[t, u]
+
+The term count follows from the largest |zeta| in the batch, and the moment
+stack is built once per order P, growing on demand.
+
+Wavefront batching.  A cell reads only its left and lower neighbours, so the
+cells of one anti-diagonal are independent.  The march solves each
+anti-diagonal in one batched call: it gathers the edge traces by fancy
+indexing, freezes the coefficients with one evaluation of N, assembles the
+sources with one Adomian composition, and applies the three terms above as a
+few matrix products.  Each solved wavefront is checked for non-finite values
+before the next one reads it.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable
@@ -35,13 +57,14 @@ from .field import (
     Grid,
     PiecewiseField,
     _sample_2d,
+    _sample_grid,
     bary_matrix,
     cheb_diff_matrix,
     corner_table,
     unit_cc_weights,
     unit_cheb_nodes,
 )
-from .kernels import hyp0f1_array
+from .kernels import KernelRangeError, series_length, series_terms
 from .series import Nonlinearity, compose_with_tail
 
 __all__ = [
@@ -112,27 +135,34 @@ class _CellEngine:
     """Order-P tensors shared by every cell solve.
 
     With sigma the CGL nodes of [0, 1], the Clenshaw-Curtis rule for the
-    sub-interval [0, sigma_t] uses nodes sigma_t * sigma_q, so both the
-    interpolation tensor W[t, q, p] (cell nodes -> sub-rule nodes) and the
-    offset matrix DXM[t, q] = sigma_t * (sigma_q - 1) are mesh independent.
+    sub-interval [0, sigma_t] uses nodes sigma_t * sigma_q, so the
+    interpolation tensor W[t, q, p] (cell nodes -> sub-rule nodes), the
+    offset matrix DXM[t, q] = sigma_t * (sigma_q - 1) and the moment matrices
+    built from them are mesh independent.
     """
 
     def __init__(self, p: int):
-        self.p = p
         sigma = unit_cheb_nodes(p)
         self.sigma = sigma
-        self.wcc = unit_cc_weights(p)
         self.diff01 = cheb_diff_matrix(sigma)
-        w = np.empty((p, p, p))
-        for t in range(p):
-            w[t] = bary_matrix(sigma[t] * sigma, sigma)
-        self.W = w
-        self.Wflat = w.reshape(p * p, p)
+        self.W = np.stack([bary_matrix(s * sigma, sigma) for s in sigma])
         self.DXM = sigma[:, None] * (sigma[None, :] - 1.0)
-        self.OUTER4 = np.multiply.outer(self.DXM, self.DXM)  # [t,q,u,r]
-        self.OUTER2 = np.multiply.outer(self.DXM, sigma)  # [t,q,u]
-        self.OUTER3 = np.multiply.outer(sigma, self.DXM)  # [t,u,r]
-        self.WSUB = sigma[:, None] * self.wcc[None, :]  # [t,q] sub-rule weights / h
+        self.WSUB = sigma[:, None] * unit_cc_weights(p)[None, :]  # [t,q] sub-rule weights / h
+        self._moments = np.empty((0, p, p))
+        self._powers = np.empty((0, p))
+
+    def moments(self, n: int):
+        """Moment matrices A_0..A_{n-1} [k,t,p] and node powers sigma^k [k,u].
+
+        The cached stack grows to the next power of two when a call needs
+        more terms, so it is rebuilt only a few times per order.
+        """
+        if len(self._moments) < n:
+            k = np.arange(1 << (n - 1).bit_length())
+            dxm_k = self.DXM ** k[:, None, None]
+            self._moments = np.einsum("tq,ktq,tqp->ktp", self.WSUB, dxm_k, self.W)
+            self._powers = self.sigma ** k[:, None]
+        return self._moments[:n], self._powers[:n]
 
 
 @lru_cache(maxsize=8)
@@ -140,50 +170,58 @@ def _engine(p: int) -> _CellEngine:
     return _CellEngine(p)
 
 
-def _cell_solve(eng: _CellEngine, c: float, h1: float, h2: float,
-                left: np.ndarray, bottom: np.ndarray, rhs_vals: np.ndarray) -> np.ndarray:
-    """One constant-coefficient cell via the Riemann representation.
+def _solve_cells(eng: _CellEngine, c: np.ndarray, h1: float, h2: float,
+                 left: np.ndarray, bottom: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """A batch of constant-coefficient cells via the Riemann representation.
 
-    `left`/`bottom` are the P edge samples, `rhs_vals` the P x P source
-    tensor on the cell's own nodes.  Returns the P x P solution tensor.
+    `c` holds one coefficient per cell, `left`/`bottom` the (n, P) edge
+    samples and `rhs` the (n, P, P) source tensors on the cells' own nodes.
+    Returns the (n, P, P) solution tensors.
     """
-    p = eng.p
-    zc = -c * h1 * h2
-    zmax = abs(zc)
+    zeta = c * (h1 * h2)
+    n = series_length(float(np.max(np.abs(zeta))))
+    a, powers = eng.moments(n)
+    t1 = series_terms(1.0, zeta, n)  # zeta^k / (k!)^2
+    t2 = series_terms(2.0, zeta, n)  # zeta^k / (k! (k+1)!)
 
-    ws1 = h1 * eng.WSUB
-    ws2 = h2 * eng.WSUB
+    # bottom term: d/dxi of the bottom trace against R on y = y0
+    bq = np.tensordot((bottom @ eng.diff01.T) / h1, a, axes=([1], [2]))  # [n,k,t]
+    bq *= t1[:, :, None]
+    u = h1 * np.tensordot(bq, powers, axes=([1], [0]))  # [n,t,u]
 
-    # d/dxi of the bottom trace, interpolated to every sub-rule node
-    bprime = (eng.diff01 @ bottom) / h1
-    bq = eng.W @ bprime  # [t,q]
-    r2 = hyp0f1_array(1.0, -zc * eng.OUTER2, zmax)
-    term2 = np.einsum("tq,tqu->tu", ws1 * bq, r2)
+    # left term: -int dR/deta * left trace, dR/deta = c (x - x0) 0F1(2; z)
+    lq = np.tensordot(left, a, axes=([1], [2]))  # [n,k,u]
+    lq *= (zeta[:, None] * t2)[:, :, None]
+    u -= np.matmul((powers * eng.sigma).T, lq)
 
-    # -int dR/deta * left-trace; dR/deta = 0F1(2; z) * c * (x_t - x0)
-    lr = eng.W @ left  # [u,r]
-    r3 = hyp0f1_array(2.0, -zc * eng.OUTER3, zmax)
-    term3 = -(c * h1) * eng.sigma[:, None] * np.einsum("tur,ur->tu", r3, ws2 * lr)
+    # area term: sum_k (-zeta)^k / (k!)^2 A_k rhs A_k^T
+    t1[:, 1::2] *= -1.0
+    rq = np.tensordot(a, rhs, axes=([2], [1]))  # [k,t,n,p]
+    rq *= (h1 * h2) * t1.T[:, None, :, None]
+    u += np.tensordot(rq, a, axes=([0, 3], [0, 2])).transpose(1, 0, 2)
+    u += left[:, None, :]
+    return u
 
-    # area term: interpolate rhs to the tensor sub-rule nodes, weight by R
-    g = hyp0f1_array(1.0, zc * eng.OUTER4, zmax)
-    rq = (eng.Wflat @ rhs_vals @ eng.Wflat.T).reshape(p, p, p, p)
-    g *= rq
-    g *= ws1[:, :, None, None]
-    g *= ws2[None, None, :, :]
-    term4 = g.sum(axis=(1, 3))
 
-    return left[None, :] + term2 + term3 + term4
+def _corner_mismatch(left: np.ndarray, bottom: np.ndarray, corners: np.ndarray):
+    """(index, message) of the first cell whose traces miss its corner value.
+
+    Returns None if every cell passes.  A cell passes only when both
+    differences are within tolerance, so a NaN anywhere fails it.
+    """
+    tol = TRACE_MATCH_TOL * (1.0 + np.abs(corners))
+    ok = (np.abs(left[:, 0] - corners) <= tol) & (np.abs(bottom[:, 0] - corners) <= tol)
+    if ok.all():
+        return None
+    n = int(np.argmin(ok))
+    return n, (f"edge traces disagree with the corner value: left[0]={left[n, 0]!r}, "
+               f"bottom[0]={bottom[n, 0]!r}, corner={corners[n]!r}")
 
 
 def _check_corner(left: np.ndarray, bottom: np.ndarray, corner_value: float):
-    scale = 1.0 + abs(corner_value)
-    if abs(left[0] - corner_value) > TRACE_MATCH_TOL * scale or \
-       abs(bottom[0] - corner_value) > TRACE_MATCH_TOL * scale:
-        raise ValueError(
-            f"edge traces disagree with the corner value: left[0]={left[0]!r}, "
-            f"bottom[0]={bottom[0]!r}, corner={corner_value!r}"
-        )
+    bad = _corner_mismatch(left[None], bottom[None], np.array([float(corner_value)]))
+    if bad:
+        raise ValueError(bad[1])
 
 
 def _trace_values(trace, p: int, a: float, b: float) -> np.ndarray:
@@ -199,7 +237,8 @@ def solve_cell_linear(c: float, left_trace, bottom_trace, corner_value: float,
 
     Traces are P CGL samples (arrays or EdgeTrace) on the cell sides; the
     result is the P x P tensor on the cell nodes, whose left and bottom edges
-    reproduce the traces.
+    reproduce the traces.  Raises KernelRangeError when |c| h1 h2 exceeds the
+    kernel series range.
     """
     x0, x1, y0, y1 = rect
     if not (x0 < x1 and y0 < y1):
@@ -213,7 +252,8 @@ def solve_cell_linear(c: float, left_trace, bottom_trace, corner_value: float,
     xn[0], xn[-1] = x0, x1
     yn[0], yn[-1] = y0, y1
     rhs_vals = _sample_2d(rhs, xn, yn)
-    return _cell_solve(eng, c, x1 - x0, y1 - y0, left, bottom, rhs_vals)
+    return _solve_cells(eng, np.array([float(c)]), x1 - x0, y1 - y0,
+                        left[None], bottom[None], rhs_vals[None])[0]
 
 
 def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
@@ -232,6 +272,7 @@ def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
     if abs(c) * h1 * h2 >= 1.0:
         raise ValueError(f"no contraction: |c|*h1*h2 = {abs(c) * h1 * h2:.3g} >= 1")
     eng = _engine(p)
+    wflat = eng.W.reshape(p * p, p)
     left = _trace_values(left_trace, p, y0, y1)
     bottom = _trace_values(bottom_trace, p, x0, x1)
     _check_corner(left, bottom, corner_value)
@@ -246,7 +287,7 @@ def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
     u = np.zeros((p, p))
     for _ in range(max_iter):
         w = rhs_vals - c * u
-        wq = (eng.Wflat @ w @ eng.Wflat.T).reshape(p, p, p, p)
+        wq = (wflat @ w @ wflat.T).reshape(p, p, p, p)
         wq *= ws1[:, :, None, None]
         wq *= ws2[None, None, :, :]
         new = boundary + wq.sum(axis=(1, 3))
@@ -257,125 +298,129 @@ def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
     raise FdSolverError(f"picard iteration did not reach {tol:.1e} in {max_iter} steps")
 
 
-def _march(grid: Grid, p: int, cell_fn, threads: int = 1) -> np.ndarray:
-    """Run cell_fn over all cells in wavefront (anti-diagonal) order.
+def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
+           wavefront) -> np.ndarray:
+    """Solve every cell, one anti-diagonal per batched call.
 
-    cell_fn(i, j, values) must only read cells (i-1, j) and (i, j-1), which
-    are complete by construction; results are independent of scheduling
-    because every cell's arithmetic is self-contained.
+    `left_edge` (N2, P) and `bottom_edge` (N1, P) carry the data on x = 0 and
+    y = 0.  wavefront(ii, jj, corners) returns the coefficients (n,) and the
+    source tensors (n, P, P) of cells (ii, jj), given their lower-left corner
+    values; it may read only cells of earlier anti-diagonals, all complete.
     """
+    eng = _engine(p)
     n1, n2 = grid.N1, grid.N2
     values = np.full((n1, n2, p, p), np.nan)
-
-    def run(i, j):
+    for d in range(n1 + n2 - 1):
+        ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
+        jj = d - ii
+        # index -1 reads a wrong cell only for cells on an axis; their traces
+        # are replaced by the axis data
+        left = values[ii - 1, jj, -1, :]
+        bottom = values[ii, jj - 1, :, -1]
+        if ii[0] == 0:
+            left[0] = left_edge[jj[0]]
+        if jj[-1] == 0:
+            bottom[-1] = bottom_edge[ii[-1]]
+        corners = left[:, 0]
+        bad = _corner_mismatch(left, bottom, corners)
+        if bad:
+            raise FdSolverError(f"cell ({ii[bad[0]]}, {jj[bad[0]]}): {bad[1]}")
+        c, rhs = wavefront(ii, jj, corners)
         try:
-            values[i, j] = cell_fn(i, j, values)
-        except Exception as exc:
-            raise FdSolverError(f"cell ({i}, {j}): {exc}") from exc
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for d in range(n1 + n2 - 1):
-                cells = [(i, d - i) for i in range(max(0, d - n2 + 1), min(n1, d + 1))]
-                for fut in [pool.submit(run, i, j) for i, j in cells]:
-                    fut.result()
-    else:
-        for d in range(n1 + n2 - 1):
-            for i in range(max(0, d - n2 + 1), min(n1, d + 1)):
-                run(i, d - i)
+            out = _solve_cells(eng, c, grid.h1, grid.h2, left, bottom, rhs)
+        except KernelRangeError as exc:
+            n = int(np.argmax(np.abs(c)))
+            raise KernelRangeError(f"cell ({ii[n]}, {jj[n]}): {exc}") from exc
+        finite = np.isfinite(out).all(axis=(1, 2))
+        if not finite.all():
+            n = int(np.argmin(finite))
+            raise FdSolverError(f"cell ({ii[n]}, {jj[n]}): non-finite values in the solution")
+        values[ii, jj] = out
     return values
 
 
-def _axis_samples(fn, nodes_1d) -> np.ndarray:
-    return np.array([float(fn(v)) for v in nodes_1d])
+def _axis_samples(fn, nodes: np.ndarray) -> np.ndarray:
+    return np.array([[float(fn(v)) for v in row] for row in nodes])
 
 
 def _cell_axis_nodes(grid: Grid, p: int):
+    """(N1, P) x-nodes and (N2, P) y-nodes of the cells, endpoints exact."""
     s = unit_cheb_nodes(p)
-    xs, ys = [], []
-    for i in range(grid.N1):
-        x0, x1 = grid.x_nodes[i], grid.x_nodes[i + 1]
-        xn = x0 + (x1 - x0) * s
-        xn[0], xn[-1] = x0, x1
-        xs.append(xn)
-    for j in range(grid.N2):
-        y0, y1 = grid.y_nodes[j], grid.y_nodes[j + 1]
-        yn = y0 + (y1 - y0) * s
-        yn[0], yn[-1] = y0, y1
-        ys.append(yn)
-    return xs, ys
+    out = []
+    for nodes in (grid.x_nodes, grid.y_nodes):
+        lo, hi = nodes[:-1], nodes[1:]
+        cell = lo[:, None] + (hi - lo)[:, None] * s
+        cell[:, 0], cell[:, -1] = lo, hi
+        out.append(cell)
+    return out
 
 
-def solve_basic(problem: GoursatProblem, grid: Grid, p: int, threads: int = 1):
+def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
+    """fn on the tensor nodes of cells (ii, jj), shaped (n, P, P).
+
+    One broadcast call when fn takes arrays; otherwise cell by cell, so that
+    an error names the cell it came from.
+    """
+    out = _sample_grid(fn, xs[ii][:, :, None], ys[jj][:, None, :])
+    if out is not None:
+        return out
+    out = np.empty((len(ii), xs.shape[1], ys.shape[1]))
+    for n, (i, j) in enumerate(zip(ii, jj)):
+        try:
+            out[n] = _sample_2d(fn, xs[i], ys[j])
+        except Exception as exc:
+            raise FdSolverError(f"cell ({i}, {j}): {exc}") from exc
+    return out
+
+
+def solve_basic(problem: GoursatProblem, grid: Grid, p: int):
     """Rank-0 field: N frozen at each cell's lower-left corner, rhs = f.
 
     Marches cells in wavefront order, freezing c_ij = N(u0(x_{i-1}, y_{j-1}))
     from data already computed, then solving the cell in closed form.
     Returns (field, corner table, cell coefficient array).
     """
-    eng = _engine(p)
     nl = problem.nonlinearity
     xs, ys = _cell_axis_nodes(grid, p)
-    psi_cells = [_axis_samples(problem.psi, xn) for xn in xs]
-    phi_cells = [_axis_samples(problem.phi, yn) for yn in ys]
     coeffs = np.empty((grid.N1, grid.N2))
-    h1, h2 = grid.h1, grid.h2
 
-    def cell(i, j, values):
-        left = phi_cells[j] if i == 0 else values[i - 1, j, -1, :]
-        bottom = psi_cells[i] if j == 0 else values[i, j - 1, :, -1]
-        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(bottom))):
-            raise RuntimeError("trace read before neighbor cell was solved")
-        corner = float(left[0])
-        _check_corner(left, bottom, corner)
-        c = float(nl.eval(corner))
-        coeffs[i, j] = c
-        rhs_vals = _sample_2d(problem.f, xs[i], ys[j])
-        return _cell_solve(eng, c, h1, h2, left, bottom, rhs_vals)
+    def wavefront(ii, jj, corners):
+        coeffs[ii, jj] = nl.eval(corners)
+        return coeffs[ii, jj], _sample_cells(problem.f, xs, ys, ii, jj)
 
-    values = _march(grid, p, cell, threads)
+    values = _march(grid, p, _axis_samples(problem.phi, ys), _axis_samples(problem.psi, xs),
+                    wavefront)
     field = PiecewiseField(grid, values)
     return field, corner_table(field), coeffs
 
 
-def _corner_adomians(nl: Nonlinearity, corners: list[float], k: int) -> np.ndarray:
-    """A_0..A_k of N at the corner values u0..u^(k-1), with the top slot zero.
+def _adomian_source(nl: Nonlinearity, frozen: list, here: list) -> np.ndarray:
+    """The rank-k Adomian source F^(k), k = len(here), on a batch of cells.
 
-    One composition of order k delivers every scalar Adomian polynomial the
-    rank-k source needs, including A_k(...; u0..u^(k-1), 0).
+    `frozen[s]` holds the rank-s corner values of the cells (any shape,
+    one entry per cell) and `here[s]` the rank-s values at points of those
+    cells (the cell shape followed by point axes).  One composition of order
+    k at the corner and point values together yields the corner Adomian
+    polynomials A_0..A_k (the top slot taken as zero) and the running ones.
     """
-    taylor = nl.taylor_at(corners[0], k)
-    tail = np.zeros(k + 1)
-    tail[1:k] = corners[1:k]
-    return compose_with_tail(taylor, tail)
-
-
-def _running_adomians(nl: Nonlinearity, cell_tensors: list[np.ndarray], k: int) -> np.ndarray:
-    """A_0..A_{k-1} of N at the running-point values, over a whole cell tensor."""
-    flat = [t.ravel() for t in cell_tensors]
-    taylor = nl.taylor_at(flat[0], k - 1)
-    tail = np.zeros_like(taylor)
+    k = len(here)
+    shape = here[0].shape
+    cells = frozen[0].size
+    v = [h.reshape(cells, -1) for h in here]
+    centers = np.concatenate([frozen[0].ravel(), v[0].ravel()])
+    tail = np.zeros((k + 1, centers.size))
     for s in range(1, k):
-        tail[s] = flat[s]
-    return compose_with_tail(taylor, tail)
+        tail[s, :cells] = frozen[s].ravel()
+        tail[s, cells:] = v[s].ravel()
+    comp = compose_with_tail(nl.taylor_at(centers, k), tail)
+    a_corner = comp[:, :cells, None]
+    a_run = comp[:k, cells:].reshape(k, cells, -1)
 
-
-def _correction_source_cell(expansion: FdExpansion, k: int, i: int, j: int) -> np.ndarray:
-    """The rank-k Adomian source F^(k) sampled on cell (i, j)'s tensor nodes."""
-    nl = expansion.problem.nonlinearity
-    corners = [float(expansion.corner_tables[s][i, j]) for s in range(k)]
-    a_corner = _corner_adomians(nl, corners, k)
-    tensors = [expansion.corrections[s].values[i, j] for s in range(k)]
-    a_run = _running_adomians(nl, tensors, k)
-
-    shape = tensors[0].shape
-    f = np.zeros(shape[0] * shape[1])
-    flat = [t.ravel() for t in tensors]
-    for s in range(1, k):
-        f -= a_corner[k - s] * flat[s]
+    f = -a_corner[k] * v[0]
     for s in range(k):
-        f += (a_corner[k - 1 - s] - a_run[k - 1 - s]) * flat[s]
-    f -= a_corner[k] * flat[0]
+        f += (a_corner[k - 1 - s] - a_run[k - 1 - s]) * v[s]
+        if s:
+            f -= a_corner[k - s] * v[s]
     return f.reshape(shape)
 
 
@@ -391,25 +436,12 @@ def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
         raise ValueError(f"corrections 0..{k - 1} must be complete, have {len(expansion.corrections)}")
     i, j = cell
     x, y = point
-    nl = expansion.problem.nonlinearity
-    corners = [float(expansion.corner_tables[s][i, j]) for s in range(k)]
-    a_corner = _corner_adomians(nl, corners, k)
-    here = [expansion.corrections[s].evaluate_in_cell(i, j, x, y) for s in range(k)]
-    taylor = nl.taylor_at(here[0], k - 1)
-    tail = np.zeros(k)
-    tail[1:k] = here[1:k]
-    a_run = compose_with_tail(taylor, tail)
-
-    val = 0.0
-    for s in range(1, k):
-        val -= a_corner[k - s] * here[s]
-    for s in range(k):
-        val += (a_corner[k - 1 - s] - a_run[k - 1 - s]) * here[s]
-    val -= a_corner[k] * here[0]
-    return float(val)
+    frozen = [expansion.corner_tables[s][i, j] for s in range(k)]
+    here = [np.array([expansion.corrections[s].evaluate_in_cell(i, j, x, y)]) for s in range(k)]
+    return float(_adomian_source(expansion.problem.nonlinearity, frozen, here)[0])
 
 
-def solve_correction(expansion: FdExpansion, k: int, threads: int = 1) -> PiecewiseField:
+def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     """The rank-k correction field, vanishing on both axes.
 
     Each cell solves u_xy + c_ij u = F^(k) - N'(u0_corner) * uk_corner * u0,
@@ -421,66 +453,47 @@ def solve_correction(expansion: FdExpansion, k: int, threads: int = 1) -> Piecew
     if len(expansion.corrections) != k:
         raise ValueError(f"expected corrections 0..{k - 1} complete, have {len(expansion.corrections)}")
     grid, p = expansion.grid, expansion.order
-    eng = _engine(p)
     nl = expansion.problem.nonlinearity
-    u0 = expansion.corrections[0].values
-    coeffs = expansion.cell_coeffs
-    nprime = nl.deriv(expansion.corner_tables[0][:-1, :-1])
-    h1, h2 = grid.h1, grid.h2
-    zero = np.zeros(p)
+    prior = [u.values for u in expansion.corrections]
+    frozen = [t[:-1, :-1] for t in expansion.corner_tables]
+    nprime = nl.deriv(frozen[0])
 
-    def cell(i, j, values):
-        left = zero if i == 0 else values[i - 1, j, -1, :]
-        bottom = zero if j == 0 else values[i, j - 1, :, -1]
-        if not (np.all(np.isfinite(left)) and np.all(np.isfinite(bottom))):
-            raise RuntimeError("trace read before neighbor cell was solved")
-        corner = float(left[0])
-        _check_corner(left, bottom, corner)
-        rhs_vals = _correction_source_cell(expansion, k, i, j)
-        rhs_vals = rhs_vals - nprime[i, j] * corner * u0[i, j]
-        return _cell_solve(eng, float(coeffs[i, j]), h1, h2, left, bottom, rhs_vals)
+    def wavefront(ii, jj, corners):
+        here = [v[ii, jj] for v in prior]
+        rhs = _adomian_source(nl, [t[ii, jj] for t in frozen], here)
+        rhs -= (nprime[ii, jj] * corners)[:, None, None] * here[0]
+        return expansion.cell_coeffs[ii, jj], rhs
 
-    return PiecewiseField(grid, _march(grid, p, cell, threads))
+    values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), wavefront)
+    return PiecewiseField(grid, values)
 
 
-def _cross_derivative(values_cell: np.ndarray, d01: np.ndarray, h1: float, h2: float) -> np.ndarray:
-    return (d01 @ values_cell @ d01.T) / (h1 * h2)
+def _interior_residual_sup(expansion: FdExpansion, values: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """Per-cell sup over interior nodes of values_xy + c_ij * values + rest."""
+    grid = expansion.grid
+    d01 = _engine(expansion.order).diff01
+    res = (d01 @ values @ d01.T) / (grid.h1 * grid.h2)
+    res += expansion.cell_coeffs[:, :, None, None] * values + rest
+    return np.max(np.abs(res[:, :, 1:-1, 1:-1]), axis=(2, 3))
 
 
 def residual_basic(expansion: FdExpansion) -> np.ndarray:
     """Per-cell sup residual of the frozen-coefficient equation at interior nodes."""
-    grid, p = expansion.grid, expansion.order
-    eng = _engine(p)
-    u0 = expansion.corrections[0]
-    xs, ys = _cell_axis_nodes(grid, p)
-    out = np.empty((grid.N1, grid.N2))
-    for i in range(grid.N1):
-        for j in range(grid.N2):
-            cell = u0.values[i, j]
-            fv = _sample_2d(expansion.problem.f, xs[i], ys[j])
-            res = _cross_derivative(cell, eng.diff01, grid.h1, grid.h2)
-            res += expansion.cell_coeffs[i, j] * cell - fv
-            out[i, j] = np.max(np.abs(res[1:-1, 1:-1]))
-    return out
+    grid = expansion.grid
+    u0 = expansion.corrections[0].values
+    xs, ys = _cell_axis_nodes(grid, expansion.order)
+    ii, jj = (idx.ravel() for idx in np.indices((grid.N1, grid.N2)))
+    f = _sample_cells(expansion.problem.f, xs, ys, ii, jj).reshape(u0.shape)
+    return _interior_residual_sup(expansion, u0, -f)
 
 
 def residual_correction(expansion: FdExpansion, k: int) -> np.ndarray:
     """Per-cell sup residual of the rank-k correction equation at interior nodes."""
     if not 1 <= k <= expansion.rank:
         raise ValueError(f"have corrections 0..{expansion.rank}, got k={k}")
-    grid, p = expansion.grid, expansion.order
-    eng = _engine(p)
     nl = expansion.problem.nonlinearity
-    uk = expansion.corrections[k]
-    u0 = expansion.corrections[0]
-    nprime = nl.deriv(expansion.corner_tables[0][:-1, :-1])
-    out = np.empty((grid.N1, grid.N2))
-    for i in range(grid.N1):
-        for j in range(grid.N2):
-            cell = uk.values[i, j]
-            res = _cross_derivative(cell, eng.diff01, grid.h1, grid.h2)
-            res += expansion.cell_coeffs[i, j] * cell
-            res += nprime[i, j] * expansion.corner_tables[k][i, j] * u0.values[i, j]
-            res -= _correction_source_cell(expansion, k, i, j)
-            out[i, j] = np.max(np.abs(res[1:-1, 1:-1]))
-    return out
+    frozen = [t[:-1, :-1] for t in expansion.corner_tables]
+    prior = [u.values for u in expansion.corrections]
+    rest = (nl.deriv(frozen[0]) * frozen[k])[:, :, None, None] * prior[0]
+    rest -= _adomian_source(nl, frozen[:k], prior[:k])
+    return _interior_residual_sup(expansion, prior[k], rest)

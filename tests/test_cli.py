@@ -20,7 +20,7 @@ def test_parse_solve_flags():
     assert cfg.mode == "solve"
     assert cfg.problem == "pr1"
     assert (cfg.n1, cfg.n2, cfg.rank) == (4, 4, 3)
-    assert cfg.cheb_order == 12 and cfg.format == "csv" and cfg.threads == 1
+    assert cfg.cheb_order == 12 and cfg.format == "csv"
 
 
 def test_parse_study_flags():
@@ -66,11 +66,10 @@ def test_config_file_merging(tmp_path):
         "n_list = 2, 3\n"
         "rank = 2\n"
         "cheb_order = 8\n"
-        "threads = 2\n"
     )
     cfg = parse_config(["study", "--config", str(cfgfile)])
     assert cfg.problem == "pr1" and cfg.n_list == (2, 3) and cfg.rank == 2
-    assert cfg.cheb_order == 8 and cfg.threads == 2
+    assert cfg.cheb_order == 8
     # flags override file values
     cfg = parse_config(["study", "--config", str(cfgfile), "--rank", "1", "--cheb-order", "10"])
     assert cfg.rank == 1 and cfg.cheb_order == 10
@@ -90,15 +89,18 @@ def test_config_file_type_error_names_key(tmp_path):
         parse_config(["selftest", "--config", str(bad)])
 
 
-def test_env_threads_fallback(monkeypatch):
-    monkeypatch.setenv("FD_THREADS", "4")
-    cfg = parse_config(["solve", "--problem", "pr1", "--n1", "2"])
-    assert cfg.threads == 4
-    cfg = parse_config(["solve", "--problem", "pr1", "--n1", "2", "--threads", "2"])
-    assert cfg.threads == 2
+def test_threads_knob_is_gone(monkeypatch, tmp_path):
+    # the march is batched per wavefront; there are no workers to configure
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["solve", "--problem", "pr1", "--n1", "2", "--threads", "2"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("problem = pr1\nthreads = 2\n")
+    with pytest.raises(ConfigError, match="threads"):
+        parse_config(["study", "--config", str(cfgfile)])
     monkeypatch.setenv("FD_THREADS", "zero")
-    with pytest.raises(ConfigError, match="FD_THREADS"):
-        parse_config(["solve", "--problem", "pr1", "--n1", "2"])
+    cfg = parse_config(["solve", "--problem", "pr1", "--n1", "2"])
+    assert not hasattr(cfg, "threads")
 
 
 def test_solve_csv_output(tmp_path, capsys):

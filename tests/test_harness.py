@@ -179,6 +179,20 @@ def test_convergence_study_records_failures_and_continues():
     assert math.isnan(report.rows[0].delta)
 
 
+def test_convergence_study_propagates_programming_errors(monkeypatch):
+    # only the solver's own error types become "failed mesh" rows
+    from goursatfd import harness
+
+    def broken(*args, **kwargs):
+        raise TypeError("bug in the solver")
+
+    monkeypatch.setattr(harness, "fd_solve", broken)
+    preset = liouville_problem()
+    spec = StudySpec(problem=preset.problem, exact=preset.exact, meshes=((2, 2),), max_rank=0, p=8)
+    with pytest.raises(TypeError, match="bug in the solver"):
+        convergence_study(spec)
+
+
 def test_study_spec_validation():
     preset = liouville_problem()
     with pytest.raises(ValueError):

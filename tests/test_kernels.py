@@ -8,7 +8,6 @@ from goursatfd.kernels import (
     KernelRangeError,
     RiemannKernel,
     hyp0f1,
-    hyp0f1_array,
     riemann,
     riemann_d1,
     riemann_d2,
@@ -45,20 +44,8 @@ def test_hyp0f1_against_scipy():
 def test_hyp0f1_range_guard():
     with pytest.raises(KernelRangeError):
         hyp0f1(1.0, 1.5e4)
-    with pytest.raises(KernelRangeError):
-        hyp0f1_array(1.0, np.array([0.0, -2.0e4]))
     with pytest.raises(ValueError):
         hyp0f1(0.0, 1.0)
-
-
-def test_hyp0f1_array_matches_scalar():
-    # the solver's vectorized path only ever sees |z| <= |c| h1 h2, a few at most
-    rng = np.random.default_rng(2)
-    z = rng.uniform(-5, 5, size=64)
-    for b in (1.0, 2.0):
-        vec = hyp0f1_array(b, z)
-        ref = np.array([hyp0f1(b, v) for v in z])
-        assert np.allclose(vec, ref, rtol=1e-12, atol=1e-14)
 
 
 def test_riemann_normalization():
