@@ -10,14 +10,10 @@ with a ratio that shrinks as the mesh is refined.
 """
 
 from .field import (
-    EdgeTrace,
     Grid,
     PiecewiseField,
     cheb_nodes,
     corner_table,
-    edge_derivative,
-    edge_trace,
-    eval_field,
     integrate_1d,
     integrate_2d,
     max_edge_jump,
@@ -64,8 +60,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Grid", "PiecewiseField", "EdgeTrace", "cheb_nodes", "eval_field",
-    "edge_trace", "edge_derivative", "integrate_1d", "integrate_2d",
+    "Grid", "PiecewiseField", "cheb_nodes", "integrate_1d", "integrate_2d",
     "corner_table", "max_edge_jump",
     "KernelRangeError", "RiemannKernel", "hyp0f1", "riemann", "riemann_d1", "riemann_d2",
     "TruncatedSeries", "Nonlinearity", "series_mul", "series_compose_nonlinearity",

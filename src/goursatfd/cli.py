@@ -95,7 +95,7 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _read_config_file(path: str) -> dict:
+def _read_config(path: str) -> dict:
     values = {}
     try:
         text = open(path, encoding="utf-8").read()
@@ -137,15 +137,14 @@ def _parse_n_list(text: str) -> tuple:
     return tuple(out)
 
 
-def parse_config(argv, config_file: str | None = None) -> RunConfig:
+def parse_config(argv) -> RunConfig:
     """Merge command-line flags over config-file values into a RunConfig.
 
     Exits with code 2 (via argparse) on unknown flags; raises ConfigError with
     the offending key named for everything else.
     """
     ns = _build_parser().parse_args(argv)
-    path = ns.config if ns.config is not None else config_file
-    fromfile = _read_config_file(path) if path else {}
+    fromfile = _read_config(ns.config) if ns.config else {}
 
     cfg = RunConfig(mode=ns.mode)
     for key in _CONFIG_KEYS:
@@ -206,6 +205,9 @@ def _check_expr(node: ast.AST, variables: set, text: str):
         return _check_expr(node.body, variables, text)
     if isinstance(node, ast.Constant):
         if isinstance(node.value, (int, float)):
+            # CPython does not fold `9**9**9`; as an int power it would be
+            # computed in full at every call, so every literal is a float
+            node.value = float(node.value)
             return
         raise ConfigError(f"literal {node.value!r} not allowed in {text!r}")
     if isinstance(node, ast.Name):
@@ -229,7 +231,10 @@ def _check_expr(node: ast.AST, variables: set, text: str):
 
 
 def compile_expression(text: str, variables: tuple):
-    """Compile a polynomial/exp/ln/sin/cos expression of the named variables."""
+    """Compile a polynomial/exp/ln/sin/cos expression of the named variables.
+
+    Numeric literals are floats, so arithmetic follows float rules.
+    """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
@@ -276,6 +281,11 @@ def load_problem_file(path: str) -> Preset:
     psi = compile_expression(entries["psi"], ("x",))
     phi = compile_expression(entries["phi"], ("y",))
     f = compile_expression(entries["f"], ("x", "y"))
+    for key, fn in (("psi", psi), ("phi", phi)):
+        try:
+            fn(0.0)  # the corner check below evaluates both at 0
+        except ArithmeticError as exc:
+            raise ConfigError(f"key `{key}` in {path} fails at 0: {exc}") from exc
     exact = None
     if "exact" in entries:
         exact = compile_expression(entries["exact"], ("x", "y"))
@@ -335,9 +345,8 @@ def _emit(text: str, output: str | None):
 def _run_solve(cfg: RunConfig) -> int:
     preset = _resolve_problem(cfg.problem)
     expansion = fd_solve(preset.problem, cfg.n1, cfg.n2, cfg.rank, cfg.cheb_order)
-    total = expansion.partial_sum(cfg.rank)
-    grid = expansion.grid
-    s = unit_cheb_nodes(cfg.cheb_order)
+    total = expansion.partial_sum(cfg.rank).values
+    xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(cfg.cheb_order))
     lines = []
     delta = norm1 = None
     if preset.exact is not None:
@@ -345,15 +354,9 @@ def _run_solve(cfg: RunConfig) -> int:
         norm1 = error_norm1(expansion, preset.exact, cfg.rank)
         print(f"delta={_fmt(delta)}")
         print(f"norm1_delta={_fmt(norm1)}")
-    samples = []
-    for i in range(grid.N1):
-        for j in range(grid.N2):
-            x0, x1, y0, y1 = grid.cell_rect(i, j)
-            xn = x0 + (x1 - x0) * s
-            yn = y0 + (y1 - y0) * s
-            for a in range(cfg.cheb_order):
-                for b in range(cfg.cheb_order):
-                    samples.append((xn[a], yn[b], total.values[i, j, a, b]))
+    # one (x, y, u) row per cell tensor node, in cell-major order; read once
+    xg, yg = np.broadcast_arrays(xs[:, None, :, None], ys[None, :, None, :])
+    samples = zip(xg.ravel().tolist(), yg.ravel().tolist(), total.ravel().tolist())
     if cfg.format == "csv":
         if delta is not None:
             lines.append(f"# delta = {_fmt(delta)}")

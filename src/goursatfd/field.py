@@ -16,7 +16,6 @@ import numpy as np
 __all__ = [
     "Grid",
     "PiecewiseField",
-    "EdgeTrace",
     "cheb_nodes",
     "unit_cheb_nodes",
     "bary_weights",
@@ -26,12 +25,13 @@ __all__ = [
     "unit_cc_weights",
     "integrate_1d",
     "integrate_2d",
-    "eval_field",
-    "edge_trace",
-    "edge_derivative",
     "corner_table",
     "max_edge_jump",
 ]
+
+
+class FdSolverError(RuntimeError):
+    """Cell-level failure during a march, tagged with the cell index."""
 
 
 def unit_cheb_nodes(p: int) -> np.ndarray:
@@ -52,9 +52,20 @@ def cheb_nodes(p: int, a: float, b: float) -> np.ndarray:
     """P CGL points on [a, b], ascending, endpoints included exactly."""
     if not a < b:
         raise ValueError(f"interval endpoints must satisfy a < b, got [{a}, {b}]")
-    x = a + (b - a) * unit_cheb_nodes(p)
-    x[0] = a
-    x[-1] = b
+    return _interval_nodes(a, b, unit_cheb_nodes(p))
+
+
+def _interval_nodes(lo, hi, s: np.ndarray) -> np.ndarray:
+    """Unit fractions `s` mapped onto [lo, hi], one row per interval.
+
+    `lo` and `hi` are scalars or (n,) arrays, giving a (len(s),) or an
+    (n, len(s)) result.  The fractions 0 and 1 land exactly on lo and hi.
+    """
+    lo = np.asarray(lo, dtype=float)[..., None]
+    hi = np.asarray(hi, dtype=float)[..., None]
+    x = lo + (hi - lo) * s
+    x[..., s == 0.0] = lo
+    x[..., s == 1.0] = hi
     return x
 
 
@@ -197,6 +208,11 @@ class Grid:
         y[-1] = self.Y
         return y
 
+    def cell_nodes(self, s: np.ndarray):
+        """(N1, F) x-nodes and (N2, F) y-nodes of the cells at unit fractions `s`."""
+        x, y = self.x_nodes, self.y_nodes
+        return _interval_nodes(x[:-1], x[1:], s), _interval_nodes(y[:-1], y[1:], s)
+
     def cell_rect(self, i: int, j: int):
         """Closed cell (i, j), 0-based: [x_i, x_{i+1}] x [y_j, y_{j+1}]."""
         x = self.x_nodes
@@ -244,17 +260,7 @@ class PiecewiseField:
     @classmethod
     def sample(cls, grid: Grid, p: int, fn: Callable[[float, float], float]) -> "PiecewiseField":
         """Sample a callable on every cell's tensor nodes."""
-        s = unit_cheb_nodes(p)
-        vals = np.empty((grid.N1, grid.N2, p, p))
-        for i in range(grid.N1):
-            for j in range(grid.N2):
-                x0, x1, y0, y1 = grid.cell_rect(i, j)
-                xn = x0 + (x1 - x0) * s
-                yn = y0 + (y1 - y0) * s
-                xn[0], xn[-1] = x0, x1
-                yn[0], yn[-1] = y0, y1
-                vals[i, j] = _sample_2d(fn, xn, yn)
-        return cls(grid, vals)
+        return cls(grid, _sample_cells(fn, *grid.cell_nodes(unit_cheb_nodes(p))))
 
     def cell_nodes(self, i: int, j: int):
         """The (x-nodes, y-nodes) of cell (i, j), endpoints exact."""
@@ -272,40 +278,6 @@ class PiecewiseField:
         mx = bary_matrix([x], xn)[0]
         my = bary_matrix([y], yn)[0]
         return float(mx @ self.values[i, j] @ my)
-
-
-def eval_field(f: PiecewiseField, x: float, y: float) -> float:
-    """Evaluate a piecewise field; edge points resolve to the lower-index cell."""
-    return f.evaluate(x, y)
-
-
-@dataclass(frozen=True)
-class EdgeTrace:
-    """One-dimensional spectral function: P samples at CGL nodes of [a, b]."""
-
-    values: np.ndarray
-    a: float
-    b: float
-
-    @property
-    def nodes(self) -> np.ndarray:
-        return cheb_nodes(len(self.values), self.a, self.b)
-
-
-def edge_trace(f: PiecewiseField, i: int, j: int, side: str) -> EdgeTrace:
-    """Boundary samples of cell (i, j) on its 'left' or 'bottom' side."""
-    x0, x1, y0, y1 = f.grid.cell_rect(i, j)
-    if side == "left":
-        return EdgeTrace(f.values[i, j, 0, :].copy(), y0, y1)
-    if side == "bottom":
-        return EdgeTrace(f.values[i, j, :, 0].copy(), x0, x1)
-    raise ValueError(f"side must be 'left' or 'bottom', got {side!r}")
-
-
-def edge_derivative(trace: EdgeTrace) -> EdgeTrace:
-    """Spectral first derivative of a trace, on the same nodes and interval."""
-    d = cheb_diff_matrix(trace.nodes)
-    return EdgeTrace(d @ trace.values, trace.a, trace.b)
 
 
 def corner_table(f: PiecewiseField) -> np.ndarray:
@@ -335,27 +307,30 @@ def max_edge_jump(f: PiecewiseField) -> float:
     return jump
 
 
-def _sample_grid(fn, x: np.ndarray, y: np.ndarray):
-    """fn on broadcast coordinate arrays in one call, or None if fn is scalar-only.
+def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.ndarray:
+    """fn on the tensor nodes of cells (ii, jj) (all cells by default).
 
-    `x` and `y` broadcast together to the target shape (no copy is made); the
-    result must have exactly that shape, or be a scalar, to be accepted.
+    `xs` (N1, F) and `ys` (N2, F) are the cells' axis nodes; the result has
+    the shape of `ii` followed by (F, F).  One call on broadcast coordinates
+    when fn takes arrays and returns their shape (or a scalar); otherwise
+    point by point, cell by cell, so that an error names its cell.
     """
-    xg, yg = np.broadcast_arrays(x, y)
+    if ii is None:
+        ii, jj = np.indices((len(xs), len(ys)))
+    xg, yg = np.broadcast_arrays(xs[ii][..., :, None], ys[jj][..., None, :])
     try:
         out = np.asarray(fn(xg, yg), dtype=float)
     except Exception:
-        return None
-    if out.shape == xg.shape:
+        out = None
+    if out is not None and out.shape == xg.shape:
         return out
-    if out.ndim == 0:
+    if out is not None and out.ndim == 0:
         return np.full(xg.shape, float(out))
-    return None
-
-
-def _sample_2d(fn, xn: np.ndarray, yn: np.ndarray) -> np.ndarray:
-    """Evaluate fn on a tensor grid, preferring a vectorized call."""
-    out = _sample_grid(fn, xn[:, None], yn[None, :])
-    if out is not None:
-        return out
-    return np.array([[float(fn(x, y)) for y in yn] for x in xn])
+    out = np.empty(xg.shape)
+    for idx in np.ndindex(ii.shape):
+        i, j = ii[idx], jj[idx]
+        try:
+            out[idx] = [[float(fn(x, y)) for y in ys[j]] for x in xs[i]]
+        except Exception as exc:
+            raise FdSolverError(f"cell ({i}, {j}): {exc}") from exc
+    return out

@@ -18,8 +18,8 @@ import numpy as np
 
 from .field import (
     Grid,
-    _sample_2d,
-    _sample_grid,
+    PiecewiseField,
+    _sample_cells,
     bary_matrix,
     cheb_diff_matrix,
     corner_table,
@@ -169,49 +169,29 @@ PRESETS = {
 
 
 def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExpansion:
-    """Basic solve plus corrections 1..m; partial sums give every lower rank."""
+    """Basic solve plus corrections 1..m; partial sums give every lower rank.
+
+    Records in `wall_ms` the cumulative time at which each rank completed.
+    """
     if m < 0:
         raise ValueError(f"rank must be non-negative, got {m}")
     if m > MAX_RANK:
         raise ValueError(f"rank capped at {MAX_RANK}, got {m}")
     if not P_RANGE[0] <= p <= P_RANGE[1]:
         raise ValueError(f"cheb order must lie in {P_RANGE[0]}..{P_RANGE[1]}, got {p}")
+    start = time.perf_counter()
     grid = Grid(problem.X, problem.Y, n1, n2)
     expansion = FdExpansion(problem, grid, p)
-    u0, table0, coeffs = solve_basic(problem, grid, p)
+    u0, table0, expansion.cell_coeffs = solve_basic(problem, grid, p)
     expansion.corrections.append(u0)
     expansion.corner_tables.append(table0)
-    expansion.cell_coeffs = coeffs
+    expansion.wall_ms.append(1000.0 * (time.perf_counter() - start))
     for k in range(1, m + 1):
         uk = solve_correction(expansion, k)
         expansion.corrections.append(uk)
         expansion.corner_tables.append(corner_table(uk))
+        expansion.wall_ms.append(1000.0 * (time.perf_counter() - start))
     return expansion
-
-
-def _exact_on_fractions(exact, grid: Grid, fracs: np.ndarray) -> np.ndarray:
-    """Exact values on every cell at fixed local fractions of the cell.
-
-    One call on broadcast (N1, N2, F, F) coordinates when `exact` takes
-    arrays; cell by cell otherwise.
-    """
-    nx = grid.x_nodes[:-1, None] + grid.h1 * fracs[None, :]
-    ny = grid.y_nodes[:-1, None] + grid.h2 * fracs[None, :]
-    out = _sample_grid(exact, nx[:, None, :, None], ny[None, :, None, :])
-    if out is not None:
-        return out
-    out = np.empty((grid.N1, grid.N2, len(fracs), len(fracs)))
-    for i in range(grid.N1):
-        for j in range(grid.N2):
-            out[i, j] = _sample_2d(exact, nx[i], ny[j])
-    return out
-
-
-def _eval_on_fractions(values: np.ndarray, p: int, fracs: np.ndarray) -> np.ndarray:
-    """Interpolate per-cell tensors to fixed local fractions (same map per cell)."""
-    s = unit_cheb_nodes(p)
-    mat = bary_matrix(fracs, s)
-    return np.einsum("ap,ijpm,bm->ijab", mat, values, mat, optimize=True)
 
 
 def error_vs_exact(expansion: FdExpansion, exact, m: int, refine: int = 5) -> float:
@@ -219,14 +199,14 @@ def error_vs_exact(expansion: FdExpansion, exact, m: int, refine: int = 5) -> fl
     if not 0 <= m <= expansion.rank:
         raise ValueError(f"rank {m} not in stored range 0..{expansion.rank}")
     grid, p = expansion.grid, expansion.order
-    exact_nodes = _exact_on_fractions(exact, grid, unit_cheb_nodes(p))
+    exact_nodes = PiecewiseField.sample(grid, p, exact).values
     total = expansion.partial_sum(m).values
     err_ref = 0.0
     if refine > 1:
         r = np.linspace(0.0, 1.0, refine)
-        exact_ref = _exact_on_fractions(exact, grid, r)
-        approx_ref = _eval_on_fractions(total, p, r)
-        err_ref = float(np.max(np.abs(approx_ref - exact_ref)))
+        mat = bary_matrix(r, unit_cheb_nodes(p))
+        approx_ref = mat @ total @ mat.T
+        err_ref = float(np.max(np.abs(approx_ref - _sample_cells(exact, *grid.cell_nodes(r)))))
     total -= exact_nodes  # in place: on the largest meshes this is the peak memory
     return max(float(np.max(np.abs(total, out=total))), err_ref)
 
@@ -239,11 +219,10 @@ def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
     """
     grid, p = expansion.grid, expansion.order
     total = expansion.partial_sum(m).values
-    s = unit_cheb_nodes(p)
-    e = total - _exact_on_fractions(exact, grid, s)
-    d01 = cheb_diff_matrix(s)
-    ex = np.einsum("tp,ijpm->ijtm", d01, e) / grid.h1
-    ey = np.einsum("um,ijpm->ijpu", d01, e) / grid.h2
+    e = total - PiecewiseField.sample(grid, p, exact).values
+    d01 = cheb_diff_matrix(unit_cheb_nodes(p))
+    ex = (d01 @ e) / grid.h1
+    ey = (e @ d01.T) / grid.h2
     sup = float(np.max(np.abs(e)))
     sup_x = np.max(np.abs(ex), axis=(2, 3))
     sup_y = np.max(np.abs(ey), axis=(2, 3))
@@ -306,26 +285,17 @@ def convergence_study(spec: StudySpec) -> ErrorReport:
 
 
 def _study_mesh(spec: StudySpec, n1: int, n2: int):
-    problem = spec.problem
-    grid_h1 = problem.X / n1
-    grid_h2 = problem.Y / n2
-    start = time.perf_counter()
-    expansion = fd_solve(problem, n1, n2, 0, spec.p)
-    walls = [1000.0 * (time.perf_counter() - start)]
-    for k in range(1, spec.max_rank + 1):
-        uk = solve_correction(expansion, k)
-        expansion.corrections.append(uk)
-        expansion.corner_tables.append(corner_table(uk))
-        walls.append(1000.0 * (time.perf_counter() - start))
+    expansion = fd_solve(spec.problem, n1, n2, spec.max_rank, spec.p)
+    grid = expansion.grid
     rows = []
-    for m in range(spec.max_rank + 1):
+    for m, wall in enumerate(expansion.wall_ms):
         if spec.exact is not None:
             delta = error_vs_exact(expansion, spec.exact, m, spec.refine)
             norm1 = error_norm1(expansion, spec.exact, m)
         else:
             delta = math.nan
             norm1 = math.nan
-        rows.append(ErrorRow(n1, n2, grid_h1, grid_h2, m, delta, norm1, walls[m], spec.p))
+        rows.append(ErrorRow(n1, n2, grid.h1, grid.h2, m, delta, norm1, wall, spec.p))
     return rows
 
 

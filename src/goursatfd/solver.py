@@ -54,12 +54,13 @@ from typing import Callable
 import numpy as np
 
 from .field import (
+    FdSolverError,
     Grid,
     PiecewiseField,
-    _sample_2d,
-    _sample_grid,
+    _sample_cells,
     bary_matrix,
     cheb_diff_matrix,
+    cheb_nodes,
     corner_table,
     unit_cc_weights,
     unit_cheb_nodes,
@@ -83,10 +84,6 @@ __all__ = [
 TRACE_MATCH_TOL = 1.0e-10
 
 
-class FdSolverError(RuntimeError):
-    """Cell-level failure during a march, tagged with the cell index."""
-
-
 @dataclass(frozen=True)
 class GoursatProblem:
     """Problem data: u_xy + N(u) u = f, u(x, 0) = psi(x), u(0, y) = phi(y)."""
@@ -108,7 +105,11 @@ class GoursatProblem:
 
 @dataclass
 class FdExpansion:
-    """Corrections u^(0)..u^(m) with their corner tables and frozen coefficients."""
+    """Corrections u^(0)..u^(m) with their corner tables and frozen coefficients.
+
+    `wall_ms[k]` is the time from the start of the solve to the completion
+    of correction k, when the expansion comes from `fd_solve`.
+    """
 
     problem: GoursatProblem
     grid: Grid
@@ -116,6 +117,7 @@ class FdExpansion:
     corrections: list = dc_field(default_factory=list)
     corner_tables: list = dc_field(default_factory=list)
     cell_coeffs: np.ndarray | None = None
+    wall_ms: list = dc_field(default_factory=list, init=False)
 
     @property
     def rank(self) -> int:
@@ -218,41 +220,43 @@ def _corner_mismatch(left: np.ndarray, bottom: np.ndarray, corners: np.ndarray):
                f"bottom[0]={bottom[n, 0]!r}, corner={corners[n]!r}")
 
 
-def _check_corner(left: np.ndarray, bottom: np.ndarray, corner_value: float):
-    bad = _corner_mismatch(left[None], bottom[None], np.array([float(corner_value)]))
-    if bad:
-        raise ValueError(bad[1])
-
-
-def _trace_values(trace, p: int, a: float, b: float) -> np.ndarray:
-    values = np.asarray(getattr(trace, "values", trace), dtype=float)
+def _trace_values(trace, p: int) -> np.ndarray:
+    values = np.asarray(trace, dtype=float)
     if values.shape != (p,):
         raise ValueError(f"trace must carry {p} CGL samples, got shape {values.shape}")
     return values
+
+
+def _cell_inputs(left_trace, bottom_trace, corner_value: float, rhs, rect, p: int):
+    """Checked inputs of a one-cell solve: (left, bottom, rhs samples, h1, h2).
+
+    The rectangle must be non-degenerate, each trace must hold P samples and
+    both traces must start at the corner value; rhs is sampled on the cell's
+    tensor nodes.
+    """
+    x0, x1, y0, y1 = rect
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"degenerate cell rectangle {rect}")
+    left, bottom = _trace_values(left_trace, p), _trace_values(bottom_trace, p)
+    bad = _corner_mismatch(left[None], bottom[None], np.array([float(corner_value)]))
+    if bad:
+        raise ValueError(bad[1])
+    rhs_vals = _sample_cells(rhs, cheb_nodes(p, x0, x1)[None], cheb_nodes(p, y0, y1)[None])
+    return left, bottom, rhs_vals[0, 0], x1 - x0, y1 - y0
 
 
 def solve_cell_linear(c: float, left_trace, bottom_trace, corner_value: float,
                       rhs: Callable[[float, float], float], rect, p: int) -> np.ndarray:
     """Solve u_xy + c*u = rhs on one cell from its left/bottom traces.
 
-    Traces are P CGL samples (arrays or EdgeTrace) on the cell sides; the
-    result is the P x P tensor on the cell nodes, whose left and bottom edges
-    reproduce the traces.  Raises KernelRangeError when |c| h1 h2 exceeds the
-    kernel series range.
+    Traces are arrays of P CGL samples on the cell sides; the result is the
+    P x P tensor on the cell nodes, whose left and bottom edges reproduce the
+    traces.  Raises KernelRangeError when |c| h1 h2 exceeds the kernel
+    series range.
     """
-    x0, x1, y0, y1 = rect
-    if not (x0 < x1 and y0 < y1):
-        raise ValueError(f"degenerate cell rectangle {rect}")
-    eng = _engine(p)
-    left = _trace_values(left_trace, p, y0, y1)
-    bottom = _trace_values(bottom_trace, p, x0, x1)
-    _check_corner(left, bottom, corner_value)
-    xn = x0 + (x1 - x0) * eng.sigma
-    yn = y0 + (y1 - y0) * eng.sigma
-    xn[0], xn[-1] = x0, x1
-    yn[0], yn[-1] = y0, y1
-    rhs_vals = _sample_2d(rhs, xn, yn)
-    return _solve_cells(eng, np.array([float(c)]), x1 - x0, y1 - y0,
+    left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
+                                                  rhs, rect, p)
+    return _solve_cells(_engine(p), np.array([float(c)]), h1, h2,
                         left[None], bottom[None], rhs_vals[None])[0]
 
 
@@ -264,23 +268,15 @@ def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
     Iterates u <- B + int int (rhs - c*u) over [x0, x] x [y0, y], where B is
     the boundary combination left(y) + bottom(x) - corner.  The iteration
     contracts only when |c| * h1 * h2 < 1; larger cells are rejected.  Shares
-    no code with the Riemann representation path except interpolation
-    plumbing.
+    no code with the Riemann representation path except the input checks and
+    interpolation plumbing.
     """
-    x0, x1, y0, y1 = rect
-    h1, h2 = x1 - x0, y1 - y0
+    left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
+                                                  rhs, rect, p)
     if abs(c) * h1 * h2 >= 1.0:
         raise ValueError(f"no contraction: |c|*h1*h2 = {abs(c) * h1 * h2:.3g} >= 1")
     eng = _engine(p)
     wflat = eng.W.reshape(p * p, p)
-    left = _trace_values(left_trace, p, y0, y1)
-    bottom = _trace_values(bottom_trace, p, x0, x1)
-    _check_corner(left, bottom, corner_value)
-    xn = x0 + h1 * eng.sigma
-    yn = y0 + h2 * eng.sigma
-    xn[0], xn[-1] = x0, x1
-    yn[0], yn[-1] = y0, y1
-    rhs_vals = _sample_2d(rhs, xn, yn)
     boundary = bottom[:, None] + left[None, :] - corner_value
     ws1 = h1 * eng.WSUB
     ws2 = h2 * eng.WSUB
@@ -343,36 +339,6 @@ def _axis_samples(fn, nodes: np.ndarray) -> np.ndarray:
     return np.array([[float(fn(v)) for v in row] for row in nodes])
 
 
-def _cell_axis_nodes(grid: Grid, p: int):
-    """(N1, P) x-nodes and (N2, P) y-nodes of the cells, endpoints exact."""
-    s = unit_cheb_nodes(p)
-    out = []
-    for nodes in (grid.x_nodes, grid.y_nodes):
-        lo, hi = nodes[:-1], nodes[1:]
-        cell = lo[:, None] + (hi - lo)[:, None] * s
-        cell[:, 0], cell[:, -1] = lo, hi
-        out.append(cell)
-    return out
-
-
-def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> np.ndarray:
-    """fn on the tensor nodes of cells (ii, jj), shaped (n, P, P).
-
-    One broadcast call when fn takes arrays; otherwise cell by cell, so that
-    an error names the cell it came from.
-    """
-    out = _sample_grid(fn, xs[ii][:, :, None], ys[jj][:, None, :])
-    if out is not None:
-        return out
-    out = np.empty((len(ii), xs.shape[1], ys.shape[1]))
-    for n, (i, j) in enumerate(zip(ii, jj)):
-        try:
-            out[n] = _sample_2d(fn, xs[i], ys[j])
-        except Exception as exc:
-            raise FdSolverError(f"cell ({i}, {j}): {exc}") from exc
-    return out
-
-
 def solve_basic(problem: GoursatProblem, grid: Grid, p: int):
     """Rank-0 field: N frozen at each cell's lower-left corner, rhs = f.
 
@@ -381,7 +347,7 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int):
     Returns (field, corner table, cell coefficient array).
     """
     nl = problem.nonlinearity
-    xs, ys = _cell_axis_nodes(grid, p)
+    xs, ys = grid.cell_nodes(unit_cheb_nodes(p))
     coeffs = np.empty((grid.N1, grid.N2))
 
     def wavefront(ii, jj, corners):
@@ -481,9 +447,7 @@ def residual_basic(expansion: FdExpansion) -> np.ndarray:
     """Per-cell sup residual of the frozen-coefficient equation at interior nodes."""
     grid = expansion.grid
     u0 = expansion.corrections[0].values
-    xs, ys = _cell_axis_nodes(grid, expansion.order)
-    ii, jj = (idx.ravel() for idx in np.indices((grid.N1, grid.N2)))
-    f = _sample_cells(expansion.problem.f, xs, ys, ii, jj).reshape(u0.shape)
+    f = _sample_cells(expansion.problem.f, *grid.cell_nodes(unit_cheb_nodes(expansion.order)))
     return _interior_residual_sup(expansion, u0, -f)
 
 

@@ -1,0 +1,21 @@
+"""Every exported name resolves: a deleted helper cannot stay exported."""
+
+import importlib
+
+import pytest
+
+import goursatfd
+
+MODULES = ("field", "kernels", "series", "solver", "harness", "cli")
+
+
+@pytest.mark.parametrize("name", ("goursatfd",) + tuple(f"goursatfd.{m}" for m in MODULES))
+def test_all_names_resolve(name):
+    module = importlib.import_module(name)
+    missing = [n for n in module.__all__ if not hasattr(module, n)]
+    assert not missing, f"{name}.__all__ lists undefined names {missing}"
+
+
+def test_solver_error_is_defined_once():
+    # the cell sampler in `field` raises the class the solver and the package export
+    assert goursatfd.FdSolverError is goursatfd.solver.FdSolverError is goursatfd.field.FdSolverError

@@ -3,8 +3,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from goursatfd.field import Grid, unit_cheb_nodes
 from goursatfd.cli import (
     ConfigError,
     STUDY_HEADER,
@@ -207,12 +209,42 @@ def test_custom_problem_file_roundtrip(tmp_path, capsys):
         "nu = 1.0\n"
         "exact = x*y\n"
     )
+    out = tmp_path / "o.csv"
     code = main(["solve", "--problem", str(spec), "--n1", "3", "--rank", "1",
-                 "--cheb-order", "8", "--output", str(tmp_path / "o.csv")])
+                 "--cheb-order", "8", "--output", str(out)])
     assert code == 0
     stdout = capsys.readouterr().out
     delta = float(stdout.split("delta=")[1].splitlines()[0])
     assert delta <= 1e-12
+    # one row per cell tensor node, at exactly the nodes the solver used
+    data = np.loadtxt(out, delimiter=",", comments="#", skiprows=3)
+    assert data.shape == (3 * 3 * 8 * 8, 3)
+    xs, ys = Grid(2.0, 2.0, 3, 3).cell_nodes(unit_cheb_nodes(8))
+    shape = (3, 3, 8, 8)
+    assert np.array_equal(data[:, 0], np.broadcast_to(xs[:, None, :, None], shape).ravel())
+    assert np.array_equal(data[:, 1], np.broadcast_to(ys[None, :, None, :], shape).ravel())
+
+
+def test_literals_are_floats():
+    # an int power like 9**9**9 is not constant-folded and would run unbounded
+    assert isinstance(compile_expression("2**70", ("x",))(0.0), float)
+
+
+def test_huge_power_in_problem_file_fails_fast(tmp_path, capsys):
+    spec = tmp_path / "huge_power.prob"
+    spec.write_text("X = 1\nY = 1\npsi = 0*x\nphi = 0*y\nf = 9**9**9\nnu = 1.0\n")
+    code = main(["solve", "--problem", str(spec), "--n1", "2", "--cheb-order", "6"])
+    assert code in (1, 2)
+    assert "error:" in capsys.readouterr().err
+
+
+def test_load_time_arithmetic_error_names_key(tmp_path, capsys):
+    spec = tmp_path / "overflow.prob"
+    spec.write_text("X = 1\nY = 1\npsi = 0*x\nphi = 9**9**9 + 0*y\nf = 1\nnu = 1.0\n")
+    with pytest.raises(ConfigError, match="`phi`"):
+        load_problem_file(str(spec))
+    assert main(["solve", "--problem", str(spec), "--n1", "2", "--cheb-order", "6"]) == 2
+    assert "`phi`" in capsys.readouterr().err
 
 
 def test_problem_file_missing_key(tmp_path):

@@ -1,23 +1,20 @@
-"""Mesh, Chebyshev tensor fields, traces, differentiation, and quadrature."""
+"""Mesh, cell nodes, Chebyshev tensor fields, differentiation, and quadrature."""
 
 import numpy as np
 import pytest
 
 from goursatfd.field import (
-    EdgeTrace,
     Grid,
     PiecewiseField,
     bary_matrix,
     cheb_nodes,
     cheb_diff_matrix,
     corner_table,
-    edge_derivative,
-    edge_trace,
-    eval_field,
     integrate_1d,
     integrate_2d,
     max_edge_jump,
     unit_cc_weights,
+    unit_cheb_nodes,
 )
 
 
@@ -43,6 +40,34 @@ def test_grid_nodes_exact_endpoints():
     assert g.y_nodes[0] == 0.0 and g.y_nodes[-1] == 4.0
     assert len(g.x_nodes) == 21 and len(g.y_nodes) == 41
     assert g.h1 == pytest.approx(0.2) and g.h2 == pytest.approx(0.1)
+
+
+def test_cell_nodes_match_cheb_nodes_and_share_edges():
+    g = Grid(4.0, 3.0, 40, 30)
+    p = 12
+    xs, ys = g.cell_nodes(unit_cheb_nodes(p))
+    assert xs.shape == (40, p) and ys.shape == (30, p)
+    for nodes, cells in ((g.x_nodes, xs), (g.y_nodes, ys)):
+        for i in range(len(cells)):
+            assert np.array_equal(cells[i], cheb_nodes(p, nodes[i], nodes[i + 1]))
+            assert cells[i, 0] == nodes[i]
+            if i + 1 < len(cells):
+                assert cells[i, -1] == cells[i + 1, 0] == nodes[i + 1]
+    # any fractions: 0 and 1 land on the cell edges, others on x_i + (x_{i+1} - x_i) s
+    r = np.linspace(0.0, 1.0, 5)
+    xr, _ = g.cell_nodes(r)
+    assert np.array_equal(xr[:, 0], g.x_nodes[:-1]) and np.array_equal(xr[:, -1], g.x_nodes[1:])
+    assert np.array_equal(xr[7, 1:-1], g.x_nodes[7] + (g.x_nodes[8] - g.x_nodes[7]) * r[1:-1])
+
+
+def test_sampled_field_uses_cell_nodes():
+    g = Grid(2.0, 1.0, 3, 2)
+    xs, ys = g.cell_nodes(unit_cheb_nodes(5))
+    f = PiecewiseField.sample(g, 5, lambda x, y: x + 10.0 * y)
+    assert np.array_equal(f.values, xs[:, None, :, None] + 10.0 * ys[None, :, None, :])
+    # a scalar-only callable takes the per-cell path and gives the same values
+    g2 = PiecewiseField.sample(g, 5, lambda x, y: float(x) + 10.0 * float(y))
+    assert np.array_equal(g2.values, f.values)
 
 
 def test_grid_validation():
@@ -71,7 +96,7 @@ def test_locate_edge_ownership():
 def test_eval_constant_and_stored_nodes():
     g = Grid(1.0, 1.0, 3, 3)
     f = PiecewiseField.sample(g, 6, lambda x, y: 1.0)
-    assert eval_field(f, 0.37, 0.91) == 1.0
+    assert f.evaluate(0.37, 0.91) == 1.0
     f2 = PiecewiseField.sample(g, 6, lambda x, y: np.sin(x) + y)
     xn, yn = f2.cell_nodes(1, 2)
     assert f2.evaluate(xn[3], yn[4]) == f2.values[1, 2, 3, 4]
@@ -97,25 +122,27 @@ def test_interpolation_spectral_convergence():
 
 
 def test_edge_traces_and_derivatives():
+    # edge slices of sampled fields, differentiated along the edge
     g = Grid(1.0, 1.0, 1, 1)
     const = PiecewiseField.sample(g, 8, lambda x, y: 3.5)
-    tr = edge_trace(const, 0, 0, "left")
-    assert np.all(tr.values == 3.5)
-    assert np.max(np.abs(edge_derivative(tr).values)) <= 1e-12
+    xn, yn = const.cell_nodes(0, 0)
+    left = const.values[0, 0, 0, :]
+    assert np.all(left == 3.5)
+    assert np.max(np.abs(cheb_diff_matrix(yn) @ left)) <= 1e-12
 
     linear = PiecewiseField.sample(g, 8, lambda x, y: x)
-    bot = edge_trace(linear, 0, 0, "bottom")
-    assert np.allclose(bot.values, bot.nodes, atol=1e-14)
-    assert np.allclose(edge_derivative(bot).values, 1.0, atol=1e-12)
-
-    with pytest.raises(ValueError):
-        edge_trace(linear, 0, 0, "top")
+    bottom = linear.values[0, 0, :, 0]
+    assert np.allclose(bottom, xn, atol=1e-14)
+    assert np.allclose(cheb_diff_matrix(xn) @ bottom, 1.0, atol=1e-12)
 
 
 def test_edge_derivative_sine():
-    tr = EdgeTrace(np.sin(cheb_nodes(10, 0.0, 0.5)), 0.0, 0.5)
-    dv = edge_derivative(tr)
-    assert np.allclose(dv.values, np.cos(tr.nodes), atol=1e-11)
+    g = Grid(0.5, 1.0, 1, 1)
+    f = PiecewiseField.sample(g, 10, lambda x, y: np.sin(x))
+    xn, _ = f.cell_nodes(0, 0)
+    assert np.array_equal(xn, cheb_nodes(10, 0.0, 0.5))
+    bottom = f.values[0, 0, :, 0]
+    assert np.allclose(cheb_diff_matrix(xn) @ bottom, np.cos(xn), atol=1e-11)
 
 
 def test_integrate_1d_basics():

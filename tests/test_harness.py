@@ -163,6 +163,10 @@ def test_convergence_study_layout():
         assert r.h1 == pytest.approx(4.0 / r.n1)
         assert r.p_order == 8
         assert r.delta >= 0 and r.wall_ms >= 0
+    # per-rank times are cumulative within a mesh
+    for n in (2, 3):
+        walls = [r.wall_ms for r in report.rows if r.n1 == n]
+        assert walls == sorted(walls)
 
 
 def test_convergence_study_records_failures_and_continues():
