@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import contextlib
 import json
 import math
 import os
@@ -22,9 +23,8 @@ from .harness import (
     PRESETS,
     Preset,
     StudySpec,
+    _rank_errors,
     convergence_study,
-    error_norm1,
-    error_vs_exact,
     fd_solve,
     run_selftest,
 )
@@ -334,12 +334,18 @@ def _study_json(rows) -> str:
     return json.dumps(objs, indent=1)
 
 
-def _emit(text: str, output: str | None):
+def _open_output(output: str | None):
     if output:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+        return open(output, "w", encoding="utf-8")
+    return contextlib.nullcontext(sys.stdout)
+
+
+def _emit(text: str, output: str | None):
+    with _open_output(output) as fh:
+        fh.write(text if text.endswith("\n") else text + "\n")
+
+
+_CSV_BLOCK = 4096
 
 
 def _run_solve(cfg: RunConfig) -> int:
@@ -347,28 +353,30 @@ def _run_solve(cfg: RunConfig) -> int:
     expansion = fd_solve(preset.problem, cfg.n1, cfg.n2, cfg.rank, cfg.cheb_order)
     total = expansion.partial_sum(cfg.rank).values
     xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(cfg.cheb_order))
-    lines = []
     delta = norm1 = None
     if preset.exact is not None:
-        delta = error_vs_exact(expansion, preset.exact, cfg.rank)
-        norm1 = error_norm1(expansion, preset.exact, cfg.rank)
+        (delta, norm1), = _rank_errors(expansion, preset.exact, [cfg.rank])
         print(f"delta={_fmt(delta)}")
         print(f"norm1_delta={_fmt(norm1)}")
-    # one (x, y, u) row per cell tensor node, in cell-major order; read once
+    # one (x, y, u) row per cell tensor node, in cell-major order
     xg, yg = np.broadcast_arrays(xs[:, None, :, None], ys[None, :, None, :])
-    samples = zip(xg.ravel().tolist(), yg.ravel().tolist(), total.ravel().tolist())
+    columns = (xg.ravel(), yg.ravel(), total.ravel())
     if cfg.format == "csv":
-        if delta is not None:
-            lines.append(f"# delta = {_fmt(delta)}")
-            lines.append(f"# norm1_delta = {_fmt(norm1)}")
-        lines.append("x,y,u")
-        lines.extend(f"{_fmt(x)},{_fmt(y)},{_fmt(u)}" for x, y, u in samples)
-        _emit("\n".join(lines), cfg.output)
+        with _open_output(cfg.output) as fh:
+            if delta is not None:
+                fh.write(f"# delta = {_fmt(delta)}\n# norm1_delta = {_fmt(norm1)}\n")
+            fh.write("x,y,u\n")
+            # formatted and written a block of rows at a time, so the text of
+            # the whole field is never held at once
+            for start in range(0, total.size, _CSV_BLOCK):
+                block = np.stack([c[start:start + _CSV_BLOCK] for c in columns], axis=1)
+                fh.write(("%.16e,%.16e,%.16e\n" * len(block)) % tuple(block.ravel().tolist()))
     else:
         obj = {
             "delta": delta,
             "norm1_delta": norm1,
-            "samples": [{"x": x, "y": y, "u": u} for x, y, u in samples],
+            "samples": [{"x": x, "y": y, "u": u}
+                        for x, y, u in zip(*(c.tolist() for c in columns))],
         }
         _emit(json.dumps(obj, indent=1), cfg.output)
     return 0

@@ -286,14 +286,12 @@ def corner_table(f: PiecewiseField) -> np.ndarray:
     Corner (i, j) is read from the cell that owns it under the lower-index
     tie-break, which is exact because cell tensors include their corners.
     """
-    n1, n2 = f.grid.N1, f.grid.N2
-    p = f.order
-    table = np.empty((n1 + 1, n2 + 1))
-    for i in range(n1 + 1):
-        ci, a = (i - 1, p - 1) if i > 0 else (0, 0)
-        for j in range(n2 + 1):
-            cj, b = (j - 1, p - 1) if j > 0 else (0, 0)
-            table[i, j] = f.values[ci, cj, a, b]
+    v = f.values
+    table = np.empty((f.grid.N1 + 1, f.grid.N2 + 1))
+    table[0, 0] = v[0, 0, 0, 0]
+    table[1:, 0] = v[:, 0, -1, 0]
+    table[0, 1:] = v[0, :, 0, -1]
+    table[1:, 1:] = v[:, :, -1, -1]
     return table
 
 

@@ -82,10 +82,11 @@ def _liouville_taylor(center, order: int) -> np.ndarray:
     """
     t = np.asarray(center, dtype=float)
     tf = t.reshape(-1)
-    out = np.empty((order + 1, tf.size))
     near = np.abs(tf) < _SERIES_BRANCH
-    if np.any(near):
-        out[:, near] = _series_taylor(tf[near], order)
+    if not near.any():
+        return _shifted_exp_taylor(tf, order).reshape((order + 1,) + t.shape)
+    out = np.empty((order + 1, tf.size))
+    out[:, near] = _series_taylor(tf[near], order)
     if np.any(~near):
         out[:, ~near] = _shifted_exp_taylor(tf[~near], order)
     return out.reshape((order + 1,) + t.shape)
@@ -198,17 +199,11 @@ def error_vs_exact(expansion: FdExpansion, exact, m: int, refine: int = 5) -> fl
     """Sup-norm error of the rank-m partial sum over the documented sample set."""
     if not 0 <= m <= expansion.rank:
         raise ValueError(f"rank {m} not in stored range 0..{expansion.rank}")
-    grid, p = expansion.grid, expansion.order
-    exact_nodes = PiecewiseField.sample(grid, p, exact).values
+    samples = _ExactSamples(expansion, exact, refine)
     total = expansion.partial_sum(m).values
-    err_ref = 0.0
-    if refine > 1:
-        r = np.linspace(0.0, 1.0, refine)
-        mat = bary_matrix(r, unit_cheb_nodes(p))
-        approx_ref = mat @ total @ mat.T
-        err_ref = float(np.max(np.abs(approx_ref - _sample_cells(exact, *grid.cell_nodes(r)))))
-    total -= exact_nodes  # in place: on the largest meshes this is the peak memory
-    return max(float(np.max(np.abs(total, out=total))), err_ref)
+    # the samples serve this one rank, so the node error can replace them:
+    # on the largest meshes a further field would be the peak memory
+    return samples.delta(total, np.subtract(total, samples.nodes, out=samples.nodes))
 
 
 def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
@@ -217,16 +212,70 @@ def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
     max of the plain sup norm and, cell by cell, the Euclidean combination of
     the sup norms of the two first derivatives (spectral, per cell).
     """
-    grid, p = expansion.grid, expansion.order
     total = expansion.partial_sum(m).values
-    e = total - PiecewiseField.sample(grid, p, exact).values
-    d01 = cheb_diff_matrix(unit_cheb_nodes(p))
-    ex = (d01 @ e) / grid.h1
-    ey = (e @ d01.T) / grid.h2
-    sup = float(np.max(np.abs(e)))
-    sup_x = np.max(np.abs(ex), axis=(2, 3))
-    sup_y = np.max(np.abs(ey), axis=(2, 3))
-    return max(sup, float(np.max(np.hypot(sup_x, sup_y))))
+    samples = _ExactSamples(expansion, exact, refine=0)
+    return samples.norm1_delta(np.subtract(total, samples.nodes, out=total))
+
+
+def _sup_abs(a: np.ndarray) -> float:
+    # max |a| without an |a| temporary; NaN propagates as with np.abs
+    return max(float(a.max()), -float(a.min()))
+
+
+class _ExactSamples:
+    """An exact solution sampled once per mesh: on every cell's tensor nodes
+    and, for refine > 1, on a uniform refine x refine lattice per cell.
+
+    Both error metrics of every partial sum are read from these samples.
+    """
+
+    def __init__(self, expansion: FdExpansion, exact, refine: int):
+        grid, p = expansion.grid, expansion.order
+        s = unit_cheb_nodes(p)
+        self.grid = grid
+        self.nodes = PiecewiseField.sample(grid, p, exact).values
+        self.diff = cheb_diff_matrix(s)
+        self.interp = self.lattice = None
+        if refine > 1:
+            r = np.linspace(0.0, 1.0, refine)
+            self.interp = bary_matrix(r, s)
+            self.lattice = _sample_cells(exact, *grid.cell_nodes(r))
+
+    def delta(self, total: np.ndarray, e: np.ndarray) -> float:
+        """Sup error of the field `total`, whose node error is `e`, on nodes and lattice."""
+        err_ref = 0.0
+        if self.interp is not None:
+            err_ref = _sup_abs(self.interp @ total @ self.interp.T - self.lattice)
+        return max(_sup_abs(e), err_ref)
+
+    def norm1_delta(self, e: np.ndarray) -> float:
+        """max of sup|e| and the per-cell hypot of the sup norms of e_x and e_y."""
+        d = self.diff @ e
+        d /= self.grid.h1
+        sup_x = np.abs(d, out=d).max(axis=(2, 3))
+        d = np.matmul(e, self.diff.T, out=d)
+        d /= self.grid.h2
+        sup_y = np.abs(d, out=d).max(axis=(2, 3))
+        return max(_sup_abs(e), float(np.max(np.hypot(sup_x, sup_y))))
+
+
+def _rank_errors(expansion: FdExpansion, exact, ranks, refine: int = 5) -> list:
+    """(delta, norm1_delta) of the partial sums of `ranks` (ascending).
+
+    `exact` is sampled once.  The running sum adds the corrections in the
+    order `partial_sum` does, so each total is bit-identical to it.
+    """
+    samples = _ExactSamples(expansion, exact, refine)
+    total = expansion.corrections[0].values.copy()
+    e = np.empty_like(total)
+    out = []
+    for m in range(ranks[-1] + 1):
+        if m:
+            total += expansion.corrections[m].values
+        if m in ranks:
+            np.subtract(total, samples.nodes, out=e)
+            out.append((samples.delta(total, e), samples.norm1_delta(e)))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,16 +336,13 @@ def convergence_study(spec: StudySpec) -> ErrorReport:
 def _study_mesh(spec: StudySpec, n1: int, n2: int):
     expansion = fd_solve(spec.problem, n1, n2, spec.max_rank, spec.p)
     grid = expansion.grid
-    rows = []
-    for m, wall in enumerate(expansion.wall_ms):
-        if spec.exact is not None:
-            delta = error_vs_exact(expansion, spec.exact, m, spec.refine)
-            norm1 = error_norm1(expansion, spec.exact, m)
-        else:
-            delta = math.nan
-            norm1 = math.nan
-        rows.append(ErrorRow(n1, n2, grid.h1, grid.h2, m, delta, norm1, wall, spec.p))
-    return rows
+    ranks = range(expansion.rank + 1)
+    if spec.exact is not None:
+        errors = _rank_errors(expansion, spec.exact, ranks, spec.refine)
+    else:
+        errors = [(math.nan, math.nan)] * len(ranks)
+    return [ErrorRow(n1, n2, grid.h1, grid.h2, m, delta, norm1, wall, spec.p)
+            for m, ((delta, norm1), wall) in enumerate(zip(errors, expansion.wall_ms))]
 
 
 # ---------------------------------------------------------------------------

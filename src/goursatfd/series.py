@@ -57,28 +57,31 @@ def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
     return TruncatedSeries(out)
 
 
-def _mul_trunc_arrays(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # Cauchy product of coefficient stacks shaped (K+1, ...), truncated at K.
-    out = np.zeros_like(a)
-    k = a.shape[0] - 1
-    for i in range(k + 1):
-        out[i:] += a[i] * b[: k + 1 - i]
-    return out
-
-
 def compose_with_tail(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
     """Coefficients of N(v(tau)) from Taylor rows of N at v_0 and the tail v - v_0.
 
     Both stacks are shaped (K+1, ...) and may carry trailing point axes;
-    `tail[0]` must be zero.  Horner evaluation in the tail keeps every
-    intermediate truncated at order K.
+    `tail[0]` must be zero.  With a_j the Taylor rows and t_i the tail rows,
+    the partial Bell polynomials B[n, j] (the tau^n coefficients of the
+    j-th power of the tail) obey
+
+        B[n, 1] = t_n,   B[n, j] = sum_{i=1}^{n-j+1} t_i B[n-i, j-1],
+
+    and A_0 = a_0, A_n = sum_{j=1}^{n} a_j B[n, j].  B[n, j] vanishes for
+    n < j, so column j is stored for n = j..K only, and only the previous
+    column is kept.
     """
     k = taylor.shape[0] - 1
-    res = np.zeros_like(taylor)
-    res[0] = taylor[k]
-    for j in range(k - 1, -1, -1):
-        res = _mul_trunc_arrays(res, tail)
-        res[0] += taylor[j]
+    res = np.empty_like(taylor)
+    res[0] = taylor[0]
+    bell = tail[1:]  # column j = 1, rows n = 1..K
+    np.multiply(taylor[1:2], bell, out=res[1:])
+    for j in range(2, k + 1):
+        nxt = np.zeros((k + 1 - j,) + bell.shape[1:])  # rows n = j..K
+        for i in range(1, k + 2 - j):
+            nxt[i - 1:] += tail[i] * bell[: k + 2 - j - i]
+        res[j:] += taylor[j] * nxt
+        bell = nxt
     return res
 
 

@@ -40,8 +40,9 @@ Wavefront batching.  A cell reads only its left and lower neighbours, so the
 cells of one anti-diagonal are independent.  The march solves each
 anti-diagonal in one batched call: it gathers the edge traces by fancy
 indexing, freezes the coefficients with one evaluation of N, assembles the
-sources with one Adomian composition, and applies the three terms above as a
-few matrix products.  Each solved wavefront is checked for non-finite values
+sources with two Adomian compositions (the corner values at order k, the
+cell points at order k - 1), and applies the three terms above as a few
+matrix products.  Each solved wavefront is checked for non-finite values
 before the next one reads it.
 """
 
@@ -365,22 +366,22 @@ def _adomian_source(nl: Nonlinearity, frozen: list, here: list) -> np.ndarray:
 
     `frozen[s]` holds the rank-s corner values of the cells (any shape,
     one entry per cell) and `here[s]` the rank-s values at points of those
-    cells (the cell shape followed by point axes).  One composition of order
-    k at the corner and point values together yields the corner Adomian
-    polynomials A_0..A_k (the top slot taken as zero) and the running ones.
+    cells (the cell shape followed by point axes).  The source reads the
+    corner Adomian polynomials A_0..A_k (the top slot taken as zero) but the
+    running ones only up to A_{k-1}, so the corners are composed at order k
+    and the points at order k - 1.
     """
     k = len(here)
     shape = here[0].shape
     cells = frozen[0].size
     v = [h.reshape(cells, -1) for h in here]
-    centers = np.concatenate([frozen[0].ravel(), v[0].ravel()])
-    tail = np.zeros((k + 1, centers.size))
+    corner_tail = np.zeros((k + 1, cells))
+    run_tail = np.zeros((k,) + v[0].shape)
     for s in range(1, k):
-        tail[s, :cells] = frozen[s].ravel()
-        tail[s, cells:] = v[s].ravel()
-    comp = compose_with_tail(nl.taylor_at(centers, k), tail)
-    a_corner = comp[:, :cells, None]
-    a_run = comp[:k, cells:].reshape(k, cells, -1)
+        corner_tail[s] = frozen[s].ravel()
+        run_tail[s] = v[s]
+    a_corner = compose_with_tail(nl.taylor_at(frozen[0].ravel(), k), corner_tail)[:, :, None]
+    a_run = compose_with_tail(nl.taylor_at(v[0], k - 1), run_tail)
 
     f = -a_corner[k] * v[0]
     for s in range(k):

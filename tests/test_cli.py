@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from goursatfd.field import Grid, unit_cheb_nodes
+from goursatfd.harness import fd_solve, liouville_problem
 from goursatfd.cli import (
     ConfigError,
     STUDY_HEADER,
@@ -120,6 +121,26 @@ def test_solve_csv_output(tmp_path, capsys):
     x, y, u = (float(v) for v in lines[3].split(","))
     assert (x, y) == (0.0, 0.0)
     assert u == pytest.approx(-math.log(2.0), rel=1e-12)
+
+
+def test_solve_csv_output_in_blocks(tmp_path, capsys):
+    # 3 x 5 cells at P = 11 give 1815 rows: not a multiple of the block size
+    argv = ["solve", "--problem", "liouville", "--n1", "3", "--n2", "5", "--rank", "2",
+            "--cheb-order", "11"]
+    out = tmp_path / "field.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    printed = capsys.readouterr().out
+    assert main(argv) == 0
+    streamed = capsys.readouterr().out
+    text = out.read_text()
+    # stdout carries the delta= lines first, then exactly the file's text
+    assert streamed == printed + text
+    lines = text.splitlines()
+    assert len(lines) == 3 + 3 * 5 * 11 * 11
+    assert text.endswith("\n") and not text.endswith("\n\n")
+    preset = liouville_problem()
+    u = fd_solve(preset.problem, 3, 5, 2, 11).partial_sum(2).values[-1, -1, -1, -1]
+    assert lines[-1] == "4.0000000000000000e+00,4.0000000000000000e+00,%.16e" % u
 
 
 def test_solve_json_output(tmp_path):

@@ -169,6 +169,35 @@ def test_convergence_study_layout():
         assert walls == sorted(walls)
 
 
+def test_convergence_study_rows_equal_the_public_metrics():
+    # one sampling per mesh and a running sum, against a fresh sampling and
+    # partial_sum per rank: the same numbers, bit for bit
+    preset = liouville_problem()
+    spec = StudySpec(problem=preset.problem, exact=preset.exact, meshes=((8, 8),),
+                     max_rank=3, p=12)
+    rows = convergence_study(spec).rows
+    expansion = fd_solve(preset.problem, 8, 8, 3, 12)
+    for r in rows:
+        assert r.delta == error_vs_exact(expansion, preset.exact, r.m)
+        assert r.norm1_delta == error_norm1(expansion, preset.exact, r.m)
+
+
+def test_convergence_study_samples_exact_once_per_mesh():
+    preset = liouville_problem()
+    calls = []
+
+    def exact(x, y):
+        calls.append(np.size(x))
+        return preset.exact(x, y)
+
+    spec = StudySpec(problem=preset.problem, exact=exact, meshes=((8, 8),), max_rank=7, p=12)
+    rows = convergence_study(spec).rows
+    assert len(rows) == 8
+    # the tensor nodes and the 5 x 5 refine lattice of every cell
+    assert len(calls) <= 2
+    assert sum(calls) == 8 * 8 * (12 * 12 + 5 * 5)
+
+
 def test_convergence_study_records_failures_and_continues():
     # a huge cell pushes the kernel argument beyond its series range
     problem = GoursatProblem(

@@ -6,9 +6,11 @@ import numpy as np
 import pytest
 
 from goursatfd.series import (
+    PARTITION_ORDER_CAP,
     Nonlinearity,
     TruncatedSeries,
     adomian_partition,
+    compose_with_tail,
     series_compose_nonlinearity,
     series_mul,
 )
@@ -99,6 +101,25 @@ def test_composition_matches_partition_oracle():
         for n in range(v.order + 1):
             ref = adomian_partition(nl, v.coeffs[: n + 1])
             assert abs(comp.coeffs[n] - ref) <= 1e-12
+
+
+def test_vectorized_composition_matches_partition_oracle():
+    # point axes as the solver passes them: every point composes on its own
+    rng = np.random.default_rng(19)
+    multipliers = [liouville_multiplier()] + [
+        Nonlinearity.from_series(rng.uniform(-1, 1, size=d)) for d in (1, 4, 9)]
+    for order in range(PARTITION_ORDER_CAP + 1):
+        for nl in multipliers:
+            v = rng.uniform(-0.8, 0.8, size=(order + 1, 2, 3))
+            v[0] = [[-2.0, -0.7, -0.2], [0.1, 0.45, 0.9]]  # both liouville branches
+            tail = v.copy()
+            tail[0] = 0.0
+            comp = compose_with_tail(nl.taylor_at(v[0], order), tail)
+            assert comp.shape == v.shape
+            for idx in np.ndindex(2, 3):
+                for n in range(order + 1):
+                    ref = adomian_partition(nl, v[(slice(0, n + 1),) + idx])
+                    assert abs(comp[(n,) + idx] - ref) <= 1e-12 * (1.0 + abs(ref))
 
 
 def test_degenerate_tail_sums_to_plain_value():
