@@ -41,7 +41,6 @@ from .series import (
     TruncatedSeries,
     adomian_partition,
     series_compose_nonlinearity,
-    series_mul,
 )
 from .solver import (
     FdExpansion,
@@ -63,7 +62,7 @@ __all__ = [
     "Grid", "PiecewiseField", "cheb_nodes", "integrate_1d", "integrate_2d",
     "corner_table", "max_edge_jump",
     "KernelRangeError", "RiemannKernel", "hyp0f1", "riemann", "riemann_d1", "riemann_d2",
-    "TruncatedSeries", "Nonlinearity", "series_mul", "series_compose_nonlinearity",
+    "TruncatedSeries", "Nonlinearity", "series_compose_nonlinearity",
     "adomian_partition",
     "GoursatProblem", "FdExpansion", "FdSolverError", "solve_cell_linear",
     "picard_cell_oracle", "solve_basic", "correction_rhs", "solve_correction",

@@ -13,7 +13,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from typing import get_type_hints
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .harness import (
     MAX_RANK,
     P_RANGE,
     PRESETS,
+    ErrorRow,
     Preset,
     StudySpec,
     _rank_errors,
@@ -33,44 +34,27 @@ from .series import Nonlinearity
 from .solver import FdSolverError, GoursatProblem
 from .kernels import KernelRangeError
 
-__all__ = ["RunConfig", "parse_config", "run", "main"]
+__all__ = ["parse_config", "run", "main"]
 
 _MODES = ("solve", "study", "selftest")
-_CONFIG_KEYS = {
-    "problem": str,
-    "n1": int,
-    "n2": int,
-    "n_list": str,
-    "rank": int,
-    "cheb_order": int,
-    "tol": float,
-    "output": str,
-    "format": str,
+_FORMATS = ("csv", "json")
+# key -> (type, default, help): the flags of every subcommand, the config-file
+# keys with their casts, and the defaults all come from this one table
+_OPTIONS = {
+    "problem": (str, None, "preset name or path to a problem spec file"),
+    "n1": (int, None, "cells along x"),
+    "n2": (int, None, "cells along y"),
+    "n_list": (str, None, "comma-separated cell counts for a study"),
+    "rank": (int, 0, "number of corrections m"),
+    "cheb_order": (int, 12, "points per cell direction"),
+    "tol": (float, 1.0e-13, "oracle iteration tolerance (selftest)"),
+    "output": (str, None, "output file path (default stdout)"),
+    "format": (str, "csv", "output format"),
 }
-
-
-@dataclass
-class RunConfig:
-    mode: str
-    problem: str | None = None
-    n1: int | None = None
-    n2: int | None = None
-    n_list: tuple | None = None
-    rank: int = 0
-    cheb_order: int = 12
-    tol: float = 1.0e-13
-    output: str | None = None
-    format: str = "csv"
 
 
 class ConfigError(ValueError):
     """Invalid flag or config key; maps to exit code 2."""
-
-
-def _fmt(v: float) -> str:
-    if isinstance(v, float) and math.isnan(v):
-        return "nan"
-    return "%.16e" % v
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -82,25 +66,20 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True, metavar="{solve,study,selftest}")
     for mode in _MODES:
         p = sub.add_parser(mode)
-        p.add_argument("--problem", help="preset name or path to a problem spec file")
-        p.add_argument("--n1", type=int, help="cells along x")
-        p.add_argument("--n2", type=int, help="cells along y")
-        p.add_argument("--n-list", dest="n_list", help="comma-separated cell counts for a study")
-        p.add_argument("--rank", type=int, help="number of corrections m")
-        p.add_argument("--cheb-order", dest="cheb_order", type=int, help="points per cell direction")
-        p.add_argument("--tol", type=float, help="oracle iteration tolerance (selftest)")
-        p.add_argument("--output", help="output file path (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), help="output format")
+        for key, (typ, _, text) in _OPTIONS.items():
+            p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, help=text,
+                           choices=_FORMATS if key == "format" else None)
         p.add_argument("--config", help="key = value config file; flags override it")
     return parser
 
 
-def _read_config(path: str) -> dict:
-    values = {}
+def _read_key_values(path: str, kind: str) -> list:
+    """(line number, key, value) of every `key = value` line; `#` starts a comment."""
     try:
         text = open(path, encoding="utf-8").read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+        raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
+    out = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,11 +87,17 @@ def _read_config(path: str) -> dict:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
-        key = key.strip().replace("-", "_")
-        val = val.strip()
-        if key not in _CONFIG_KEYS:
+        out.append((lineno, key.strip(), val.strip()))
+    return out
+
+
+def _read_config(path: str) -> dict:
+    values = {}
+    for lineno, key, val in _read_key_values(path, "config"):
+        key = key.replace("-", "_")
+        if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key `{key}`")
-        caster = _CONFIG_KEYS[key]
+        caster = _OPTIONS[key][0]
         try:
             values[key] = caster(val)
         except ValueError as exc:
@@ -137,30 +122,24 @@ def _parse_n_list(text: str) -> tuple:
     return tuple(out)
 
 
-def parse_config(argv) -> RunConfig:
-    """Merge command-line flags over config-file values into a RunConfig.
+def parse_config(argv) -> argparse.Namespace:
+    """Parsed flags, with unset keys taken from the config file, then from _OPTIONS.
 
     Exits with code 2 (via argparse) on unknown flags; raises ConfigError with
     the offending key named for everything else.
     """
-    ns = _build_parser().parse_args(argv)
-    fromfile = _read_config(ns.config) if ns.config else {}
-
-    cfg = RunConfig(mode=ns.mode)
-    for key in _CONFIG_KEYS:
-        flag = getattr(ns, key, None)
-        value = flag if flag is not None else fromfile.get(key)
-        if value is None:
-            continue
-        if key == "n_list":
-            value = _parse_n_list(value) if isinstance(value, str) else value
-        setattr(cfg, key, value)
-
+    cfg = _build_parser().parse_args(argv)
+    fromfile = _read_config(cfg.config) if cfg.config else {}
+    for key, (_, default, _) in _OPTIONS.items():
+        if getattr(cfg, key) is None:
+            setattr(cfg, key, fromfile.get(key, default))
+    if cfg.n_list is not None:
+        cfg.n_list = _parse_n_list(cfg.n_list)
     _validate(cfg)
     return cfg
 
 
-def _validate(cfg: RunConfig):
+def _validate(cfg: argparse.Namespace):
     if cfg.mode not in _MODES:
         raise ConfigError(f"key `mode` must be one of {_MODES}, got {cfg.mode!r}")
     if cfg.mode in ("solve", "study"):
@@ -189,7 +168,7 @@ def _validate(cfg: RunConfig):
         )
     if cfg.tol <= 0:
         raise ConfigError(f"key `tol` expects a positive float, got {cfg.tol}")
-    if cfg.format not in ("csv", "json"):
+    if cfg.format not in _FORMATS:
         raise ConfigError(f"key `format` must be csv or json, got {cfg.format!r}")
 
 
@@ -252,19 +231,7 @@ def compile_expression(text: str, variables: tuple):
 
 def load_problem_file(path: str) -> Preset:
     """Preset-style spec file: X, Y, psi, phi, f expressions and nu coefficients."""
-    try:
-        text = open(path, encoding="utf-8").read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read problem file {path}: {exc}") from exc
-    entries = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
-        key, _, val = line.partition("=")
-        entries[key.strip()] = val.strip()
+    entries = {key: val for _, key, val in _read_key_values(path, "problem")}
     required = ("X", "Y", "psi", "phi", "f", "nu")
     for key in required:
         if key not in entries:
@@ -309,28 +276,24 @@ def _resolve_problem(spec: str) -> Preset:
 # ---------------------------------------------------------------------------
 # output writers
 
-STUDY_HEADER = ("n1", "n2", "h1", "h2", "m", "delta", "norm1_delta", "wall_ms", "p_order")
+# one column per ErrorRow field, in declaration order, each cell printed by
+# the field's type; `%.16e` prints an unknown error as `nan`
+_STUDY_TYPES = tuple(get_type_hints(ErrorRow).items())
+STUDY_HEADER = tuple(name for name, _ in _STUDY_TYPES)
+_CSV_CELL = {int: str, float: lambda v: "%.16e" % v}
 
 
-def _study_rows_text(rows) -> list:
-    out = [",".join(STUDY_HEADER)]
-    for r in rows:
-        out.append(",".join([
-            str(r.n1), str(r.n2), _fmt(r.h1), _fmt(r.h2), str(r.m),
-            _fmt(r.delta), _fmt(r.norm1_delta), _fmt(r.wall_ms), str(r.p_order),
-        ]))
-    return out
+def _study_csv(rows) -> str:
+    lines = [",".join(STUDY_HEADER)]
+    lines += [",".join(_CSV_CELL[typ](getattr(r, name)) for name, typ in _STUDY_TYPES)
+              for r in rows]
+    return "\n".join(lines)
 
 
 def _study_json(rows) -> str:
-    objs = []
-    for r in rows:
-        objs.append({
-            "n1": r.n1, "n2": r.n2, "h1": r.h1, "h2": r.h2, "m": r.m,
-            "delta": None if math.isnan(r.delta) else r.delta,
-            "norm1_delta": None if math.isnan(r.norm1_delta) else r.norm1_delta,
-            "wall_ms": r.wall_ms, "p_order": r.p_order,
-        })
+    # JSON has no NaN: an unknown error is null
+    objs = [{name: None if typ is float and math.isnan(getattr(r, name)) else getattr(r, name)
+             for name, typ in _STUDY_TYPES} for r in rows]
     return json.dumps(objs, indent=1)
 
 
@@ -348,7 +311,7 @@ def _emit(text: str, output: str | None):
 _CSV_BLOCK = 4096
 
 
-def _run_solve(cfg: RunConfig) -> int:
+def _run_solve(cfg: argparse.Namespace) -> int:
     preset = _resolve_problem(cfg.problem)
     expansion = fd_solve(preset.problem, cfg.n1, cfg.n2, cfg.rank, cfg.cheb_order)
     total = expansion.partial_sum(cfg.rank).values
@@ -356,15 +319,14 @@ def _run_solve(cfg: RunConfig) -> int:
     delta = norm1 = None
     if preset.exact is not None:
         (delta, norm1), = _rank_errors(expansion, preset.exact, [cfg.rank])
-        print(f"delta={_fmt(delta)}")
-        print(f"norm1_delta={_fmt(norm1)}")
+        print("delta=%.16e\nnorm1_delta=%.16e" % (delta, norm1))
     # one (x, y, u) row per cell tensor node, in cell-major order
     xg, yg = np.broadcast_arrays(xs[:, None, :, None], ys[None, :, None, :])
     columns = (xg.ravel(), yg.ravel(), total.ravel())
     if cfg.format == "csv":
         with _open_output(cfg.output) as fh:
             if delta is not None:
-                fh.write(f"# delta = {_fmt(delta)}\n# norm1_delta = {_fmt(norm1)}\n")
+                fh.write("# delta = %.16e\n# norm1_delta = %.16e\n" % (delta, norm1))
             fh.write("x,y,u\n")
             # formatted and written a block of rows at a time, so the text of
             # the whole field is never held at once
@@ -382,7 +344,7 @@ def _run_solve(cfg: RunConfig) -> int:
     return 0
 
 
-def _run_study(cfg: RunConfig) -> int:
+def _run_study(cfg: argparse.Namespace) -> int:
     preset = _resolve_problem(cfg.problem)
     spec = StudySpec(
         problem=preset.problem,
@@ -393,7 +355,7 @@ def _run_study(cfg: RunConfig) -> int:
     )
     report = convergence_study(spec)
     if cfg.format == "csv":
-        _emit("\n".join(_study_rows_text(report.rows)), cfg.output)
+        _emit(_study_csv(report.rows), cfg.output)
     else:
         _emit(_study_json(report.rows), cfg.output)
     for n1, n2, message in report.failures:
@@ -401,7 +363,7 @@ def _run_study(cfg: RunConfig) -> int:
     return 1 if report.failures else 0
 
 
-def run(config: RunConfig) -> int:
+def run(config: argparse.Namespace) -> int:
     """Execute a validated config; returns the process exit code."""
     try:
         if config.mode == "solve":

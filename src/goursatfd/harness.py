@@ -26,7 +26,7 @@ from .field import (
     unit_cheb_nodes,
 )
 from .kernels import KernelRangeError
-from .series import Nonlinearity
+from .series import Nonlinearity, _recenter_poly
 from .solver import FdExpansion, FdSolverError, GoursatProblem, solve_basic, solve_correction
 
 __all__ = [
@@ -86,29 +86,10 @@ def _liouville_taylor(center, order: int) -> np.ndarray:
     if not near.any():
         return _shifted_exp_taylor(tf, order).reshape((order + 1,) + t.shape)
     out = np.empty((order + 1, tf.size))
-    out[:, near] = _series_taylor(tf[near], order)
+    out[:, near] = _recenter_poly(_LIOUVILLE_NU, tf[near], order)
     if np.any(~near):
         out[:, ~near] = _shifted_exp_taylor(tf[~near], order)
     return out.reshape((order + 1,) + t.shape)
-
-
-def _series_taylor(t: np.ndarray, order: int) -> np.ndarray:
-    # a_k = sum_j nu_{k+j} C(k+j, k) t^j, truncated when terms vanish
-    nu = _LIOUVILLE_NU
-    out = np.zeros((order + 1, t.size))
-    for k in range(order + 1):
-        binom = 1.0
-        acc = np.full(t.size, nu[k]) if k < len(nu) else np.zeros(t.size)
-        tp = np.ones(t.size)
-        for j in range(1, len(nu) - k):
-            binom *= (k + j) / j
-            tp = tp * t
-            term = nu[k + j] * binom * tp
-            acc += term
-            if np.max(np.abs(term)) < 1.0e-18 * max(1.0, np.max(np.abs(acc))):
-                break
-        out[k] = acc
-    return out
 
 
 def _shifted_exp_taylor(t: np.ndarray, order: int) -> np.ndarray:
@@ -128,7 +109,7 @@ def _shifted_exp_taylor(t: np.ndarray, order: int) -> np.ndarray:
 
 def liouville_multiplier() -> Nonlinearity:
     """N(u) = (1 - exp(2u)) / u, the multiplier of u_xy = exp(2u)."""
-    return Nonlinearity(_LIOUVILLE_NU, taylor_fn=_liouville_taylor, name="liouville")
+    return Nonlinearity(_LIOUVILLE_NU, taylor_fn=_liouville_taylor)
 
 
 @dataclass(frozen=True)
@@ -168,6 +149,8 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # solve driver and error metrics
 
+_LATTICE = 5  # the error metrics also sample a uniform 5 x 5 lattice per cell
+
 
 def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExpansion:
     """Basic solve plus corrections 1..m; partial sums give every lower rank.
@@ -195,12 +178,13 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
     return expansion
 
 
-def error_vs_exact(expansion: FdExpansion, exact, m: int, refine: int = 5) -> float:
+def error_vs_exact(expansion: FdExpansion, exact, m: int, refine: int = _LATTICE) -> float:
     """Sup-norm error of the rank-m partial sum over the documented sample set."""
     if not 0 <= m <= expansion.rank:
         raise ValueError(f"rank {m} not in stored range 0..{expansion.rank}")
     samples = _ExactSamples(expansion, exact, refine)
-    total = expansion.partial_sum(m).values
+    # the field is only read, so rank 0 needs no partial-sum copy
+    total = expansion.corrections[0].values if m == 0 else expansion.partial_sum(m).values
     # the samples serve this one rank, so the node error can replace them:
     # on the largest meshes a further field would be the peak memory
     return samples.delta(total, np.subtract(total, samples.nodes, out=samples.nodes))
@@ -259,13 +243,13 @@ class _ExactSamples:
         return max(_sup_abs(e), float(np.max(np.hypot(sup_x, sup_y))))
 
 
-def _rank_errors(expansion: FdExpansion, exact, ranks, refine: int = 5) -> list:
+def _rank_errors(expansion: FdExpansion, exact, ranks) -> list:
     """(delta, norm1_delta) of the partial sums of `ranks` (ascending).
 
     `exact` is sampled once.  The running sum adds the corrections in the
     order `partial_sum` does, so each total is bit-identical to it.
     """
-    samples = _ExactSamples(expansion, exact, refine)
+    samples = _ExactSamples(expansion, exact, _LATTICE)
     total = expansion.corrections[0].values.copy()
     e = np.empty_like(total)
     out = []
@@ -291,7 +275,6 @@ class StudySpec:
     meshes: tuple
     max_rank: int
     p: int = 12
-    refine: int = 5
 
     def __post_init__(self):
         if self.max_rank < 0 or self.max_rank > MAX_RANK:
@@ -338,7 +321,7 @@ def _study_mesh(spec: StudySpec, n1: int, n2: int):
     grid = expansion.grid
     ranks = range(expansion.rank + 1)
     if spec.exact is not None:
-        errors = _rank_errors(expansion, spec.exact, ranks, spec.refine)
+        errors = _rank_errors(expansion, spec.exact, ranks)
     else:
         errors = [(math.nan, math.nan)] * len(ranks)
     return [ErrorRow(n1, n2, grid.h1, grid.h2, m, delta, norm1, wall, spec.p)

@@ -18,7 +18,6 @@ import numpy as np
 __all__ = [
     "TruncatedSeries",
     "Nonlinearity",
-    "series_mul",
     "series_compose_nonlinearity",
     "adomian_partition",
 ]
@@ -43,18 +42,6 @@ class TruncatedSeries:
     @property
     def order(self) -> int:
         return len(self.coeffs) - 1
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        return series_mul(self, other)
-
-
-def series_mul(a: TruncatedSeries, b: TruncatedSeries) -> TruncatedSeries:
-    """Cauchy product truncated at the smaller of the two orders."""
-    k = min(a.order, b.order)
-    out = np.zeros(k + 1)
-    for i in range(k + 1):
-        out[i] = a.coeffs[: i + 1] @ b.coeffs[i::-1]
-    return TruncatedSeries(out)
 
 
 def compose_with_tail(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -95,7 +82,7 @@ class Nonlinearity:
     recentered exactly by binomial re-expansion.
     """
 
-    def __init__(self, series_coeffs, taylor_fn: Callable | None = None, name: str = "custom"):
+    def __init__(self, series_coeffs, taylor_fn: Callable | None = None):
         nu = np.atleast_1d(np.asarray(series_coeffs, dtype=float))
         if nu.ndim != 1 or nu.size == 0:
             raise ValueError("need at least the constant coefficient nu_0")
@@ -103,12 +90,11 @@ class Nonlinearity:
             raise ValueError("multiplier coefficients must be finite")
         self.series_coeffs = nu
         self._taylor_fn = taylor_fn
-        self.name = name
 
     @classmethod
-    def from_series(cls, nu, name: str = "series") -> "Nonlinearity":
+    def from_series(cls, nu) -> "Nonlinearity":
         """Polynomial multiplier defined by its global coefficients."""
-        return cls(nu, taylor_fn=None, name=name)
+        return cls(nu, taylor_fn=None)
 
     def taylor_at(self, center, order: int):
         """Taylor coefficients a_0..a_order of N around `center`.

@@ -2,6 +2,8 @@
 
 import json
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,8 +11,10 @@ import pytest
 from goursatfd.field import Grid, unit_cheb_nodes
 from goursatfd.harness import fd_solve, liouville_problem
 from goursatfd.cli import (
+    _OPTIONS,
     ConfigError,
     STUDY_HEADER,
+    _build_parser,
     compile_expression,
     load_problem_file,
     main,
@@ -76,6 +80,21 @@ def test_config_file_merging(tmp_path):
     # flags override file values
     cfg = parse_config(["study", "--config", str(cfgfile), "--rank", "1", "--cheb-order", "10"])
     assert cfg.rank == 1 and cfg.cheb_order == 10
+
+
+def test_every_option_sets_the_same_value_by_flag_and_by_config_file(tmp_path):
+    # one non-default value per key of the option table
+    values = {"problem": "pr1", "n1": "3", "n2": "5", "n_list": "2, 3", "rank": "2",
+              "cheb_order": "8", "tol": "1e-9", "output": "out.csv", "format": "json"}
+    assert set(values) == set(_OPTIONS)
+    defaults = vars(parse_config(["selftest"]))
+    for key, value in values.items():
+        cfgfile = tmp_path / f"{key}.cfg"
+        cfgfile.write_text(f"{key} = {value}\n")
+        by_flag = vars(parse_config(["selftest", "--" + key.replace("_", "-"), value]))
+        by_file = vars(parse_config(["selftest", "--config", str(cfgfile)]))
+        assert by_flag[key] != defaults[key], key
+        assert by_flag == {**by_file, "config": None}, key
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -193,6 +212,40 @@ def test_study_output_is_reproducible_modulo_wall_time(tmp_path):
         return rows
 
     assert strip(a) == strip(b)
+
+
+def test_study_without_exact_writes_nan_and_null(tmp_path):
+    spec = tmp_path / "noexact.prob"
+    spec.write_text("X = 2.0\nY = 2.0\npsi = 0*x\nphi = 0*y\nf = 1 + x*y\nnu = 1.0\n")
+    csv_out = tmp_path / "study.csv"
+    json_out = tmp_path / "study.json"
+    args = ["study", "--problem", str(spec), "--n-list", "2,3", "--rank", "1",
+            "--cheb-order", "6"]
+    assert main(args + ["--output", str(csv_out)]) == 0
+    assert main(args + ["--format", "json", "--output", str(json_out)]) == 0
+    lines = csv_out.read_text().splitlines()
+    rows_csv = [dict(zip(STUDY_HEADER, line.split(","))) for line in lines[1:]]
+    rows_json = json.loads(json_out.read_text())
+    assert len(rows_csv) == len(rows_json) == 4
+    for rc, rj in zip(rows_csv, rows_json):
+        assert rc["delta"] == rc["norm1_delta"] == "nan"
+        assert rj["delta"] is None and rj["norm1_delta"] is None
+        for key in ("n1", "n2", "m", "p_order"):
+            assert int(rc[key]) == rj[key]
+        for key in ("h1", "h2"):  # wall_ms differs from run to run
+            assert float(rc[key]) == rj[key]
+
+
+def test_readme_lists_every_flag():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    flags_paragraph = cli_section.split("Flags:", 1)[1].split("\n\n", 1)[0]
+    documented = set(re.findall(r"`(--[a-z0-9-]+)", flags_paragraph))
+    subparsers = next(a for a in _build_parser()._actions if a.choices)
+    for mode, parser in subparsers.choices.items():
+        options = {opt for action in parser._actions for opt in action.option_strings
+                   if opt.startswith("--") and opt != "--help"}
+        assert documented == options, mode
 
 
 def test_expression_grammar():

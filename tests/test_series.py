@@ -12,9 +12,8 @@ from goursatfd.series import (
     adomian_partition,
     compose_with_tail,
     series_compose_nonlinearity,
-    series_mul,
 )
-from goursatfd.harness import liouville_multiplier
+from goursatfd.harness import MAX_RANK, liouville_multiplier
 
 
 def test_series_validation():
@@ -24,31 +23,6 @@ def test_series_validation():
         TruncatedSeries([1.0, np.nan])
     s = TruncatedSeries([1.0, 2.0, 3.0])
     assert s.order == 2
-
-
-def test_mul_exact_product():
-    a = TruncatedSeries([1.0, 1.0, 0.0])
-    b = TruncatedSeries([1.0, -1.0, 0.0])
-    assert np.array_equal((a * b).coeffs, [1.0, 0.0, -1.0])
-
-
-def test_mul_identity():
-    a = TruncatedSeries([2.0, -0.5, 3.25])
-    one = TruncatedSeries([1.0, 0.0, 0.0])
-    assert np.array_equal(series_mul(a, one).coeffs, a.coeffs)
-
-
-def test_mul_square():
-    # (1 + 2t + 3t^2)^2 = 1 + 4t + 10t^2 + O(t^3)
-    a = TruncatedSeries([1.0, 2.0, 3.0])
-    assert np.allclose(series_mul(a, a).coeffs, [1.0, 4.0, 10.0], rtol=0, atol=1e-15)
-
-
-def test_mul_truncates_to_smaller_order():
-    a = TruncatedSeries([1.0, 1.0, 1.0, 1.0])
-    b = TruncatedSeries([1.0, 1.0])
-    assert series_mul(a, b).order == 1
-    assert series_mul(b, a).order == 1
 
 
 def test_compose_constant_series():
@@ -188,6 +162,21 @@ def test_removable_singularity_is_smooth():
     for eps in (1e-9, -1e-9, 1e-5, -1e-5):
         assert float(nl.eval(eps)) == pytest.approx(-2.0 - 2.0 * eps, abs=1e-9)
     assert float(nl.deriv(0.0)) == pytest.approx(-2.0, rel=1e-13)
+
+
+def test_liouville_taylor_rows_match_mpmath_near_zero():
+    # independent oracle: N(u) = -2 int_0^1 exp(2us) ds, so the k-th Taylor
+    # row at t is -2^(k+1)/k! int_0^1 s^k exp(2ts) ds, integrated by mpmath
+    mpmath = pytest.importorskip("mpmath")
+    centers = np.array([-0.49, -0.3, -1e-9, 0.0, 1e-7, 0.25, 0.4999])
+    with mpmath.workdps(40):
+        ref = np.array([[float(-(2 ** (k + 1)) / mpmath.factorial(k) * mpmath.quad(
+            lambda s: s**k * mpmath.exp(2 * mpmath.mpf(t) * s), [0, 1]))
+            for t in centers] for k in range(MAX_RANK + 1)])
+    nl = liouville_multiplier()
+    for order in range(MAX_RANK + 1):
+        rel = np.abs(nl.taylor_at(centers, order) / ref[: order + 1] - 1)
+        assert rel.max() <= 1e-14, (order, rel.max())
 
 
 def test_liouville_series_coefficients():
