@@ -9,15 +9,7 @@ polynomials of the multiplier.  The error decays geometrically in the rank
 with a ratio that shrinks as the mesh is refined.
 """
 
-from .field import (
-    Grid,
-    PiecewiseField,
-    cheb_nodes,
-    corner_table,
-    integrate_1d,
-    integrate_2d,
-    max_edge_jump,
-)
+from .field import Grid, PiecewiseField, cheb_nodes, corner_table, max_edge_jump
 from .harness import (
     ErrorReport,
     ErrorRow,
@@ -35,18 +27,12 @@ from .harness import (
     mu_recurrence,
     run_selftest,
 )
-from .kernels import KernelRangeError, RiemannKernel, hyp0f1, riemann, riemann_d1, riemann_d2
-from .series import (
-    Nonlinearity,
-    TruncatedSeries,
-    adomian_partition,
-    series_compose_nonlinearity,
-)
+from .kernels import KernelRangeError
+from .series import Nonlinearity, adomian_partition
 from .solver import (
     FdExpansion,
     FdSolverError,
     GoursatProblem,
-    correction_rhs,
     picard_cell_oracle,
     residual_basic,
     residual_correction,
@@ -59,13 +45,10 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Grid", "PiecewiseField", "cheb_nodes", "integrate_1d", "integrate_2d",
-    "corner_table", "max_edge_jump",
-    "KernelRangeError", "RiemannKernel", "hyp0f1", "riemann", "riemann_d1", "riemann_d2",
-    "TruncatedSeries", "Nonlinearity", "series_compose_nonlinearity",
-    "adomian_partition",
+    "Grid", "PiecewiseField", "cheb_nodes", "corner_table", "max_edge_jump",
+    "KernelRangeError", "Nonlinearity", "adomian_partition",
     "GoursatProblem", "FdExpansion", "FdSolverError", "solve_cell_linear",
-    "picard_cell_oracle", "solve_basic", "correction_rhs", "solve_correction",
+    "picard_cell_oracle", "solve_basic", "solve_correction",
     "residual_basic", "residual_correction",
     "Preset", "StudySpec", "ErrorRow", "ErrorReport", "fd_solve", "error_vs_exact",
     "error_norm1", "convergence_study", "mu_recurrence", "mu_explicit",

@@ -38,19 +38,24 @@ __all__ = ["parse_config", "run", "main"]
 
 _MODES = ("solve", "study", "selftest")
 _FORMATS = ("csv", "json")
-# key -> (type, default, help): the flags of every subcommand, the config-file
-# keys with their casts, and the defaults all come from this one table
+_RUNS = ("solve", "study")
+# key -> (type, default, modes that read it, help): the flags of each
+# subcommand, the config-file keys with their casts, and the defaults all
+# come from this one table
 _OPTIONS = {
-    "problem": (str, None, "preset name or path to a problem spec file"),
-    "n1": (int, None, "cells along x"),
-    "n2": (int, None, "cells along y"),
-    "n_list": (str, None, "comma-separated cell counts for a study"),
-    "rank": (int, 0, "number of corrections m"),
-    "cheb_order": (int, 12, "points per cell direction"),
-    "tol": (float, 1.0e-13, "oracle iteration tolerance (selftest)"),
-    "output": (str, None, "output file path (default stdout)"),
-    "format": (str, "csv", "output format"),
+    "problem": (str, None, _RUNS, "preset name or path to a problem spec file"),
+    "n1": (int, None, _RUNS, "cells along x"),
+    "n2": (int, None, ("solve",), "cells along y"),
+    "n_list": (str, None, ("study",), "comma-separated cell counts for a study"),
+    "rank": (int, 0, _RUNS, "number of corrections m"),
+    "cheb_order": (int, 12, _RUNS, "points per cell direction"),
+    "output": (str, None, _RUNS, "output file path (default stdout)"),
+    "format": (str, "csv", _RUNS, "output format"),
 }
+
+
+def _mode_keys(mode: str) -> list:
+    return [key for key, (_, _, modes, _) in _OPTIONS.items() if mode in modes]
 
 
 class ConfigError(ValueError):
@@ -66,10 +71,13 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True, metavar="{solve,study,selftest}")
     for mode in _MODES:
         p = sub.add_parser(mode)
-        for key, (typ, _, text) in _OPTIONS.items():
+        keys = _mode_keys(mode)
+        for key in keys:
+            typ, _, _, text = _OPTIONS[key]
             p.add_argument("--" + key.replace("_", "-"), dest=key, type=typ, help=text,
                            choices=_FORMATS if key == "format" else None)
-        p.add_argument("--config", help="key = value config file; flags override it")
+        if keys:
+            p.add_argument("--config", help="key = value config file; flags override it")
     return parser
 
 
@@ -91,12 +99,14 @@ def _read_key_values(path: str, kind: str) -> list:
     return out
 
 
-def _read_config(path: str) -> dict:
+def _read_config(path: str, mode: str) -> dict:
     values = {}
     for lineno, key, val in _read_key_values(path, "config"):
         key = key.replace("-", "_")
         if key not in _OPTIONS:
             raise ConfigError(f"{path}:{lineno}: unknown key `{key}`")
+        if key not in _mode_keys(mode):
+            raise ConfigError(f"{path}:{lineno}: key `{key}` is not read by `{mode}`")
         caster = _OPTIONS[key][0]
         try:
             values[key] = caster(val)
@@ -125,26 +135,27 @@ def _parse_n_list(text: str) -> tuple:
 def parse_config(argv) -> argparse.Namespace:
     """Parsed flags, with unset keys taken from the config file, then from _OPTIONS.
 
-    Exits with code 2 (via argparse) on unknown flags; raises ConfigError with
-    the offending key named for everything else.
+    The namespace carries the keys its mode reads, and no others.  Exits with
+    code 2 (via argparse) on unknown flags, a flag of another mode among
+    them; raises ConfigError with the offending key named for everything else.
     """
     cfg = _build_parser().parse_args(argv)
-    fromfile = _read_config(cfg.config) if cfg.config else {}
-    for key, (_, default, _) in _OPTIONS.items():
+    keys = _mode_keys(cfg.mode)
+    fromfile = _read_config(cfg.config, cfg.mode) if keys and cfg.config else {}
+    for key in keys:
         if getattr(cfg, key) is None:
-            setattr(cfg, key, fromfile.get(key, default))
-    if cfg.n_list is not None:
+            setattr(cfg, key, fromfile.get(key, _OPTIONS[key][1]))
+    if cfg.mode == "study" and cfg.n_list is not None:
         cfg.n_list = _parse_n_list(cfg.n_list)
     _validate(cfg)
     return cfg
 
 
 def _validate(cfg: argparse.Namespace):
-    if cfg.mode not in _MODES:
-        raise ConfigError(f"key `mode` must be one of {_MODES}, got {cfg.mode!r}")
-    if cfg.mode in ("solve", "study"):
-        if not cfg.problem:
-            raise ConfigError("key `problem` is required (preset name or spec file path)")
+    if cfg.mode == "selftest":
+        return
+    if not cfg.problem:
+        raise ConfigError("key `problem` is required (preset name or spec file path)")
     if cfg.mode == "solve":
         if not cfg.n1 or cfg.n1 < 1:
             raise ConfigError(f"key `n1` expects a positive int, got {cfg.n1!r}")
@@ -152,7 +163,7 @@ def _validate(cfg: argparse.Namespace):
             cfg.n2 = cfg.n1
         if cfg.n2 < 1:
             raise ConfigError(f"key `n2` expects a positive int, got {cfg.n2!r}")
-    if cfg.mode == "study":
+    else:
         if not cfg.n_list:
             if cfg.n1:
                 cfg.n_list = (cfg.n1,)
@@ -166,8 +177,6 @@ def _validate(cfg: argparse.Namespace):
         raise ConfigError(
             f"key `cheb_order` expects int in {P_RANGE[0]}..{P_RANGE[1]}, got {cfg.cheb_order}"
         )
-    if cfg.tol <= 0:
-        raise ConfigError(f"key `tol` expects a positive float, got {cfg.tol}")
     if cfg.format not in _FORMATS:
         raise ConfigError(f"key `format` must be csv or json, got {cfg.format!r}")
 
@@ -370,7 +379,7 @@ def run(config: argparse.Namespace) -> int:
             return _run_solve(config)
         if config.mode == "study":
             return _run_study(config)
-        passed, failed, _ = run_selftest(config.tol)
+        passed, failed, _ = run_selftest()
         return 0 if failed == 0 else 1
     except ConfigError:
         raise

@@ -23,8 +23,6 @@ __all__ = [
     "cheb_diff_matrix",
     "clenshaw_curtis_weights",
     "unit_cc_weights",
-    "integrate_1d",
-    "integrate_2d",
     "corner_table",
     "max_edge_jump",
 ]
@@ -139,38 +137,6 @@ def clenshaw_curtis_weights(p: int) -> np.ndarray:
 def unit_cc_weights(p: int) -> np.ndarray:
     """Clenshaw-Curtis weights on [0, 1]."""
     return 0.5 * clenshaw_curtis_weights(p)
-
-
-def integrate_1d(g: Callable[[float], float], a: float, b: float, p: int) -> float:
-    """Clenshaw-Curtis quadrature of g over [a, b] with P nodes.
-
-    A degenerate interval (a == b) integrates to exactly 0.
-    """
-    if a > b:
-        raise ValueError(f"interval endpoints must satisfy a <= b, got [{a}, {b}]")
-    if a == b:
-        return 0.0
-    x = cheb_nodes(p, a, b)
-    w = (b - a) * unit_cc_weights(p)
-    return float(sum(wi * g(xi) for wi, xi in zip(w, x)))
-
-
-def integrate_2d(g: Callable[[float, float], float], rect, p: int) -> float:
-    """Tensorized Clenshaw-Curtis quadrature of g(x, y) over a rectangle.
-
-    `rect` is (x0, x1, y0, y1); degenerate extents integrate to exactly 0.
-    """
-    x0, x1, y0, y1 = rect
-    if x0 > x1 or y0 > y1:
-        raise ValueError(f"degenerate rectangle must have x0 <= x1, y0 <= y1: {rect}")
-    if x0 == x1 or y0 == y1:
-        return 0.0
-    xs = cheb_nodes(p, x0, x1)
-    ys = cheb_nodes(p, y0, y1)
-    wx = (x1 - x0) * unit_cc_weights(p)
-    wy = (y1 - y0) * unit_cc_weights(p)
-    vals = np.array([[g(x, y) for y in ys] for x in xs], dtype=float)
-    return float(wx @ vals @ wy)
 
 
 @dataclass(frozen=True)

@@ -1,47 +1,23 @@
-"""Truncated power-series arithmetic and Adomian polynomials.
+"""The multiplier N(u) and its Adomian polynomials.
 
 Given a multiplier function N(u) = sum_s nu_s u^s and a finite expansion
 v(tau) = sum_s v_s tau^s, the Adomian polynomial A_n(N; v_0..v_n) is the n-th
-Taylor coefficient of N(v(tau)) at tau = 0.  The solver computes them by
-truncated series composition; the explicit partition sum is kept as an
-independent test oracle.
+Taylor coefficient of N(v(tau)) at tau = 0.  The solver computes them for
+whole batches of points by composing Taylor rows of N with the tail
+v - v_0 (`compose_with_tail`); the explicit partition sum
+(`adomian_partition`) is kept as an independent oracle.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, factorial
 from typing import Callable
 
 import numpy as np
 
-__all__ = [
-    "TruncatedSeries",
-    "Nonlinearity",
-    "series_compose_nonlinearity",
-    "adomian_partition",
-]
+__all__ = ["Nonlinearity", "adomian_partition"]
 
 PARTITION_ORDER_CAP = 10
-
-
-@dataclass(frozen=True)
-class TruncatedSeries:
-    """Coefficients c_0..c_K of a formal power series truncated at order K."""
-
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.atleast_1d(np.asarray(self.coeffs, dtype=float))
-        if c.ndim != 1 or c.size == 0:
-            raise ValueError("coefficients must form a non-empty 1-d array")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("series coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-    @property
-    def order(self) -> int:
-        return len(self.coeffs) - 1
 
 
 def compose_with_tail(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
@@ -135,18 +111,6 @@ def _recenter_poly(nu: np.ndarray, center, order: int) -> np.ndarray:
             acc = acc * t + nu[s] * comb(s, k)
         out[k] = acc
     return out
-
-
-def series_compose_nonlinearity(nl: Nonlinearity, v: TruncatedSeries) -> TruncatedSeries:
-    """Coefficients of N(v(tau)) truncated at v's order.
-
-    Coefficient n is the Adomian polynomial A_n(N; v_0..v_n).
-    """
-    k = v.order
-    taylor = nl.taylor_at(float(v.coeffs[0]), k)
-    tail = v.coeffs.copy()
-    tail[0] = 0.0
-    return TruncatedSeries(compose_with_tail(taylor, tail))
 
 
 def adomian_partition(nl: Nonlinearity, v) -> float:

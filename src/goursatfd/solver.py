@@ -76,7 +76,6 @@ __all__ = [
     "solve_cell_linear",
     "picard_cell_oracle",
     "solve_basic",
-    "correction_rhs",
     "solve_correction",
     "residual_basic",
     "residual_correction",
@@ -391,21 +390,26 @@ def _adomian_source(nl: Nonlinearity, frozen: list, here: list) -> np.ndarray:
     return f.reshape(shape)
 
 
-def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
-    """F^(k) at a point of one cell, by the same Adomian assembly as the march.
+def _correction_source(expansion: FdExpansion, k: int):
+    """source(ii, jj, corners): the rank-k cell source on cells (ii, jj).
 
-    Corner-value arguments come from the cell's own lower-left corner even on
-    shared edges, so the cell index is part of the signature.
+    The source is F^(k) - N'(u0_corner) * uk_corner * u0, with `corners` the
+    cells' own rank-k corner values.  `ii, jj` are index arrays, or slices
+    for whole blocks of cells.  The frozen corner tables and N' are built
+    once here, for every call.
     """
-    if k < 1:
-        raise ValueError(f"corrections start at k=1, got k={k}")
-    if len(expansion.corrections) < k:
-        raise ValueError(f"corrections 0..{k - 1} must be complete, have {len(expansion.corrections)}")
-    i, j = cell
-    x, y = point
-    frozen = [expansion.corner_tables[s][i, j] for s in range(k)]
-    here = [np.array([expansion.corrections[s].evaluate_in_cell(i, j, x, y)]) for s in range(k)]
-    return float(_adomian_source(expansion.problem.nonlinearity, frozen, here)[0])
+    nl = expansion.problem.nonlinearity
+    prior = [u.values for u in expansion.corrections[:k]]
+    frozen = [t[:-1, :-1] for t in expansion.corner_tables[:k]]
+    nprime = nl.deriv(frozen[0])
+
+    def source(ii, jj, corners):
+        here = [v[ii, jj] for v in prior]
+        rhs = _adomian_source(nl, [t[ii, jj] for t in frozen], here)
+        rhs -= (nprime[ii, jj] * corners)[..., None, None] * here[0]
+        return rhs
+
+    return source
 
 
 def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
@@ -420,16 +424,10 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     if len(expansion.corrections) != k:
         raise ValueError(f"expected corrections 0..{k - 1} complete, have {len(expansion.corrections)}")
     grid, p = expansion.grid, expansion.order
-    nl = expansion.problem.nonlinearity
-    prior = [u.values for u in expansion.corrections]
-    frozen = [t[:-1, :-1] for t in expansion.corner_tables]
-    nprime = nl.deriv(frozen[0])
+    source = _correction_source(expansion, k)
 
     def wavefront(ii, jj, corners):
-        here = [v[ii, jj] for v in prior]
-        rhs = _adomian_source(nl, [t[ii, jj] for t in frozen], here)
-        rhs -= (nprime[ii, jj] * corners)[:, None, None] * here[0]
-        return expansion.cell_coeffs[ii, jj], rhs
+        return expansion.cell_coeffs[ii, jj], source(ii, jj, corners)
 
     values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), wavefront)
     return PiecewiseField(grid, values)
@@ -453,12 +451,13 @@ def residual_basic(expansion: FdExpansion) -> np.ndarray:
 
 
 def residual_correction(expansion: FdExpansion, k: int) -> np.ndarray:
-    """Per-cell sup residual of the rank-k correction equation at interior nodes."""
+    """Per-cell sup residual of the rank-k correction equation at interior nodes.
+
+    The source is the march's own, at the corner values of the corner table.
+    """
     if not 1 <= k <= expansion.rank:
         raise ValueError(f"have corrections 0..{expansion.rank}, got k={k}")
-    nl = expansion.problem.nonlinearity
-    frozen = [t[:-1, :-1] for t in expansion.corner_tables]
-    prior = [u.values for u in expansion.corrections]
-    rest = (nl.deriv(frozen[0]) * frozen[k])[:, :, None, None] * prior[0]
-    rest -= _adomian_source(nl, frozen[:k], prior[:k])
-    return _interior_residual_sup(expansion, prior[k], rest)
+    cells = slice(None)
+    rest = _correction_source(expansion, k)(cells, cells, expansion.corner_tables[k][:-1, :-1])
+    return _interior_residual_sup(expansion, expansion.corrections[k].values,
+                                  np.negative(rest, out=rest))

@@ -26,14 +26,17 @@ from goursatfd.harness import (
     mu_explicit,
     mu_recurrence,
 )
-from goursatfd.kernels import RiemannKernel, hyp0f1, riemann, riemann_d1, riemann_d2
-from goursatfd.series import (
-    Nonlinearity,
+from goursatfd.series import Nonlinearity, adomian_partition
+from goursatfd.solver import picard_cell_oracle, residual_basic, residual_correction, solve_cell_linear
+from oracles import (
+    RiemannKernel,
     TruncatedSeries,
-    adomian_partition,
+    hyp0f1,
+    riemann,
+    riemann_d1,
+    riemann_d2,
     series_compose_nonlinearity,
 )
-from goursatfd.solver import picard_cell_oracle, residual_basic, residual_correction, solve_cell_linear
 
 # mesh (N1 = N2) for each benchmark cell size h = 4/N
 MESHES = {0.5: 8, 0.2: 20, 0.1: 40, 0.05: 80}

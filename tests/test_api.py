@@ -19,3 +19,15 @@ def test_all_names_resolve(name):
 def test_solver_error_is_defined_once():
     # the cell sampler in `field` raises the class the solver and the package export
     assert goursatfd.FdSolverError is goursatfd.solver.FdSolverError is goursatfd.field.FdSolverError
+
+
+def test_oracles_live_only_beside_the_tests():
+    # reference code the solver does not run is defined in tests/oracles.py only
+    import oracles
+
+    moved = [n for n, v in vars(oracles).items()
+             if getattr(v, "__module__", None) == "oracles" and not n.startswith("_")]
+    assert len(moved) == 10
+    for name in ("goursatfd",) + tuple(f"goursatfd.{m}" for m in MODULES):
+        module = importlib.import_module(name)
+        assert not [n for n in moved if hasattr(module, n)], name

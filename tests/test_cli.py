@@ -1,5 +1,6 @@
 """Flag/file configuration, output schemas, grammar safety, and exit codes."""
 
+import inspect
 import json
 import math
 import re
@@ -9,7 +10,7 @@ import numpy as np
 import pytest
 
 from goursatfd.field import Grid, unit_cheb_nodes
-from goursatfd.harness import fd_solve, liouville_problem
+from goursatfd.harness import fd_solve, liouville_problem, run_selftest
 from goursatfd.cli import (
     _OPTIONS,
     ConfigError,
@@ -82,19 +83,67 @@ def test_config_file_merging(tmp_path):
     assert cfg.rank == 1 and cfg.cheb_order == 10
 
 
+def _flags(settings: dict) -> list:
+    return [arg for key, value in settings.items() for arg in ("--" + key.replace("_", "-"), value)]
+
+
 def test_every_option_sets_the_same_value_by_flag_and_by_config_file(tmp_path):
-    # one non-default value per key of the option table
+    # one non-default value per key of the option table, set in the first mode
+    # that reads it, next to the keys that mode requires (at other values)
     values = {"problem": "pr1", "n1": "3", "n2": "5", "n_list": "2, 3", "rank": "2",
-              "cheb_order": "8", "tol": "1e-9", "output": "out.csv", "format": "json"}
+              "cheb_order": "8", "output": "out.csv", "format": "json"}
     assert set(values) == set(_OPTIONS)
-    defaults = vars(parse_config(["selftest"]))
+    required = {"solve": {"problem": "liouville", "n1": "4"},
+                "study": {"problem": "liouville", "n_list": "4"}}
     for key, value in values.items():
+        mode = _OPTIONS[key][2][0]
+        base = [mode] + _flags(required[mode])
+        defaults = vars(parse_config(base))
         cfgfile = tmp_path / f"{key}.cfg"
-        cfgfile.write_text(f"{key} = {value}\n")
-        by_flag = vars(parse_config(["selftest", "--" + key.replace("_", "-"), value]))
-        by_file = vars(parse_config(["selftest", "--config", str(cfgfile)]))
+        cfgfile.write_text("".join(f"{k} = {v}\n" for k, v in {**required[mode], key: value}.items()))
+        by_flag = vars(parse_config(base + _flags({key: value})))
+        by_file = vars(parse_config([mode, "--config", str(cfgfile)]))
         assert by_flag[key] != defaults[key], key
         assert by_flag == {**by_file, "config": None}, key
+
+
+def test_each_mode_rejects_the_flags_it_does_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["solve", "--problem", "pr1", "--n1", "1", "--cheb-order", "6", "--n-list", "9"])
+    assert exc.value.code == 2
+    assert "--n-list" in capsys.readouterr().err
+    for mode in ("solve", "study", "selftest"):
+        unread = [key for key, opt in _OPTIONS.items() if mode not in opt[2]]
+        if mode == "selftest":  # it takes no flags at all
+            unread.append("config")
+        for key in unread:
+            with pytest.raises(SystemExit) as exc:
+                parse_config([mode, "--" + key.replace("_", "-"), "3"])
+            assert exc.value.code == 2, (mode, key)
+
+
+def test_config_key_of_another_mode_names_key_and_mode(tmp_path, capsys):
+    cfgfile = tmp_path / "solve.cfg"
+    cfgfile.write_text("problem = pr1\nn1 = 2\nn_list = 9\n")
+    with pytest.raises(ConfigError, match="`n_list`.*`solve`"):
+        parse_config(["solve", "--config", str(cfgfile)])
+    assert main(["solve", "--config", str(cfgfile)]) == 2
+    assert "`n_list`" in capsys.readouterr().err
+    cfgfile.write_text("problem = pr1\nn_list = 2\nn2 = 3\n")
+    with pytest.raises(ConfigError, match="`n2`.*`study`"):
+        parse_config(["study", "--config", str(cfgfile)])
+
+
+def test_tol_knob_is_gone(tmp_path):
+    # the oracle tolerance is picard_cell_oracle's own default
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["selftest", "--tol", "1e-9"])
+    assert exc.value.code == 2
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("problem = pr1\nn_list = 2\ntol = 1e-9\n")
+    with pytest.raises(ConfigError, match="unknown key `tol`"):
+        parse_config(["study", "--config", str(cfgfile)])
+    assert "tol" not in inspect.signature(run_selftest).parameters
 
 
 def test_config_file_unknown_key(tmp_path):
@@ -108,7 +157,7 @@ def test_config_file_type_error_names_key(tmp_path):
     bad = tmp_path / "bad.cfg"
     bad.write_text("rank = fast\n")
     with pytest.raises(ConfigError, match="`rank`"):
-        parse_config(["selftest", "--config", str(bad)])
+        parse_config(["study", "--config", str(bad)])
 
 
 def test_threads_knob_is_gone(monkeypatch, tmp_path):
@@ -240,12 +289,16 @@ def test_readme_lists_every_flag():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     cli_section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
     flags_paragraph = cli_section.split("Flags:", 1)[1].split("\n\n", 1)[0]
-    documented = set(re.findall(r"`(--[a-z0-9-]+)", flags_paragraph))
+    # one `mode`: entry per subcommand, each listing that subcommand's flags
+    entries = re.split(r"`(solve|study|selftest)`:", flags_paragraph)[1:]
+    documented = {mode: set(re.findall(r"`(--[a-z0-9-]+)", text))
+                  for mode, text in zip(entries[::2], entries[1::2])}
     subparsers = next(a for a in _build_parser()._actions if a.choices)
+    assert set(documented) == set(subparsers.choices)
     for mode, parser in subparsers.choices.items():
         options = {opt for action in parser._actions for opt in action.option_strings
                    if opt.startswith("--") and opt != "--help"}
-        assert documented == options, mode
+        assert documented[mode] == options, mode
 
 
 def test_expression_grammar():

@@ -10,12 +10,11 @@ from goursatfd.field import (
     cheb_nodes,
     cheb_diff_matrix,
     corner_table,
-    integrate_1d,
-    integrate_2d,
     max_edge_jump,
     unit_cc_weights,
     unit_cheb_nodes,
 )
+from oracles import integrate_1d, integrate_2d
 
 
 def test_cheb_nodes_examples():

@@ -19,7 +19,9 @@ from goursatfd.harness import (
     mu_recurrence,
     run_selftest,
 )
-from goursatfd.series import Nonlinearity
+from goursatfd import solver
+from goursatfd.kernels import series_terms
+from goursatfd.series import Nonlinearity, compose_with_tail
 from goursatfd.solver import GoursatProblem, solve_basic
 from goursatfd.field import Grid
 
@@ -264,3 +266,33 @@ def test_selftest_passes():
     assert failed == 0
     assert passed >= 6
     assert lines[-1].startswith("selftest:")
+
+
+
+def _series_terms_without_z_term(b, z, n):
+    out = series_terms(b, z, n)
+    out[:, 1] = 0.0
+    return out
+
+
+def _composition_without_top_bell_term(taylor, tail):
+    # A_K loses its j = K term a_K * t_1^K
+    out = compose_with_tail(taylor, tail)
+    k = len(taylor) - 1
+    if k:
+        out[k] -= taylor[k] * tail[1] ** k
+    return out
+
+
+@pytest.mark.parametrize("name,broken,check", [
+    ("series_terms", _series_terms_without_z_term, "kernel series"),
+    ("compose_with_tail", _composition_without_top_bell_term, "adomian composition"),
+])
+def test_selftest_fails_when_a_production_piece_breaks(monkeypatch, name, broken, check):
+    # the march looks these up as solver module globals, and so do the checks
+    passed, failed, lines = run_selftest(verbose=False)
+    assert (passed, failed, len(lines)) == (6, 0, 7)
+    monkeypatch.setattr(solver, name, broken)
+    passed, failed, lines = run_selftest(verbose=False)
+    assert failed >= 1
+    assert any(line.startswith("FAIL " + check) for line in lines), lines

@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 import scipy.special
 
-from goursatfd.kernels import (
-    KernelRangeError,
-    RiemannKernel,
-    hyp0f1,
-    riemann,
-    riemann_d1,
-    riemann_d2,
-)
+from goursatfd.kernels import KernelRangeError
+from oracles import RiemannKernel, hyp0f1, riemann, riemann_d1, riemann_d2
 
 # first zero of J0 at argument 2*sqrt(z): z = (j_{0,1}/2)^2
 J0_FIRST_ZERO_ARG = 1.4457964907366961

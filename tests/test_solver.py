@@ -5,12 +5,11 @@ import pytest
 
 from goursatfd.field import Grid, cheb_nodes, corner_table, max_edge_jump
 from goursatfd.harness import fd_solve, liouville_problem
-from goursatfd.kernels import Z_MAX, KernelRangeError, hyp0f1
+from goursatfd.kernels import Z_MAX, KernelRangeError
 from goursatfd.series import Nonlinearity, adomian_partition
 from goursatfd.solver import (
     FdSolverError,
     GoursatProblem,
-    correction_rhs,
     picard_cell_oracle,
     residual_basic,
     residual_correction,
@@ -18,6 +17,7 @@ from goursatfd.solver import (
     solve_cell_linear,
     solve_correction,
 )
+from oracles import correction_rhs, hyp0f1
 
 P = 12
 
