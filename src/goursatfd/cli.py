@@ -62,7 +62,8 @@ class ConfigError(ValueError):
     """Invalid flag or config key; maps to exit code 2."""
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser():
+    """The top-level parser and the subcommand parsers by mode."""
     parser = argparse.ArgumentParser(
         prog="goursatfd",
         description="Solve u_xy + N(u) u = f Goursat problems by cell-marching "
@@ -78,7 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            choices=_FORMATS if key == "format" else None)
         if keys:
             p.add_argument("--config", help="key = value config file; flags override it")
-    return parser
+    return parser, sub.choices
 
 
 def _read_key_values(path: str, kind: str) -> list:
@@ -137,9 +138,14 @@ def parse_config(argv) -> argparse.Namespace:
 
     The namespace carries the keys its mode reads, and no others.  Exits with
     code 2 (via argparse) on unknown flags, a flag of another mode among
-    them; raises ConfigError with the offending key named for everything else.
+    them, printing the usage of the chosen mode; raises ConfigError with the
+    offending key named for everything else.
     """
-    cfg = _build_parser().parse_args(argv)
+    parser, modes = _build_parser()
+    cfg, extra = parser.parse_known_args(argv)
+    if extra:
+        # argparse itself would report them under the top-level usage line
+        modes[cfg.mode].error("unrecognized arguments: " + " ".join(extra))
     keys = _mode_keys(cfg.mode)
     fromfile = _read_config(cfg.config, cfg.mode) if keys and cfg.config else {}
     for key in keys:
@@ -164,6 +170,9 @@ def _validate(cfg: argparse.Namespace):
         if cfg.n2 < 1:
             raise ConfigError(f"key `n2` expects a positive int, got {cfg.n2!r}")
     else:
+        if cfg.n1 is not None and cfg.n_list is not None:
+            raise ConfigError("keys `n1` and `n_list` exclude each other: "
+                              "give `n_list`, or `n1` for a one-mesh study")
         if not cfg.n_list:
             if cfg.n1:
                 cfg.n_list = (cfg.n1,)

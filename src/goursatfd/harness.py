@@ -431,10 +431,10 @@ def run_selftest(verbose: bool = True):
     def kernel_series():
         # 0F1(1; z) = I0(2 sqrt z) for z > 0; z0 puts 2 sqrt|z0| on the first zero of J0
         z = np.array([0.01, 0.5, 2.0, 10.0, 30.0])
-        terms = solver.series_terms(1.0, z, solver.series_length(float(z.max())))
+        terms = solver.series_terms(z, solver.series_length(float(z.max())))
         ok = np.all(np.abs(terms.sum(axis=1) / np.i0(2.0 * np.sqrt(z)) - 1.0) <= 1.0e-14)
         z0 = np.array([-1.4457964907366961])
-        ok &= abs(solver.series_terms(1.0, z0, solver.series_length(-z0[0])).sum()) <= 1.0e-15
+        ok &= abs(solver.series_terms(z0, solver.series_length(-z0[0])).sum()) <= 1.0e-15
         return bool(ok)
 
     check("kernel series vs I0 and the first J0 zero", kernel_series)
@@ -443,7 +443,7 @@ def run_selftest(verbose: bool = True):
         # A_0 integrates the cell interpolant over [0, sigma_t]: exact for degree < P
         for p in (4, 12, 24):
             eng = solver._engine(p)
-            sigma, a0 = eng.sigma, eng.moments(1)[0][0]
+            sigma, a0 = eng.sigma, eng.moments(1)[2]  # the cols layout is A_0 itself
             for j in range(p):
                 if np.max(np.abs(a0 @ sigma**j - sigma ** (j + 1) / (j + 1))) > 1.0e-14:
                     return False

@@ -26,8 +26,7 @@ def series_length(zmax: float) -> int:
     """Number of 0F1 series terms needed for every |z| <= zmax.
 
     The count K is the smallest with zmax^(K-1) / ((K-1)!)^2 <= 1e-18, capped
-    at 501; the terms of 0F1(b; z) for b >= 1 are no larger.  Arguments with
-    |z| > 1e4 are rejected.
+    at 501.  Arguments with |z| > 1e4 are rejected.
     """
     if zmax > Z_MAX:
         raise KernelRangeError(f"|z| = {zmax:.3g} exceeds {Z_MAX:.0g}; refine the mesh")
@@ -38,13 +37,13 @@ def series_length(zmax: float) -> int:
     return n
 
 
-def series_terms(b: float, z: np.ndarray, n: int) -> np.ndarray:
-    """Rows z^k / ((b)_k k!) for k < n, one row per entry of the 1-d array z.
+def series_terms(z: np.ndarray, n: int) -> np.ndarray:
+    """Rows z^k / (k!)^2 for k < n, one row per entry of the 1-d array z.
 
     Built by the term recurrence, so no power of z is formed: for |z| up to
     1e4 the largest coefficient stays near 1e84 and nothing overflows.
     """
     k = np.arange(1, n)
     out = np.ones((z.size, n))
-    np.cumprod(z[:, None] / ((b + k - 1) * k), axis=1, out=out[:, 1:])
+    np.cumprod(z[:, None] / (k * k), axis=1, out=out[:, 1:])
     return out

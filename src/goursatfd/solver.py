@@ -33,16 +33,23 @@ weighted by scalar series terms in zeta:
     left     -zeta sum_k zeta^k / (k! (k+1)!) sigma_t^(k+1) (A_k left)[u]
     area     h1 h2 sum_k (-zeta)^k / (k!)^2 (A_k rhs A_k^T)[t, u]
 
-The term count follows from the largest |zeta| in the batch, and the moment
-stack is built once per order P, growing on demand.
+The term count K follows from the largest |zeta| in the batch.  The moment
+stack is built once per order P, growing on demand, and is laid out for
+plain matrix products: each term is one or two GEMMs on a batch of n cells
+(Goto & van de Geijn, ACM TOMS 34(3), 2008).  The traces are one
+(n, P) @ (P, K P) product against [A_k^T] side by side, a scale by the
+series weights and one batched product with the node powers; the area is a
+batched rhs A_k^T, a scale, and one product contracting (k, q) against
+[A_0 | ... | A_{K-1}].
 
 Wavefront batching.  A cell reads only its left and lower neighbours, so the
 cells of one anti-diagonal are independent.  The march solves each
 anti-diagonal in one batched call: it gathers the edge traces by fancy
 indexing, freezes the coefficients with one evaluation of N, assembles the
 sources with two Adomian compositions (the corner values at order k, the
-cell points at order k - 1), and applies the three terms above as a few
-matrix products.  Each solved wavefront is checked for non-finite values
+cell points at order k - 1), and applies the three terms above, with the
+series weights and the term count of that anti-diagonal's own
+coefficients.  Each solved wavefront is checked for non-finite values
 before the next one reads it.
 """
 
@@ -150,21 +157,32 @@ class _CellEngine:
         self.W = np.stack([bary_matrix(s * sigma, sigma) for s in sigma])
         self.DXM = sigma[:, None] * (sigma[None, :] - 1.0)
         self.WSUB = sigma[:, None] * unit_cc_weights(p)[None, :]  # [t,q] sub-rule weights / h
-        self._moments = np.empty((0, p, p))
-        self._powers = np.empty((0, p))
+        self._grow(1)
+
+    def _grow(self, n: int):
+        k = np.arange(n)
+        a = np.einsum("tq,ktq,tqp->ktp", self.WSUB, self.DXM ** k[:, None, None], self.W)
+        self._rows = np.ascontiguousarray(a.transpose(2, 0, 1))  # [p,k,t] = A_k[t,p]
+        self._a_t = np.ascontiguousarray(a.transpose(0, 2, 1))  # [k,p,u] = A_k[u,p]
+        self._cols = np.ascontiguousarray(a.transpose(1, 0, 2))  # [t,k,q] = A_k[t,q]
+        self._powers = self.sigma ** k[:, None]  # [k,u]
+        self._left_powers = (self._powers * self.sigma).T.copy()  # [t,k] = sigma_t^(k+1)
 
     def moments(self, n: int):
-        """Moment matrices A_0..A_{n-1} [k,t,p] and node powers sigma^k [k,u].
+        """The kernel operands for n series terms, as views of one stack.
 
-        The cached stack grows to the next power of two when a call needs
-        more terms, so it is rebuilt only a few times per order.
+        With A_k the moment matrices and sigma^k the node powers, returns
+        rows (P, n*P) [p, (k,t)] = A_k[t,p], the transposes A_k^T (n, P, P),
+        cols (P, n*P) [t, (k,q)] = A_k[t,q], powers (n, P) sigma^k[u] and
+        left powers (P, n) sigma_t^(k+1).  The stack grows to the next power
+        of two when a call needs more terms, so it is rebuilt only a few
+        times per order.
         """
-        if len(self._moments) < n:
-            k = np.arange(1 << (n - 1).bit_length())
-            dxm_k = self.DXM ** k[:, None, None]
-            self._moments = np.einsum("tq,ktq,tqp->ktp", self.WSUB, dxm_k, self.W)
-            self._powers = self.sigma ** k[:, None]
-        return self._moments[:n], self._powers[:n]
+        if self._a_t.shape[0] < n:
+            self._grow(1 << (n - 1).bit_length())
+        p = self.sigma.size
+        return (self._rows[:, :n].reshape(p, n * p), self._a_t[:n],
+                self._cols[:, :n].reshape(p, n * p), self._powers[:n], self._left_powers[:, :n])
 
 
 @lru_cache(maxsize=8)
@@ -181,26 +199,26 @@ def _solve_cells(eng: _CellEngine, c: np.ndarray, h1: float, h2: float,
     Returns the (n, P, P) solution tensors.
     """
     zeta = c * (h1 * h2)
-    n = series_length(float(np.max(np.abs(zeta))))
-    a, powers = eng.moments(n)
-    t1 = series_terms(1.0, zeta, n)  # zeta^k / (k!)^2
-    t2 = series_terms(2.0, zeta, n)  # zeta^k / (k! (k+1)!)
+    terms = series_length(float(np.max(np.abs(zeta))))
+    n, p = left.shape
+    rows, a_t, cols, powers, left_powers = eng.moments(terms)
+    k = np.arange(terms)
+    t1 = series_terms(zeta, terms)  # zeta^k / (k!)^2
 
     # bottom term: d/dxi of the bottom trace against R on y = y0
-    bq = np.tensordot((bottom @ eng.diff01.T) / h1, a, axes=([1], [2]))  # [n,k,t]
+    bq = ((bottom @ eng.diff01.T) @ rows).reshape(n, terms, p)  # [n,k,t]
     bq *= t1[:, :, None]
-    u = h1 * np.tensordot(bq, powers, axes=([1], [0]))  # [n,t,u]
+    u = np.matmul(bq.transpose(0, 2, 1), powers)  # [n,t,u]
 
     # left term: -int dR/deta * left trace, dR/deta = c (x - x0) 0F1(2; z)
-    lq = np.tensordot(left, a, axes=([1], [2]))  # [n,k,u]
-    lq *= (zeta[:, None] * t2)[:, :, None]
-    u -= np.matmul((powers * eng.sigma).T, lq)
+    lq = (left @ rows).reshape(n, terms, p)  # [n,k,u]
+    lq *= (t1 * (zeta[:, None] / (k + 1.0)))[:, :, None]  # zeta^(k+1) / (k! (k+1)!)
+    u -= np.matmul(left_powers, lq)
 
     # area term: sum_k (-zeta)^k / (k!)^2 A_k rhs A_k^T
-    t1[:, 1::2] *= -1.0
-    rq = np.tensordot(a, rhs, axes=([2], [1]))  # [k,t,n,p]
-    rq *= (h1 * h2) * t1.T[:, None, :, None]
-    u += np.tensordot(rq, a, axes=([0, 3], [0, 2])).transpose(1, 0, 2)
+    rq = np.matmul(rhs[:, None], a_t)  # [n,k,q,u]
+    rq *= (t1 * np.where(k % 2, -h1 * h2, h1 * h2))[:, :, None, None]
+    u += np.matmul(cols, rq.reshape(n, terms * p, p))
     u += left[:, None, :]
     return u
 

@@ -122,6 +122,36 @@ def test_each_mode_rejects_the_flags_it_does_not_read(capsys):
             assert exc.value.code == 2, (mode, key)
 
 
+def test_flag_of_another_mode_is_reported_with_that_mode_usage(capsys):
+    with pytest.raises(SystemExit) as exc:
+        parse_config(["solve", "--problem", "pr1", "--n1", "1", "--cheb-order", "6",
+                      "--n-list", "9"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: goursatfd solve")
+    assert "unrecognized arguments: --n-list 9" in err
+
+
+def test_study_rejects_n1_with_n_list(tmp_path, capsys):
+    args = ["study", "--problem", "pr1", "--rank", "0", "--cheb-order", "6"]
+    with pytest.raises(ConfigError, match="`n1`.*`n_list`"):
+        parse_config(args + ["--n1", "3", "--n-list", "2"])
+    assert main(args + ["--n1", "3", "--n-list", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "`n1`" in err and "`n_list`" in err
+    cfgfile = tmp_path / "study.cfg"
+    cfgfile.write_text("n1 = 3\nn_list = 2\n")
+    assert main(args + ["--config", str(cfgfile)]) == 2
+    err = capsys.readouterr().err
+    assert "`n1`" in err and "`n_list`" in err
+    cfgfile.write_text("n1 = 3\n")
+    with pytest.raises(ConfigError, match="`n1`.*`n_list`"):
+        parse_config(args + ["--config", str(cfgfile), "--n-list", "2"])
+    # n1 alone is a one-mesh study
+    assert parse_config(args + ["--n1", "3"]).n_list == (3,)
+    assert parse_config(args + ["--config", str(cfgfile)]).n_list == (3,)
+
+
 def test_config_key_of_another_mode_names_key_and_mode(tmp_path, capsys):
     cfgfile = tmp_path / "solve.cfg"
     cfgfile.write_text("problem = pr1\nn1 = 2\nn_list = 9\n")
@@ -293,9 +323,9 @@ def test_readme_lists_every_flag():
     entries = re.split(r"`(solve|study|selftest)`:", flags_paragraph)[1:]
     documented = {mode: set(re.findall(r"`(--[a-z0-9-]+)", text))
                   for mode, text in zip(entries[::2], entries[1::2])}
-    subparsers = next(a for a in _build_parser()._actions if a.choices)
-    assert set(documented) == set(subparsers.choices)
-    for mode, parser in subparsers.choices.items():
+    _, modes = _build_parser()
+    assert set(documented) == set(modes)
+    for mode, parser in modes.items():
         options = {opt for action in parser._actions for opt in action.option_strings
                    if opt.startswith("--") and opt != "--help"}
         assert documented[mode] == options, mode

@@ -269,8 +269,8 @@ def test_selftest_passes():
 
 
 
-def _series_terms_without_z_term(b, z, n):
-    out = series_terms(b, z, n)
+def _series_terms_without_z_term(z, n):
+    out = series_terms(z, n)
     out[:, 1] = 0.0
     return out
 

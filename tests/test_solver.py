@@ -3,13 +3,16 @@
 import numpy as np
 import pytest
 
-from goursatfd.field import Grid, cheb_nodes, corner_table, max_edge_jump
+from goursatfd.field import Grid, _sample_cells, cheb_nodes, corner_table, max_edge_jump
 from goursatfd.harness import fd_solve, liouville_problem
-from goursatfd.kernels import Z_MAX, KernelRangeError
+from goursatfd.kernels import Z_MAX, KernelRangeError, series_length
 from goursatfd.series import Nonlinearity, adomian_partition
 from goursatfd.solver import (
     FdSolverError,
     GoursatProblem,
+    _CellEngine,
+    _engine,
+    _solve_cells,
     picard_cell_oracle,
     residual_basic,
     residual_correction,
@@ -361,3 +364,48 @@ def test_corner_tables_track_fields():
     for k in range(3):
         ref = corner_table(expansion.corrections[k])
         assert np.array_equal(ref, expansion.corner_tables[k])
+
+
+def _random_cells(rng, n, p):
+    """(left, bottom, rhs) of n cells whose traces agree at the corner."""
+    left = rng.standard_normal((n, p))
+    bottom = rng.standard_normal((n, p))
+    bottom[:, 0] = left[:, 0]
+    return left, bottom, rng.standard_normal((n, p, p))
+
+
+@pytest.mark.parametrize("p", [12, 16])
+def test_engine_growth_keeps_the_kernel_layouts(p):
+    # the views an engine hands out after growing its stack twice must give
+    # the very same solve as a fresh engine's
+    grown = _CellEngine(p)
+    for n in (1, 9, 20):
+        grown.moments(n)
+    rng = np.random.default_rng(p)
+    c = rng.uniform(-2.5, 2.5, 6)
+    assert series_length(float(np.max(np.abs(c))) * 0.01) == 8
+    cells = _random_cells(rng, 6, p)
+    a = _solve_cells(grown, c, 0.1, 0.1, *cells)
+    b = _solve_cells(_CellEngine(p), c, 0.1, 0.1, *cells)
+    assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("batch", [[0, 1, 2, 3, 4], [4]])
+def test_a_batch_does_not_mix_its_cells(batch):
+    # zero, positive and negative coefficients, with |zeta| = |c| h1 h2
+    # needing from 2 to 21 series terms; the batch takes the longest series
+    h1, h2 = 0.5, 0.4
+    coeffs = np.array([0.0, 3.0, -3.0, 0.05, -40.0])
+    assert sorted({series_length(abs(c) * h1 * h2) for c in coeffs}) == [2, 8, 13, 21]
+    coeffs = coeffs[batch]
+    rng = np.random.default_rng(7)
+    left, bottom, _ = _random_cells(rng, 5, P)
+    left, bottom = left[batch], bottom[batch]
+    sources = [lambda x, y, s=s: np.cos(s * x - y) + s * x * y for s in batch]
+    xs, ys = cheb_nodes(P, 0.0, h1)[None], cheb_nodes(P, 0.0, h2)[None]
+    rhs = np.concatenate([_sample_cells(f, xs, ys)[0] for f in sources])
+    out = _solve_cells(_engine(P), coeffs, h1, h2, left, bottom, rhs)
+    for n, c in enumerate(coeffs):
+        ref = solve_cell_linear(c, left[n], bottom[n], left[n, 0], sources[n],
+                                (0.0, h1, 0.0, h2), P)
+        assert np.max(np.abs(out[n] - ref)) <= 1e-14 * np.max(np.abs(ref)), c
