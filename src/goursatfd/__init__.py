@@ -9,7 +9,7 @@ polynomials of the multiplier.  The error decays geometrically in the rank
 with a ratio that shrinks as the mesh is refined.
 """
 
-from .field import Grid, PiecewiseField, cheb_nodes, corner_table, max_edge_jump
+from .field import Grid, PiecewiseField, cheb_nodes, max_edge_jump
 from .harness import (
     ErrorReport,
     ErrorRow,
@@ -45,7 +45,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "Grid", "PiecewiseField", "cheb_nodes", "corner_table", "max_edge_jump",
+    "Grid", "PiecewiseField", "cheb_nodes", "max_edge_jump",
     "KernelRangeError", "Nonlinearity", "adomian_partition",
     "GoursatProblem", "FdExpansion", "FdSolverError", "solve_cell_linear",
     "picard_cell_oracle", "solve_basic", "solve_correction",

@@ -268,14 +268,21 @@ def load_problem_file(path: str) -> Preset:
     f = compile_expression(entries["f"], ("x", "y"))
     for key, fn in (("psi", psi), ("phi", phi)):
         try:
-            fn(0.0)  # the corner check below evaluates both at 0
-        except ArithmeticError as exc:
+            # the corner check below reads both at 0; a negative base to a
+            # fractional power gives a complex value, which float() rejects
+            float(fn(0.0))
+        except (ArithmeticError, TypeError) as exc:
             raise ConfigError(f"key `{key}` in {path} fails at 0: {exc}") from exc
     exact = None
     if "exact" in entries:
         exact = compile_expression(entries["exact"], ("x", "y"))
-    problem = GoursatProblem(X=X, Y=Y, psi=psi, phi=phi, f=f,
-                             nonlinearity=Nonlinearity.from_series(nu))
+    try:
+        problem = GoursatProblem(X=X, Y=Y, psi=psi, phi=phi, f=f,
+                                 nonlinearity=Nonlinearity.from_series(nu))
+    except ValueError as exc:
+        # a non-finite or non-positive extent, or psi(0) != phi(0); the
+        # message names the keys
+        raise ConfigError(f"problem file {path}: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
     return Preset(name, problem, exact)
 
@@ -316,9 +323,12 @@ def _study_json(rows) -> str:
 
 
 def _open_output(output: str | None):
-    if output:
+    if not output:
+        return contextlib.nullcontext(sys.stdout)
+    try:
         return open(output, "w", encoding="utf-8")
-    return contextlib.nullcontext(sys.stdout)
+    except OSError as exc:
+        raise ConfigError(f"key `output`: cannot write {output}: {exc}") from exc
 
 
 def _emit(text: str, output: str | None):

@@ -18,12 +18,9 @@ __all__ = [
     "PiecewiseField",
     "cheb_nodes",
     "unit_cheb_nodes",
-    "bary_weights",
     "bary_matrix",
     "cheb_diff_matrix",
-    "clenshaw_curtis_weights",
     "unit_cc_weights",
-    "corner_table",
     "max_edge_jump",
 ]
 
@@ -76,7 +73,7 @@ def bary_weights(p: int) -> np.ndarray:
     return w
 
 
-def bary_matrix(targets, nodes, weights=None) -> np.ndarray:
+def bary_matrix(targets, nodes) -> np.ndarray:
     """Interpolation matrix from `nodes` to `targets`.
 
     Rows for targets that coincide exactly with a node are unit vectors, so
@@ -84,8 +81,7 @@ def bary_matrix(targets, nodes, weights=None) -> np.ndarray:
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     nodes = np.asarray(nodes, dtype=float)
-    if weights is None:
-        weights = bary_weights(len(nodes))
+    weights = bary_weights(len(nodes))
     diff = targets[:, None] - nodes[None, :]
     hit_rows, hit_cols = np.nonzero(diff == 0.0)
     diff[hit_rows, :] = 1.0  # placeholder; exact-hit rows become unit rows
@@ -95,16 +91,14 @@ def bary_matrix(targets, nodes, weights=None) -> np.ndarray:
     return kern / kern.sum(axis=1, keepdims=True)
 
 
-def cheb_diff_matrix(nodes, weights=None) -> np.ndarray:
+def cheb_diff_matrix(nodes) -> np.ndarray:
     """First-order differentiation matrix on the given nodes.
 
     Built from the barycentric formula; diagonal entries use the negative-sum
     trick for stability.
     """
     nodes = np.asarray(nodes, dtype=float)
-    p = len(nodes)
-    if weights is None:
-        weights = bary_weights(p)
+    weights = bary_weights(len(nodes))
     diff = nodes[:, None] - nodes[None, :]
     np.fill_diagonal(diff, 1.0)
     d = (weights[None, :] / weights[:, None]) / diff
@@ -113,8 +107,8 @@ def cheb_diff_matrix(nodes, weights=None) -> np.ndarray:
     return d
 
 
-def clenshaw_curtis_weights(p: int) -> np.ndarray:
-    """Clenshaw-Curtis weights for P CGL nodes on [-1, 1] (ascending order).
+def unit_cc_weights(p: int) -> np.ndarray:
+    """Clenshaw-Curtis weights for P CGL nodes on [0, 1] (ascending order).
 
     Exact for polynomials of degree <= P-1.
     """
@@ -128,15 +122,17 @@ def clenshaw_curtis_weights(p: int) -> np.ndarray:
         if m == 0 or m == n:
             moment *= 0.5
         w += moment * np.cos(m * k * np.pi / n)
-    w *= 2.0 / n
+    w *= 1.0 / n  # 2/n on [-1, 1], halved for [0, 1]
     w[0] *= 0.5
     w[-1] *= 0.5
     return w
 
 
-def unit_cc_weights(p: int) -> np.ndarray:
-    """Clenshaw-Curtis weights on [0, 1]."""
-    return 0.5 * clenshaw_curtis_weights(p)
+def _check_extents(X: float, Y: float):
+    """Raise ValueError unless both domain extents are positive and finite (NaN fails)."""
+    for name, v in (("X", X), ("Y", Y)):
+        if not 0.0 < v < np.inf:
+            raise ValueError(f"domain extent {name} must be positive and finite, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -149,8 +145,7 @@ class Grid:
     N2: int
 
     def __post_init__(self):
-        if self.X <= 0 or self.Y <= 0:
-            raise ValueError(f"domain extents must be positive, got X={self.X}, Y={self.Y}")
+        _check_extents(self.X, self.Y)
         if self.N1 < 1 or self.N2 < 1:
             raise ValueError(f"cell counts must be positive, got N1={self.N1}, N2={self.N2}")
 
@@ -244,21 +239,6 @@ class PiecewiseField:
         mx = bary_matrix([x], xn)[0]
         my = bary_matrix([y], yn)[0]
         return float(mx @ self.values[i, j] @ my)
-
-
-def corner_table(f: PiecewiseField) -> np.ndarray:
-    """(N1+1) x (N2+1) table of values at the grid corner nodes.
-
-    Corner (i, j) is read from the cell that owns it under the lower-index
-    tie-break, which is exact because cell tensors include their corners.
-    """
-    v = f.values
-    table = np.empty((f.grid.N1 + 1, f.grid.N2 + 1))
-    table[0, 0] = v[0, 0, 0, 0]
-    table[1:, 0] = v[:, 0, -1, 0]
-    table[0, 1:] = v[0, :, 0, -1]
-    table[1:, 1:] = v[:, :, -1, -1]
-    return table
 
 
 def max_edge_jump(f: PiecewiseField) -> float:

@@ -22,7 +22,6 @@ from .field import (
     _sample_cells,
     bary_matrix,
     cheb_diff_matrix,
-    corner_table,
     unit_cheb_nodes,
 )
 from .kernels import KernelRangeError
@@ -166,23 +165,22 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
     start = time.perf_counter()
     grid = Grid(problem.X, problem.Y, n1, n2)
     expansion = FdExpansion(problem, grid, p)
-    u0, table0, expansion.cell_coeffs = solve_basic(problem, grid, p)
+    u0 = solve_basic(problem, grid, p)
     expansion.corrections.append(u0)
-    expansion.corner_tables.append(table0)
+    expansion.cell_coeffs = problem.nonlinearity.eval(u0.values[:, :, 0, 0])
     expansion.wall_ms.append(1000.0 * (time.perf_counter() - start))
     for k in range(1, m + 1):
         uk = solve_correction(expansion, k)
         expansion.corrections.append(uk)
-        expansion.corner_tables.append(corner_table(uk))
         expansion.wall_ms.append(1000.0 * (time.perf_counter() - start))
     return expansion
 
 
-def error_vs_exact(expansion: FdExpansion, exact, m: int, refine: int = _LATTICE) -> float:
+def error_vs_exact(expansion: FdExpansion, exact, m: int) -> float:
     """Sup-norm error of the rank-m partial sum over the documented sample set."""
     if not 0 <= m <= expansion.rank:
         raise ValueError(f"rank {m} not in stored range 0..{expansion.rank}")
-    samples = _ExactSamples(expansion, exact, refine)
+    samples = _ExactSamples(expansion, exact)
     # the field is only read, so rank 0 needs no partial-sum copy
     total = expansion.corrections[0].values if m == 0 else expansion.partial_sum(m).values
     # the samples serve this one rank, so the node error can replace them:
@@ -197,7 +195,7 @@ def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
     the sup norms of the two first derivatives (spectral, per cell).
     """
     total = expansion.partial_sum(m).values
-    samples = _ExactSamples(expansion, exact, refine=0)
+    samples = _ExactSamples(expansion, exact)
     return samples.norm1_delta(np.subtract(total, samples.nodes, out=total))
 
 
@@ -208,29 +206,24 @@ def _sup_abs(a: np.ndarray) -> float:
 
 class _ExactSamples:
     """An exact solution sampled once per mesh: on every cell's tensor nodes
-    and, for refine > 1, on a uniform refine x refine lattice per cell.
+    and on a uniform _LATTICE x _LATTICE lattice per cell.
 
     Both error metrics of every partial sum are read from these samples.
     """
 
-    def __init__(self, expansion: FdExpansion, exact, refine: int):
+    def __init__(self, expansion: FdExpansion, exact):
         grid, p = expansion.grid, expansion.order
         s = unit_cheb_nodes(p)
+        r = np.linspace(0.0, 1.0, _LATTICE)
         self.grid = grid
         self.nodes = PiecewiseField.sample(grid, p, exact).values
         self.diff = cheb_diff_matrix(s)
-        self.interp = self.lattice = None
-        if refine > 1:
-            r = np.linspace(0.0, 1.0, refine)
-            self.interp = bary_matrix(r, s)
-            self.lattice = _sample_cells(exact, *grid.cell_nodes(r))
+        self.interp = bary_matrix(r, s)
+        self.lattice = _sample_cells(exact, *grid.cell_nodes(r))
 
     def delta(self, total: np.ndarray, e: np.ndarray) -> float:
         """Sup error of the field `total`, whose node error is `e`, on nodes and lattice."""
-        err_ref = 0.0
-        if self.interp is not None:
-            err_ref = _sup_abs(self.interp @ total @ self.interp.T - self.lattice)
-        return max(_sup_abs(e), err_ref)
+        return max(_sup_abs(e), _sup_abs(self.interp @ total @ self.interp.T - self.lattice))
 
     def norm1_delta(self, e: np.ndarray) -> float:
         """max of sup|e| and the per-cell hypot of the sup norms of e_x and e_y."""
@@ -249,7 +242,7 @@ def _rank_errors(expansion: FdExpansion, exact, ranks) -> list:
     `exact` is sampled once.  The running sum adds the corrections in the
     order `partial_sum` does, so each total is bit-identical to it.
     """
-    samples = _ExactSamples(expansion, exact, _LATTICE)
+    samples = _ExactSamples(expansion, exact)
     total = expansion.corrections[0].values.copy()
     e = np.empty_like(total)
     out = []

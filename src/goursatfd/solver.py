@@ -15,6 +15,11 @@ values (a piecewise constant field) and at the running point, plus an
 explicit source -N'(u0_corner) * uk_corner * u0(x, y) carrying the
 correction's own corner value, which the march has already produced.
 
+A cell's corner value is its own first node, values[i, j, 0, 0].  Every
+kernel term vanishes at sigma = 0, so the march stores the left trace
+there bit for bit: the rank-0 coefficient and every rank's frozen Adomian
+arguments read that one value.
+
 Moment expansion.  The integrals use Clenshaw-Curtis rules on the variable
 sub-intervals, with integrands interpolated barycentrically from the cell
 tensors.  In cell-local coordinates the sub-rule geometry is the same for
@@ -65,11 +70,11 @@ from .field import (
     FdSolverError,
     Grid,
     PiecewiseField,
+    _check_extents,
     _sample_cells,
     bary_matrix,
     cheb_diff_matrix,
     cheb_nodes,
-    corner_table,
     unit_cc_weights,
     unit_cheb_nodes,
 )
@@ -103,26 +108,27 @@ class GoursatProblem:
     nonlinearity: Nonlinearity
 
     def __post_init__(self):
-        if self.X <= 0 or self.Y <= 0:
-            raise ValueError(f"domain extents must be positive, got X={self.X}, Y={self.Y}")
+        _check_extents(self.X, self.Y)
         p0, q0 = float(self.psi(0.0)), float(self.phi(0.0))
-        if abs(p0 - q0) > 1.0e-12 * (1.0 + abs(p0)):
+        # written so that a NaN on either side fails
+        if not abs(p0 - q0) <= 1.0e-12 * (1.0 + abs(p0)):
             raise ValueError(f"incompatible corner data: psi(0)={p0!r}, phi(0)={q0!r}")
 
 
 @dataclass
 class FdExpansion:
-    """Corrections u^(0)..u^(m) with their corner tables and frozen coefficients.
+    """Corrections u^(0)..u^(m) and the rank-0 frozen coefficients.
 
-    `wall_ms[k]` is the time from the start of the solve to the completion
-    of correction k, when the expansion comes from `fd_solve`.
+    A cell's corner value at rank k is `corrections[k].values[i, j, 0, 0]`;
+    `cell_coeffs` holds N at the rank-0 corner values.  `wall_ms[k]` is the
+    time from the start of the solve to the completion of correction k, when
+    the expansion comes from `fd_solve`.
     """
 
     problem: GoursatProblem
     grid: Grid
     order: int
     corrections: list = dc_field(default_factory=list)
-    corner_tables: list = dc_field(default_factory=list)
     cell_coeffs: np.ndarray | None = None
     wall_ms: list = dc_field(default_factory=list, init=False)
 
@@ -357,25 +363,22 @@ def _axis_samples(fn, nodes: np.ndarray) -> np.ndarray:
     return np.array([[float(fn(v)) for v in row] for row in nodes])
 
 
-def solve_basic(problem: GoursatProblem, grid: Grid, p: int):
+def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
     """Rank-0 field: N frozen at each cell's lower-left corner, rhs = f.
 
-    Marches cells in wavefront order, freezing c_ij = N(u0(x_{i-1}, y_{j-1}))
-    from data already computed, then solving the cell in closed form.
-    Returns (field, corner table, cell coefficient array).
+    Marches cells in wavefront order, freezing c_ij = N(u0(x_i, y_j)) from
+    data already computed, then solving the cell in closed form.  The
+    frozen coefficients are N(field.values[:, :, 0, 0]), bit for bit.
     """
     nl = problem.nonlinearity
     xs, ys = grid.cell_nodes(unit_cheb_nodes(p))
-    coeffs = np.empty((grid.N1, grid.N2))
 
     def wavefront(ii, jj, corners):
-        coeffs[ii, jj] = nl.eval(corners)
-        return coeffs[ii, jj], _sample_cells(problem.f, xs, ys, ii, jj)
+        return nl.eval(corners), _sample_cells(problem.f, xs, ys, ii, jj)
 
     values = _march(grid, p, _axis_samples(problem.phi, ys), _axis_samples(problem.psi, xs),
                     wavefront)
-    field = PiecewiseField(grid, values)
-    return field, corner_table(field), coeffs
+    return PiecewiseField(grid, values)
 
 
 def _adomian_source(nl: Nonlinearity, frozen: list, here: list) -> np.ndarray:
@@ -413,12 +416,12 @@ def _correction_source(expansion: FdExpansion, k: int):
 
     The source is F^(k) - N'(u0_corner) * uk_corner * u0, with `corners` the
     cells' own rank-k corner values.  `ii, jj` are index arrays, or slices
-    for whole blocks of cells.  The frozen corner tables and N' are built
-    once here, for every call.
+    for whole blocks of cells.  The frozen values of ranks 0..k-1 are the
+    cells' first nodes; they and N' are gathered once here, for every call.
     """
     nl = expansion.problem.nonlinearity
     prior = [u.values for u in expansion.corrections[:k]]
-    frozen = [t[:-1, :-1] for t in expansion.corner_tables[:k]]
+    frozen = [v[:, :, 0, 0] for v in prior]
     nprime = nl.deriv(frozen[0])
 
     def source(ii, jj, corners):
@@ -471,11 +474,12 @@ def residual_basic(expansion: FdExpansion) -> np.ndarray:
 def residual_correction(expansion: FdExpansion, k: int) -> np.ndarray:
     """Per-cell sup residual of the rank-k correction equation at interior nodes.
 
-    The source is the march's own, at the corner values of the corner table.
+    The source is the march's own, at the cells' first nodes.
     """
     if not 1 <= k <= expansion.rank:
         raise ValueError(f"have corrections 0..{expansion.rank}, got k={k}")
     cells = slice(None)
-    rest = _correction_source(expansion, k)(cells, cells, expansion.corner_tables[k][:-1, :-1])
+    rest = _correction_source(expansion, k)(cells, cells,
+                                            expansion.corrections[k].values[:, :, 0, 0])
     return _interior_residual_sup(expansion, expansion.corrections[k].values,
                                   np.negative(rest, out=rest))

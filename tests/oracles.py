@@ -155,7 +155,7 @@ def series_compose_nonlinearity(nl: Nonlinearity, v: TruncatedSeries) -> Truncat
 def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
     """F^(k) at a point of one cell, by the same Adomian assembly as the march.
 
-    Corner-value arguments come from the cell's own lower-left corner even on
+    Corner-value arguments come from the cell's own first node even on
     shared edges, so the cell index is part of the signature.
     """
     if k < 1:
@@ -164,6 +164,6 @@ def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
         raise ValueError(f"corrections 0..{k - 1} must be complete, have {len(expansion.corrections)}")
     i, j = cell
     x, y = point
-    frozen = [expansion.corner_tables[s][i, j] for s in range(k)]
+    frozen = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
     here = [np.array([expansion.corrections[s].evaluate_in_cell(i, j, x, y)]) for s in range(k)]
     return float(_adomian_source(expansion.problem.nonlinearity, frozen, here)[0])

@@ -404,6 +404,35 @@ def test_load_time_arithmetic_error_names_key(tmp_path, capsys):
     assert "`phi`" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("edit, key", [
+    ("X = nan", "extent X "),
+    ("Y = inf", "extent Y "),
+    # (-1.0)**0.5 is complex in Python float arithmetic
+    ("psi = (x - 1)**0.5", "key `psi`"),
+    ("phi = 1 + y", "phi(0)=1.0"),
+])
+def test_bad_problem_data_is_a_config_error_naming_the_key(tmp_path, capsys, edit, key):
+    lines = dict(line.split(" = ") for line in
+                 ["X = 1", "Y = 1", "psi = x", "phi = y", "f = 1", "nu = 1.0"])
+    name, value = edit.split(" = ")
+    lines[name] = value
+    spec = tmp_path / "bad.prob"
+    spec.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    with pytest.raises(ConfigError, match=re.escape(key)):
+        load_problem_file(str(spec))
+    assert main(["solve", "--problem", str(spec), "--n1", "2", "--cheb-order", "6"]) == 2
+    assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("mode", ["solve", "study"])
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, mode):
+    for output in (tmp_path, tmp_path / "missing" / "out.csv"):
+        argv = [mode, "--problem", "liouville", "--n1", "2", "--cheb-order", "6",
+                "--output", str(output)]
+        assert main(argv) == 2
+        assert "`output`" in capsys.readouterr().err
+
+
 def test_problem_file_missing_key(tmp_path):
     spec = tmp_path / "broken.prob"
     spec.write_text("X = 1\nY = 1\npsi = 0*x\nphi = 0*y\nf = 1\n")

@@ -9,7 +9,6 @@ from goursatfd.field import (
     bary_matrix,
     cheb_nodes,
     cheb_diff_matrix,
-    corner_table,
     max_edge_jump,
     unit_cc_weights,
     unit_cheb_nodes,
@@ -185,18 +184,6 @@ def test_bary_matrix_node_hits_are_exact():
     nodes = cheb_nodes(7, 0.0, 1.0)
     m = bary_matrix(nodes, nodes)
     assert np.array_equal(m, np.eye(7))
-
-
-def test_corner_table_matches_evaluate():
-    g = Grid(2.0, 2.0, 3, 4)
-    f = PiecewiseField.sample(g, 7, lambda x, y: np.cos(x) * y + x)
-    table = corner_table(f)
-    assert table.shape == (4, 5)
-    for i in range(4):
-        for j in range(5):
-            x, y = g.x_nodes[i], g.y_nodes[j]
-            ref = f.evaluate(x, y)
-            assert table[i, j] == pytest.approx(ref, rel=1e-12, abs=1e-14)
 
 
 def test_edge_continuity_of_sampled_fields():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from goursatfd.field import Grid, _sample_cells, cheb_nodes, corner_table, max_edge_jump
+from goursatfd.field import Grid, _sample_cells, cheb_nodes, max_edge_jump, unit_cheb_nodes
 from goursatfd.harness import fd_solve, liouville_problem
 from goursatfd.kernels import Z_MAX, KernelRangeError, series_length
 from goursatfd.series import Nonlinearity, adomian_partition
@@ -11,6 +11,7 @@ from goursatfd.solver import (
     FdSolverError,
     GoursatProblem,
     _CellEngine,
+    _correction_source,
     _engine,
     _solve_cells,
     picard_cell_oracle,
@@ -38,9 +39,23 @@ def test_problem_compatibility_check():
     with pytest.raises(ValueError, match="incompatible"):
         GoursatProblem(1.0, 1.0, lambda x: 1.0, lambda y: 0.0,
                        lambda x, y: 0.0, Nonlinearity.from_series([0.0]))
+    # a NaN corner value is no match either
+    with pytest.raises(ValueError, match="incompatible"):
+        GoursatProblem(1.0, 1.0, lambda x: np.nan, lambda y: 0.0,
+                       lambda x, y: 0.0, Nonlinearity.from_series([0.0]))
     with pytest.raises(ValueError):
         GoursatProblem(-1.0, 1.0, lambda x: 0.0, lambda y: 0.0,
                        lambda x, y: 0.0, Nonlinearity.from_series([0.0]))
+
+
+@pytest.mark.parametrize("extent", [0.0, -1.0, np.nan, np.inf])
+def test_problem_and_grid_reject_bad_extents(extent):
+    zero = lambda v: 0.0
+    with pytest.raises(ValueError, match="extent X must be positive and finite"):
+        GoursatProblem(extent, 1.0, zero, zero, lambda x, y: 0.0,
+                       Nonlinearity.from_series([0.0]))
+    with pytest.raises(ValueError, match="extent Y must be positive and finite"):
+        Grid(1.0, extent, 2, 2)
 
 
 def test_cell_zero_data_gives_zero():
@@ -138,17 +153,15 @@ def test_cell_solver_cross_oracle():
 def test_solve_basic_zero_problem():
     problem = zero_problem()
     grid = Grid(1.0, 1.0, 3, 3)
-    u0, table, coeffs = solve_basic(problem, grid, 8)
+    u0 = solve_basic(problem, grid, 8)
     assert np.max(np.abs(u0.values)) == 0.0
-    assert np.max(np.abs(table)) == 0.0
-    assert np.max(np.abs(coeffs)) == 0.0
 
 
 def test_solve_basic_reproduces_benchmark_error():
     # published error of the frozen-coefficient field at h = 0.5
     preset = liouville_problem()
     grid = Grid(4.0, 4.0, 8, 8)
-    u0, _, coeffs = solve_basic(preset.problem, grid, P)
+    u0 = solve_basic(preset.problem, grid, P)
     fracs = np.linspace(0, 1, 5)
     err = 0.0
     for i in range(8):
@@ -160,18 +173,17 @@ def test_solve_basic_reproduces_benchmark_error():
                     err = max(err, abs(u0.evaluate(x, y) - preset.exact(x, y)))
     assert err == pytest.approx(1.0584498110834e-1, rel=1e-2)
     # frozen coefficients are the multiplier at the corner, negative here
-    assert np.all(coeffs < 0)
+    assert np.all(fd_solve(preset.problem, 8, 8, 0, P).cell_coeffs < 0)
 
 
 def test_solve_basic_boundary_and_continuity():
     preset = liouville_problem()
     grid = Grid(4.0, 4.0, 6, 5)
-    u0, table, _ = solve_basic(preset.problem, grid, 10)
+    u0 = solve_basic(preset.problem, grid, 10)
     assert max_edge_jump(u0) <= 1e-10 * (1 + np.max(np.abs(u0.values)))
-    for i in range(grid.N1 + 1):
-        assert table[i, 0] == pytest.approx(preset.problem.psi(grid.x_nodes[i]), abs=1e-12)
-    for j in range(grid.N2 + 1):
-        assert table[0, j] == pytest.approx(preset.problem.phi(grid.y_nodes[j]), abs=1e-12)
+    xs, ys = grid.cell_nodes(unit_cheb_nodes(10))
+    assert np.max(np.abs(u0.values[:, 0, :, 0] - preset.problem.psi(xs))) <= 1e-12
+    assert np.max(np.abs(u0.values[0, :, 0, :] - preset.problem.phi(ys))) <= 1e-12
 
 
 def test_basic_error_halves_with_mesh():
@@ -230,7 +242,7 @@ def test_correction_rhs_k1_closed_form():
         x = float(rng.uniform(x0, x1))
         y = float(rng.uniform(y0, y1))
         u0 = expansion.corrections[0].evaluate_in_cell(i, j, x, y)
-        corner = expansion.corner_tables[0][i, j]
+        corner = expansion.corrections[0].values[i, j, 0, 0]
         ref = (float(nl.eval(corner)) - float(nl.eval(u0))) * u0
         assert correction_rhs(expansion, 1, (int(i), int(j)), (x, y)) == pytest.approx(ref, rel=1e-11, abs=1e-13)
 
@@ -248,7 +260,7 @@ def test_correction_rhs_matches_partition_sum_assembly():
             x0, x1, y0, y1 = expansion.grid.cell_rect(i, j)
             x = float(rng.uniform(x0, x1))
             y = float(rng.uniform(y0, y1))
-            corners = [expansion.corner_tables[s][i, j] for s in range(k)]
+            corners = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
             here = [expansion.corrections[s].evaluate_in_cell(i, j, x, y) for s in range(k)]
             val = 0.0
             for s in range(1, k):
@@ -358,12 +370,27 @@ def test_partial_sum_is_pointwise_sum():
         assert np.array_equal(expansion.partial_sum(m).values, ref)
 
 
-def test_corner_tables_track_fields():
+def test_cells_start_with_their_left_trace():
+    # every kernel term vanishes at sigma = 0, so a cell's first x-row is its
+    # left trace bit for bit and its first node is the corner the march froze
     preset = liouville_problem()
-    expansion = fd_solve(preset.problem, 4, 4, 2, 10)
+    expansion = fd_solve(preset.problem, 5, 4, 2, 10)
     for k in range(3):
-        ref = corner_table(expansion.corrections[k])
-        assert np.array_equal(ref, expansion.corner_tables[k])
+        v = expansion.corrections[k].values
+        assert np.array_equal(v[1:, :, 0, :], v[:-1, :, -1, :])
+    u0 = expansion.corrections[0].values
+    assert np.array_equal(expansion.cell_coeffs, preset.problem.nonlinearity.eval(u0[:, :, 0, 0]))
+
+
+def test_rank1_source_vanishes_at_every_lower_left_node():
+    # F^(1) = (N(corner) - N(u0)) u0 is zero where u0 is the corner value;
+    # with zero rank-1 corners the N' term adds nothing, so the march's
+    # source must be exactly zero at every cell's first node
+    preset = liouville_problem()
+    expansion = fd_solve(preset.problem, 40, 40, 0, P)
+    cells = slice(None)
+    rhs = _correction_source(expansion, 1)(cells, cells, np.zeros((40, 40)))
+    assert np.count_nonzero(rhs[:, :, 0, 0]) == 0
 
 
 def _random_cells(rng, n, p):
