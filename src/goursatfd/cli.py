@@ -188,6 +188,12 @@ def _validate(cfg: argparse.Namespace):
         )
     if cfg.format not in _FORMATS:
         raise ConfigError(f"key `format` must be csv or json, got {cfg.format!r}")
+    # the file itself is opened only after the work, so that a run that fails
+    # leaves an existing file as it was; a bad path is caught before the work
+    if cfg.output and (os.path.isdir(cfg.output)
+                       or not os.path.isdir(os.path.dirname(os.path.abspath(cfg.output)))):
+        raise ConfigError(f"key `output`: cannot write {cfg.output}: "
+                          "not a file path in an existing directory")
 
 
 # ---------------------------------------------------------------------------
@@ -337,6 +343,8 @@ def _emit(text: str, output: str | None):
 
 
 _CSV_BLOCK = 4096
+# `%.16e` of every element: an object array of str
+_format_e17 = np.frompyfunc("%.16e".__mod__, 1, 1)
 
 
 def _run_solve(cfg: argparse.Namespace) -> int:
@@ -348,10 +356,15 @@ def _run_solve(cfg: argparse.Namespace) -> int:
     if preset.exact is not None:
         (delta, norm1), = _rank_errors(expansion, preset.exact, [cfg.rank])
         print("delta=%.16e\nnorm1_delta=%.16e" % (delta, norm1))
-    # one (x, y, u) row per cell tensor node, in cell-major order
-    xg, yg = np.broadcast_arrays(xs[:, None, :, None], ys[None, :, None, :])
-    columns = (xg.ravel(), yg.ravel(), total.ravel())
+    def node_columns(x, y):
+        # one (x, y, u) row per cell tensor node, in cell-major order
+        return (np.broadcast_to(x[:, None, :, None], total.shape).ravel(),
+                np.broadcast_to(y[None, :, None, :], total.shape).ravel(), total.ravel())
+
     if cfg.format == "csv":
+        # each of the N1*P x-nodes and N2*P y-nodes is formatted once; the
+        # rows format only their u
+        columns = node_columns(_format_e17(xs), _format_e17(ys))
         with _open_output(cfg.output) as fh:
             if delta is not None:
                 fh.write("# delta = %.16e\n# norm1_delta = %.16e\n" % (delta, norm1))
@@ -360,8 +373,9 @@ def _run_solve(cfg: argparse.Namespace) -> int:
             # the whole field is never held at once
             for start in range(0, total.size, _CSV_BLOCK):
                 block = np.stack([c[start:start + _CSV_BLOCK] for c in columns], axis=1)
-                fh.write(("%.16e,%.16e,%.16e\n" * len(block)) % tuple(block.ravel().tolist()))
+                fh.write(("%s,%s,%.16e\n" * len(block)) % tuple(block.ravel().tolist()))
     else:
+        columns = node_columns(xs, ys)
         obj = {
             "delta": delta,
             "norm1_delta": norm1,

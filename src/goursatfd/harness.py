@@ -9,6 +9,7 @@ linear recurrence used to sanity-check the method's a-priori bounds.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field as dc_field
@@ -148,7 +149,9 @@ PRESETS = {
 # ---------------------------------------------------------------------------
 # solve driver and error metrics
 
-_LATTICE = 5  # the error metrics also sample a uniform 5 x 5 lattice per cell
+# the error metrics also sample a uniform 5 x 5 lattice per cell, at these
+# fractions of its sides
+_LATTICE = np.linspace(0.0, 1.0, 5)
 
 
 def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExpansion:
@@ -206,7 +209,7 @@ def _sup_abs(a: np.ndarray) -> float:
 
 class _ExactSamples:
     """An exact solution sampled once per mesh: on every cell's tensor nodes
-    and on a uniform _LATTICE x _LATTICE lattice per cell.
+    and on a uniform 5 x 5 lattice per cell.
 
     Both error metrics of every partial sum are read from these samples.
     """
@@ -214,12 +217,16 @@ class _ExactSamples:
     def __init__(self, expansion: FdExpansion, exact):
         grid, p = expansion.grid, expansion.order
         s = unit_cheb_nodes(p)
-        r = np.linspace(0.0, 1.0, _LATTICE)
         self.grid = grid
+        self.exact = exact
         self.nodes = PiecewiseField.sample(grid, p, exact).values
         self.diff = cheb_diff_matrix(s)
-        self.interp = bary_matrix(r, s)
-        self.lattice = _sample_cells(exact, *grid.cell_nodes(r))
+        self.interp = bary_matrix(_LATTICE, s)
+
+    @functools.cached_property
+    def lattice(self) -> np.ndarray:
+        # only `delta` reads it, so `norm1_delta` alone never samples it
+        return _sample_cells(self.exact, *self.grid.cell_nodes(_LATTICE))
 
     def delta(self, total: np.ndarray, e: np.ndarray) -> float:
         """Sup error of the field `total`, whose node error is `e`, on nodes and lattice."""

@@ -10,7 +10,15 @@ import numpy as np
 import pytest
 
 from goursatfd.field import Grid, unit_cheb_nodes
-from goursatfd.harness import fd_solve, liouville_problem, run_selftest
+from goursatfd import cli
+from goursatfd.harness import (
+    error_norm1,
+    error_vs_exact,
+    fd_solve,
+    liouville_problem,
+    run_selftest,
+)
+from goursatfd.solver import FdSolverError
 from goursatfd.cli import (
     _OPTIONS,
     ConfigError,
@@ -221,35 +229,80 @@ def test_solve_csv_output(tmp_path, capsys):
     assert u == pytest.approx(-math.log(2.0), rel=1e-12)
 
 
+def _reference_rows(problem, n1, n2, m, p):
+    """The `x,y,u` CSV rows, formatted one whole row at a time in cell-major order."""
+    expansion = fd_solve(problem, n1, n2, m, p)
+    u = expansion.partial_sum(m).values
+    xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(p))
+    rows = ["x,y,u"]
+    for i in range(n1):
+        for j in range(n2):
+            for a in range(p):
+                for b in range(p):
+                    rows.append("%.16e,%.16e,%.16e"
+                                % (float(xs[i, a]), float(ys[j, b]), float(u[i, j, a, b])))
+    return expansion, rows
+
+
+def _assert_lines(text, expect):
+    # the first differing line, not a diff of thousands of lines
+    assert text.endswith("\n")
+    lines = text[:-1].split("\n")
+    bad = next((k for k, (a, b) in enumerate(zip(lines, expect)) if a != b), None)
+    assert bad is None, f"line {bad}: {lines[bad]!r} != {expect[bad]!r}"
+    assert len(lines) == len(expect)
+
+
 def test_solve_csv_output_in_blocks(tmp_path, capsys):
-    # 3 x 5 cells at P = 11 give 1815 rows: not a multiple of the block size
-    argv = ["solve", "--problem", "liouville", "--n1", "3", "--n2", "5", "--rank", "2",
-            "--cheb-order", "11"]
+    # 7 x 5 cells at P = 12 give 5040 rows, more than one block and not a
+    # multiple of it; file and stdout match a row-by-row formatter line by line
+    preset = liouville_problem()
+    expansion, rows = _reference_rows(preset.problem, 7, 5, 2, 12)
+    assert len(rows) - 1 > cli._CSV_BLOCK
+    delta = error_vs_exact(expansion, preset.exact, 2)
+    norm1 = error_norm1(expansion, preset.exact, 2)
+    argv = ["solve", "--problem", "liouville", "--n1", "7", "--n2", "5", "--rank", "2",
+            "--cheb-order", "12"]
     out = tmp_path / "field.csv"
     assert main(argv + ["--output", str(out)]) == 0
-    printed = capsys.readouterr().out
+    printed = ["delta=%.16e" % delta, "norm1_delta=%.16e" % norm1]
+    assert capsys.readouterr().out.splitlines() == printed
+    header = ["# delta = %.16e" % delta, "# norm1_delta = %.16e" % norm1]
+    _assert_lines(out.read_text(), header + rows)
     assert main(argv) == 0
-    streamed = capsys.readouterr().out
-    text = out.read_text()
-    # stdout carries the delta= lines first, then exactly the file's text
-    assert streamed == printed + text
-    lines = text.splitlines()
-    assert len(lines) == 3 + 3 * 5 * 11 * 11
-    assert text.endswith("\n") and not text.endswith("\n\n")
-    preset = liouville_problem()
-    u = fd_solve(preset.problem, 3, 5, 2, 11).partial_sum(2).values[-1, -1, -1, -1]
-    assert lines[-1] == "4.0000000000000000e+00,4.0000000000000000e+00,%.16e" % u
+    _assert_lines(capsys.readouterr().out, printed + header + rows)
+
+
+def test_solve_csv_without_exact_has_no_header_comments(tmp_path, capsys):
+    spec = tmp_path / "no_exact.prob"
+    spec.write_text("X = 2.0\nY = 1.5\npsi = sin(x)\nphi = sin(2*y)\nf = 1 + x*y\n"
+                    "nu = 0.5, -0.25\n")
+    _, rows = _reference_rows(load_problem_file(str(spec)).problem, 3, 2, 1, 8)
+    argv = ["solve", "--problem", str(spec), "--n1", "3", "--n2", "2", "--rank", "1",
+            "--cheb-order", "8"]
+    out = tmp_path / "field.csv"
+    assert main(argv + ["--output", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    _assert_lines(out.read_text(), rows)
+    assert main(argv) == 0
+    _assert_lines(capsys.readouterr().out, rows)
 
 
 def test_solve_json_output(tmp_path):
+    preset = liouville_problem()
     out = tmp_path / "field.json"
-    code = main(["solve", "--problem", "liouville", "--n1", "2", "--rank", "0",
+    code = main(["solve", "--problem", "liouville", "--n1", "3", "--n2", "2", "--rank", "1",
                  "--cheb-order", "6", "--format", "json", "--output", str(out)])
     assert code == 0
     obj = json.loads(out.read_text())
     assert set(obj) == {"delta", "norm1_delta", "samples"}
-    assert len(obj["samples"]) == 2 * 2 * 6 * 6
-    assert set(obj["samples"][0]) == {"x", "y", "u"}
+    # every sample is a node and the rank-1 field there, exactly, cell-major
+    expansion = fd_solve(preset.problem, 3, 2, 1, 6)
+    u = expansion.partial_sum(1).values
+    xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(6))
+    expect = [{"x": xs[i, a], "y": ys[j, b], "u": u[i, j, a, b]}
+              for i in range(3) for j in range(2) for a in range(6) for b in range(6)]
+    assert obj["samples"] == expect
 
 
 def test_study_csv_schema_and_json_roundtrip(tmp_path):
@@ -425,12 +478,33 @@ def test_bad_problem_data_is_a_config_error_naming_the_key(tmp_path, capsys, edi
 
 
 @pytest.mark.parametrize("mode", ["solve", "study"])
-def test_unwritable_output_is_a_config_error(tmp_path, capsys, mode):
+def test_unwritable_output_is_a_config_error(tmp_path, capsys, monkeypatch, mode):
+    # rejected before the work: neither the solve nor the study runs
+    def never(*args, **kwargs):
+        raise AssertionError("the work ran before `output` was checked")
+
+    monkeypatch.setattr(cli, "fd_solve", never)
+    monkeypatch.setattr(cli, "convergence_study", never)
     for output in (tmp_path, tmp_path / "missing" / "out.csv"):
         argv = [mode, "--problem", "liouville", "--n1", "2", "--cheb-order", "6",
                 "--output", str(output)]
         assert main(argv) == 2
-        assert "`output`" in capsys.readouterr().err
+        captured = capsys.readouterr()
+        assert "`output`" in captured.err and captured.out == ""
+
+
+def test_failed_solve_leaves_an_existing_output_as_it_was(tmp_path, capsys, monkeypatch):
+    def fail(*args, **kwargs):
+        raise FdSolverError("no solve")
+
+    monkeypatch.setattr(cli, "fd_solve", fail)
+    out = tmp_path / "field.csv"
+    out.write_text("kept\n")
+    argv = ["solve", "--problem", "liouville", "--n1", "2", "--cheb-order", "6",
+            "--output", str(out)]
+    assert main(argv) == 1
+    assert "no solve" in capsys.readouterr().err
+    assert out.read_text() == "kept\n"
 
 
 def test_problem_file_missing_key(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 
 from goursatfd.harness import (
     StudySpec,
+    _rank_errors,
     characteristic_transform,
     convergence_study,
     error_norm1,
@@ -197,6 +198,29 @@ def test_convergence_study_samples_exact_once_per_mesh():
     # the tensor nodes and the 5 x 5 refine lattice of every cell
     assert len(calls) <= 2
     assert sum(calls) == 8 * 8 * (12 * 12 + 5 * 5)
+
+
+def test_error_norm1_samples_only_the_nodes():
+    # the 5 x 5 lattice is read by `delta` alone, so `error_norm1` skips it
+    preset = liouville_problem()
+    expansion = fd_solve(preset.problem, 8, 6, 3, 12)
+    points = []
+
+    def exact(x, y):
+        points.append(np.size(x))
+        return preset.exact(x, y)
+
+    error_norm1(expansion, exact, 3)
+    assert sum(points) == 8 * 6 * 12 * 12
+    for m in range(4):
+        points.clear()
+        delta = error_vs_exact(expansion, exact, m)
+        assert sum(points) == 8 * 6 * (12 * 12 + 5 * 5)
+        assert delta == _rank_errors(expansion, preset.exact, [m])[0][0]
+    points.clear()
+    rows = _rank_errors(expansion, exact, [0, 3])
+    assert sum(points) == 8 * 6 * (12 * 12 + 5 * 5)
+    assert [d for d, _ in rows] == [error_vs_exact(expansion, preset.exact, m) for m in (0, 3)]
 
 
 def test_convergence_study_records_failures_and_continues():
