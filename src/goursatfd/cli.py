@@ -342,9 +342,13 @@ def _emit(text: str, output: str | None):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
-_CSV_BLOCK = 4096
-# `%.16e` of every element: an object array of str
+_ROW_BLOCK = 4096
+# `%.16e` and `repr` of every element: object arrays of str
 _format_e17 = np.frompyfunc("%.16e".__mod__, 1, 1)
+_format_repr = np.frompyfunc(float.__repr__, 1, 1)
+# one sample of `json.dumps(obj, indent=1)`; `%r` of a float is its repr,
+# as json prints it
+_JSON_SAMPLE = '  {\n   "x": %s,\n   "y": %s,\n   "u": %r\n  }'
 
 
 def _run_solve(cfg: argparse.Namespace) -> int:
@@ -356,33 +360,32 @@ def _run_solve(cfg: argparse.Namespace) -> int:
     if preset.exact is not None:
         (delta, norm1), = _rank_errors(expansion, preset.exact, [cfg.rank])
         print("delta=%.16e\nnorm1_delta=%.16e" % (delta, norm1))
-    def node_columns(x, y):
-        # one (x, y, u) row per cell tensor node, in cell-major order
-        return (np.broadcast_to(x[:, None, :, None], total.shape).ravel(),
-                np.broadcast_to(y[None, :, None, :], total.shape).ravel(), total.ravel())
-
-    if cfg.format == "csv":
-        # each of the N1*P x-nodes and N2*P y-nodes is formatted once; the
-        # rows format only their u
-        columns = node_columns(_format_e17(xs), _format_e17(ys))
-        with _open_output(cfg.output) as fh:
+    csv = cfg.format == "csv"
+    # each of the N1*P x-nodes and N2*P y-nodes is formatted once, and one
+    # (x, y, u) row per cell tensor node follows in cell-major order; the
+    # rows format only their u
+    fmt = _format_e17 if csv else _format_repr
+    columns = (np.broadcast_to(fmt(xs)[:, None, :, None], total.shape).ravel(),
+               np.broadcast_to(fmt(ys)[None, :, None, :], total.shape).ravel(), total.ravel())
+    with _open_output(cfg.output) as fh:
+        if csv:
             if delta is not None:
                 fh.write("# delta = %.16e\n# norm1_delta = %.16e\n" % (delta, norm1))
             fh.write("x,y,u\n")
-            # formatted and written a block of rows at a time, so the text of
-            # the whole field is never held at once
-            for start in range(0, total.size, _CSV_BLOCK):
-                block = np.stack([c[start:start + _CSV_BLOCK] for c in columns], axis=1)
-                fh.write(("%s,%s,%.16e\n" * len(block)) % tuple(block.ravel().tolist()))
-    else:
-        columns = node_columns(xs, ys)
-        obj = {
-            "delta": delta,
-            "norm1_delta": norm1,
-            "samples": [{"x": x, "y": y, "u": u}
-                        for x, y, u in zip(*(c.tolist() for c in columns))],
-        }
-        _emit(json.dumps(obj, indent=1), cfg.output)
+            row, sep = "%s,%s,%.16e\n", ""
+        else:
+            # the text of json.dumps(obj, indent=1), written piece by piece
+            fh.write('{\n "delta": %s,\n "norm1_delta": %s,\n "samples": [\n'
+                     % (json.dumps(delta), json.dumps(norm1)))
+            row, sep = _JSON_SAMPLE, ",\n"
+        # formatted and written a block of rows at a time, so the text of
+        # the whole field is never held at once
+        for start in range(0, total.size, _ROW_BLOCK):
+            block = np.stack([c[start:start + _ROW_BLOCK] for c in columns], axis=1)
+            fh.write((sep if start else "")
+                     + sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
+        if not csv:
+            fh.write("\n ]\n}\n")
     return 0
 
 

@@ -4,6 +4,7 @@ import inspect
 import json
 import math
 import re
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -258,7 +259,7 @@ def test_solve_csv_output_in_blocks(tmp_path, capsys):
     # multiple of it; file and stdout match a row-by-row formatter line by line
     preset = liouville_problem()
     expansion, rows = _reference_rows(preset.problem, 7, 5, 2, 12)
-    assert len(rows) - 1 > cli._CSV_BLOCK
+    assert len(rows) - 1 > cli._ROW_BLOCK
     delta = error_vs_exact(expansion, preset.exact, 2)
     norm1 = error_norm1(expansion, preset.exact, 2)
     argv = ["solve", "--problem", "liouville", "--n1", "7", "--n2", "5", "--rank", "2",
@@ -303,6 +304,58 @@ def test_solve_json_output(tmp_path):
     expect = [{"x": xs[i, a], "y": ys[j, b], "u": u[i, j, a, b]}
               for i in range(3) for j in range(2) for a in range(6) for b in range(6)]
     assert obj["samples"] == expect
+
+
+def _reference_json(expansion, m, exact):
+    """The text of json.dumps(obj, indent=1) on the whole field, as one dict per node."""
+    u = expansion.partial_sum(m).values
+    n1, n2, p, _ = u.shape
+    xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(p))
+    delta = norm1 = None
+    if exact is not None:
+        delta, norm1 = error_vs_exact(expansion, exact, m), error_norm1(expansion, exact, m)
+    obj = {"delta": delta, "norm1_delta": norm1,
+           "samples": [{"x": float(xs[i, a]), "y": float(ys[j, b]), "u": float(u[i, j, a, b])}
+                       for i in range(n1) for j in range(n2) for a in range(p) for b in range(p)]}
+    return json.dumps(obj, indent=1) + "\n", delta, norm1
+
+
+def test_solve_json_streams_the_json_dumps_text(tmp_path, capsys):
+    # meshes of more than one block of rows, not a multiple of it; the file
+    # and stdout hold the very text json.dumps gives, null without `exact`
+    spec = tmp_path / "no_exact.prob"
+    spec.write_text("X = 2.0\nY = 1.5\npsi = sin(x)\nphi = sin(2*y)\nf = 1 + x*y\n"
+                    "nu = 0.5, -0.25\n")
+    preset = liouville_problem()
+    for name, problem, exact in [("liouville", preset.problem, preset.exact),
+                                 (str(spec), load_problem_file(str(spec)).problem, None)]:
+        expansion = fd_solve(problem, 7, 5, 2, 12)
+        assert expansion.grid.N1 * expansion.grid.N2 * 12 * 12 > cli._ROW_BLOCK
+        text, delta, norm1 = _reference_json(expansion, 2, exact)
+        printed = "" if exact is None else "delta=%.16e\nnorm1_delta=%.16e\n" % (delta, norm1)
+        argv = ["solve", "--problem", name, "--n1", "7", "--n2", "5", "--rank", "2",
+                "--cheb-order", "12", "--format", "json"]
+        out = tmp_path / "field.json"
+        assert main(argv + ["--output", str(out)]) == 0
+        assert capsys.readouterr().out == printed
+        assert out.read_text() == text
+        assert main(argv) == 0
+        assert capsys.readouterr().out == printed + text
+
+
+def test_solve_json_holds_less_than_its_text(tmp_path):
+    # 57,600 rows: the writer holds a block of rows at a time, never one
+    # object per node or the text of the whole field
+    argv = ["solve", "--problem", "liouville", "--n1", "20", "--n2", "20", "--rank", "1",
+            "--cheb-order", "12", "--format", "json", "--output", str(tmp_path / "f.json")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "f.json").stat().st_size
+    assert peak < size, (peak, size)
 
 
 def test_study_csv_schema_and_json_roundtrip(tmp_path):

@@ -1,8 +1,12 @@
 """Cell solver, wavefront marches, correction sources, and residual oracles."""
 
+import math
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from goursatfd import solver
 from goursatfd.field import Grid, _sample_cells, cheb_nodes, max_edge_jump, unit_cheb_nodes
 from goursatfd.harness import fd_solve, liouville_problem
 from goursatfd.kernels import Z_MAX, KernelRangeError, series_length
@@ -10,7 +14,9 @@ from goursatfd.series import Nonlinearity, adomian_partition
 from goursatfd.solver import (
     FdSolverError,
     GoursatProblem,
+    _SOURCE_BLOCK,
     _CellEngine,
+    _adomian_source,
     _correction_source,
     _engine,
     _solve_cells,
@@ -436,3 +442,79 @@ def test_a_batch_does_not_mix_its_cells(batch):
         ref = solve_cell_linear(c, left[n], bottom[n], left[n, 0], sources[n],
                                 (0.0, h1, 0.0, h2), P)
         assert np.max(np.abs(out[n] - ref)) <= 1e-14 * np.max(np.abs(ref)), c
+
+
+def _block_mesh(p):
+    """(N1, N2, cells per block) of a mesh whose source spans more than two
+    blocks, ends in a partial block and has a block boundary inside a row."""
+    per_block = _SOURCE_BLOCK // (p * p)
+    n2 = math.isqrt(2 * per_block)
+    while per_block % n2 == 0:
+        n2 += 1
+    n1 = 2 * per_block // n2 + 1
+    while n1 * n2 % per_block == 0:
+        n1 += 1
+    return n1, n2, per_block
+
+
+def _poly_problem():
+    return GoursatProblem(
+        X=1.5, Y=1.0,
+        psi=lambda x: 0.3 * np.sin(x), phi=lambda y: 0.2 * y * y,
+        f=lambda x, y: 1.0 + x * y,
+        nonlinearity=Nonlinearity.from_series([0.5, -0.4, 0.3, 0.1]),
+    )
+
+
+@pytest.mark.parametrize("problem", [liouville_problem().problem, _poly_problem()],
+                         ids=["liouville", "poly"])
+def test_blocked_source_equals_per_wavefront_assembly(problem):
+    # the whole-mesh source, assembled in blocks of whole cells, must equal
+    # the Adomian source of each anti-diagonal's gathered cells bit for bit
+    n1, n2, per_block = _block_mesh(P)
+    assert n1 * n2 > 2 * per_block and n1 * n2 % per_block and per_block % n2
+    expansion = fd_solve(problem, n1, n2, 3, P)
+    nl = problem.nonlinearity
+    prior = [c.values for c in expansion.corrections]
+    nprime = nl.deriv(prior[0][:, :, 0, 0])
+    for k in range(1, 4):
+        source = _correction_source(expansion, k)
+        for d in range(n1 + n2 - 1):
+            ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
+            jj = d - ii
+            corners = prior[k][ii, jj, 0, 0]
+            here = [v[ii, jj] for v in prior[:k]]
+            ref = _adomian_source(nl, [v[ii, jj, 0, 0] for v in prior[:k]], here)
+            ref -= (nprime[ii, jj] * corners)[:, None, None] * here[0]
+            assert source(ii, jj, corners).tobytes() == ref.tobytes(), (k, d)
+
+
+def test_source_is_assembled_once_per_block(monkeypatch):
+    # one Adomian assembly per block of whole cells, not one per anti-diagonal
+    n1, n2, per_block = _block_mesh(P)
+    expansion = fd_solve(liouville_problem().problem, n1, n2, 0, P)
+    calls = []
+
+    def counted(*args):
+        calls.append(1)
+        return _adomian_source(*args)
+
+    monkeypatch.setattr(solver, "_adomian_source", counted)
+    for k in range(1, 4):
+        calls.clear()
+        expansion.corrections.append(solve_correction(expansion, k))
+        assert len(calls) == math.ceil(n1 * n2 / per_block) < n1 + n2 - 1, k
+
+
+def test_correction_memory_stays_within_four_fields():
+    # the whole-mesh source is one field; its blocks add only small
+    # temporaries, so a rank-7 correction peaks at no more than four fields
+    expansion = fd_solve(liouville_problem().problem, 40, 40, 6, P)
+    field_bytes = expansion.corrections[0].values.nbytes
+    tracemalloc.start()
+    try:
+        solve_correction(expansion, 7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * field_bytes, peak / field_bytes
