@@ -251,6 +251,29 @@ def max_edge_jump(f: PiecewiseField) -> float:
     return jump
 
 
+def _broadcast_call(fn, *args: np.ndarray):
+    """fn(*args) as a float array of the arguments' common shape, or None.
+
+    A scalar result is broadcast; None means fn raised or returned another
+    shape, and the caller samples point by point instead.
+    """
+    try:
+        out = np.asarray(fn(*args), dtype=float)
+    except Exception:
+        return None
+    if out.shape == args[0].shape:
+        return out
+    if out.ndim == 0:
+        return np.full(args[0].shape, float(out))
+    return None
+
+
+def _sample_axis(fn, nodes: np.ndarray) -> np.ndarray:
+    """fn on the axis nodes (N, F) of the cells along one side."""
+    out = _broadcast_call(fn, nodes)
+    return out if out is not None else np.array([[float(fn(v)) for v in row] for row in nodes])
+
+
 def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.ndarray:
     """fn on the tensor nodes of cells (ii, jj) (all cells by default).
 
@@ -262,14 +285,9 @@ def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.nd
     if ii is None:
         ii, jj = np.indices((len(xs), len(ys)))
     xg, yg = np.broadcast_arrays(xs[ii][..., :, None], ys[jj][..., None, :])
-    try:
-        out = np.asarray(fn(xg, yg), dtype=float)
-    except Exception:
-        out = None
-    if out is not None and out.shape == xg.shape:
+    out = _broadcast_call(fn, xg, yg)
+    if out is not None:
         return out
-    if out is not None and out.ndim == 0:
-        return np.full(xg.shape, float(out))
     out = np.empty(xg.shape)
     for idx in np.ndindex(ii.shape):
         i, j = ii[idx], jj[idx]

@@ -38,7 +38,8 @@ weighted by scalar series terms in zeta:
     left     -zeta sum_k zeta^k / (k! (k+1)!) sigma_t^(k+1) (A_k left)[u]
     area     h1 h2 sum_k (-zeta)^k / (k!)^2 (A_k rhs A_k^T)[t, u]
 
-The term count K follows from the largest |zeta| in the batch.  The moment
+The term count K follows from the largest |zeta| in the batch, and a batch
+with |zeta| beyond `kernels.zeta_limit(P)` is refused.  The moment
 stack is built once per order P, growing on demand, and is laid out for
 plain matrix products: each term is one or two GEMMs on a batch of n cells
 (Goto & van de Geijn, ACM TOMS 34(3), 2008).  The traces are one
@@ -65,6 +66,7 @@ corner term.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
 from typing import Callable
@@ -76,6 +78,7 @@ from .field import (
     Grid,
     PiecewiseField,
     _check_extents,
+    _sample_axis,
     _sample_cells,
     bary_matrix,
     cheb_diff_matrix,
@@ -83,7 +86,7 @@ from .field import (
     unit_cc_weights,
     unit_cheb_nodes,
 )
-from .kernels import KernelRangeError, series_length, series_terms
+from .kernels import KernelRangeError, series_length, series_terms, zeta_limit
 from .series import Nonlinearity, compose_with_tail
 
 __all__ = [
@@ -210,8 +213,8 @@ def _solve_cells(eng: _CellEngine, c: np.ndarray, h1: float, h2: float,
     Returns the (n, P, P) solution tensors.
     """
     zeta = c * (h1 * h2)
-    terms = series_length(float(np.max(np.abs(zeta))))
     n, p = left.shape
+    terms = series_length(float(np.max(np.abs(zeta))), p)
     rows, a_t, cols, powers, left_powers = eng.moments(terms)
     k = np.arange(terms)
     t1 = series_terms(zeta, terms)  # zeta^k / (k!)^2
@@ -280,8 +283,8 @@ def solve_cell_linear(c: float, left_trace, bottom_trace, corner_value: float,
 
     Traces are arrays of P CGL samples on the cell sides; the result is the
     P x P tensor on the cell nodes, whose left and bottom edges reproduce the
-    traces.  Raises KernelRangeError when |c| h1 h2 exceeds the kernel
-    series range.
+    traces.  Raises KernelRangeError when |c| h1 h2 exceeds
+    `kernels.zeta_limit(p)`.
     """
     left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
                                                   rhs, rect, p)
@@ -355,17 +358,20 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
             out = _solve_cells(eng, c, grid.h1, grid.h2, left, bottom, rhs)
         except KernelRangeError as exc:
             n = int(np.argmax(np.abs(c)))
-            raise KernelRangeError(f"cell ({ii[n]}, {jj[n]}): {exc}") from exc
+            msg = f"cell ({ii[n]}, {jj[n]}): {exc}"
+            # refining both sides by sqrt(|zeta| / limit), and a hair more
+            # against rounding, brings this cell's zeta within the limit
+            scale = math.sqrt(abs(c[n]) * grid.h1 * grid.h2 / zeta_limit(p)) * (1.0 + 1.0e-12)
+            if math.isfinite(scale):
+                msg += (f"; refine the mesh to at least N1 = {math.ceil(n1 * scale)}, "
+                        f"N2 = {math.ceil(n2 * scale)}")
+            raise KernelRangeError(msg) from exc
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
             n = int(np.argmin(finite))
             raise FdSolverError(f"cell ({ii[n]}, {jj[n]}): non-finite values in the solution")
         values[ii, jj] = out
     return values
-
-
-def _axis_samples(fn, nodes: np.ndarray) -> np.ndarray:
-    return np.array([[float(fn(v)) for v in row] for row in nodes])
 
 
 def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
@@ -381,7 +387,7 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
     def wavefront(ii, jj, corners):
         return nl.eval(corners), _sample_cells(problem.f, xs, ys, ii, jj)
 
-    values = _march(grid, p, _axis_samples(problem.phi, ys), _axis_samples(problem.psi, xs),
+    values = _march(grid, p, _sample_axis(problem.phi, ys), _sample_axis(problem.psi, xs),
                     wavefront)
     return PiecewiseField(grid, values)
 

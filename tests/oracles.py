@@ -18,13 +18,17 @@ from typing import Callable
 import numpy as np
 
 from goursatfd.field import cheb_nodes, unit_cc_weights
-from goursatfd.kernels import MAX_TERMS, Z_MAX, KernelRangeError
+from goursatfd.kernels import KernelRangeError
 from goursatfd.series import Nonlinearity, compose_with_tail
 from goursatfd.solver import FdExpansion, _adomian_source
 
 
 # ---------------------------------------------------------------------------
 # Riemann kernel by scalar series summation
+
+# the oracle's own range and term cap, independent of the solver's
+Z_MAX = 1.0e4
+MAX_TERMS = 500
 
 
 def hyp0f1(b: float, z: float) -> float:

@@ -488,6 +488,23 @@ def test_custom_problem_file_roundtrip(tmp_path, capsys):
     assert np.array_equal(data[:, 1], np.broadcast_to(ys[None, :, None, :], shape).ravel())
 
 
+@pytest.mark.parametrize("n1", [1, 2])
+def test_kernel_out_of_range_exits_1(tmp_path, capsys, n1):
+    # u = x*y with N = 300 on [0, 2]^2: |zeta| = 1200 / n1 on one row of
+    # cells, far past the accurate range; the solve must refuse, not print
+    # a wrong field
+    spec = tmp_path / "stiff.prob"
+    spec.write_text("X = 2.0\nY = 2.0\npsi = 0*x\nphi = 0*y\nf = 1 + 300*x*y\n"
+                    "nu = 300\nexact = x*y\n")
+    out = tmp_path / "o.csv"
+    code = main(["solve", "--problem", str(spec), "--n1", str(n1), "--n2", "1",
+                 "--output", str(out)])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert "KernelRangeError: cell (0, 0)" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
 def test_literals_are_floats():
     # an int power like 9**9**9 is not constant-folded and would run unbounded
     assert isinstance(compile_expression("2**70", ("x",))(0.0), float)

@@ -226,7 +226,7 @@ def test_error_norm1_samples_only_the_nodes():
 def test_convergence_study_records_failures_and_continues():
     # a huge cell pushes the kernel argument beyond its series range
     problem = GoursatProblem(
-        X=40.0, Y=40.0, psi=lambda x: 0.0, phi=lambda y: 0.0,
+        X=4.0, Y=4.0, psi=lambda x: 0.0, phi=lambda y: 0.0,
         f=lambda x, y: 1.0, nonlinearity=Nonlinearity.from_series([10.0]),
     )
     spec = StudySpec(problem=problem, exact=None, meshes=((1, 1), (8, 8)), max_rank=0, p=8)
@@ -276,6 +276,29 @@ def test_liouville_preset_consistency():
         lhs = float(problem.nonlinearity.eval(u)) * u
         assert lhs + np.exp(2 * u) == pytest.approx(1.0, rel=1e-12)
     assert float(problem.f(1.0, 2.0)) == 1.0
+
+
+def test_liouville_exact_matches_mpmath():
+    mpmath = pytest.importorskip("mpmath")
+    exact = liouville_problem().exact
+    pts = np.random.default_rng(11).uniform(0.0, 4.0, size=(2000, 2))
+    with mpmath.workdps(40):
+        ref = np.array([float((x + y) / 2 - mpmath.log(mpmath.exp(x) + mpmath.exp(y)))
+                        for x, y in (map(mpmath.mpf, p) for p in pts)])
+    assert np.max(np.abs(exact(pts[:, 0], pts[:, 1]) - ref)) <= 4.5e-16
+
+
+def test_liouville_data_keep_their_input_shape():
+    # the samplers call them once on the whole node array
+    preset = liouville_problem()
+    x = np.linspace(0.0, 4.0, 24).reshape(2, 3, 4)
+    y = x[::-1].copy()
+    assert preset.exact(x, y).shape == x.shape
+    assert preset.exact(x, y[0, 0]).shape == x.shape
+    assert preset.problem.psi(x).shape == preset.problem.phi(x).shape == x.shape
+    assert np.array_equal(preset.problem.psi(x), preset.exact(x, 0.0))
+    assert np.array_equal(preset.problem.phi(y), preset.exact(0.0, y))
+    assert np.array_equal(x, np.linspace(0.0, 4.0, 24).reshape(2, 3, 4))
 
 
 def test_liouville_multiplier_is_negative_on_solution_range():

@@ -1,10 +1,12 @@
 """Confluent limit function and Riemann kernel checks against independent oracles."""
 
+import math
+
 import numpy as np
 import pytest
 import scipy.special
 
-from goursatfd.kernels import KernelRangeError
+from goursatfd.kernels import RESOLUTION, Z_MAX, KernelRangeError, series_length, zeta_limit
 from oracles import RiemannKernel, hyp0f1, riemann, riemann_d1, riemann_d2
 
 # first zero of J0 at argument 2*sqrt(z): z = (j_{0,1}/2)^2
@@ -40,6 +42,39 @@ def test_hyp0f1_range_guard():
         hyp0f1(1.0, 1.5e4)
     with pytest.raises(ValueError):
         hyp0f1(0.0, 1.0)
+
+
+def test_kernel_range_rule():
+    # rounding: the terms' magnitudes sum to I0(2 sqrt|zeta|), at most 2^17
+    assert scipy.special.i0(2.0 * math.sqrt(Z_MAX)) == pytest.approx(2.0**17, rel=1e-12)
+    # the kernel along a side, 0F1(1; -zeta s) on [0, 1], has Chebyshev
+    # coefficients 2 I_n(sqrt|zeta|)^2, alternating in sign for zeta > 0
+    n = np.arange(1, 12)
+    for zeta in (-20.0, 30.0):
+        kernel = lambda x: scipy.special.hyp0f1(1.0, -zeta * (1.0 + x) / 2.0)
+        coef = np.polynomial.chebyshev.chebinterpolate(kernel, 40)[1:12]
+        r = math.sqrt(abs(zeta))
+        ref = (2.0 * scipy.special.iv(n, r) ** 2 if zeta < 0
+               else 2.0 * (-1.0) ** n * scipy.special.jv(n, r) ** 2)
+        assert np.max(np.abs(coef - ref)) <= 1e-12 * np.max(np.abs(ref))
+    # resolution: the leading degree-P Chebyshev coefficient of the kernel
+    # along a side, 2 (|zeta|/4)^P / (P!)^2, is RESOLUTION at the limit
+    for p in range(4, 25):
+        z = zeta_limit(p)
+        lead = 2.0 * (z / 4.0) ** p / math.factorial(p) ** 2
+        assert z == Z_MAX and lead < RESOLUTION or lead == pytest.approx(RESOLUTION, rel=1e-12)
+        series_length(z, p)
+        with pytest.raises(KernelRangeError):
+            series_length(z * (1.0 + 1e-12), p)
+
+
+def test_series_length_stops_below_half_an_ulp():
+    # K is the index of the first term z^K / (K!)^2 <= 2^-54
+    assert series_length(0.0, 12) == 1
+    for z in (1e-3, 0.0027, 0.0109, 0.5, 8.0, 40.0):
+        k = series_length(z, 24)
+        terms = [z**j / math.factorial(j) ** 2 for j in range(k + 1)]
+        assert terms[k] <= 2.0**-54 < min(terms[:k])
 
 
 def test_riemann_normalization():

@@ -1,6 +1,7 @@
 """Cell solver, wavefront marches, correction sources, and residual oracles."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 from goursatfd import solver
 from goursatfd.field import Grid, _sample_cells, cheb_nodes, max_edge_jump, unit_cheb_nodes
 from goursatfd.harness import fd_solve, liouville_problem
-from goursatfd.kernels import Z_MAX, KernelRangeError, series_length
+from goursatfd.kernels import Z_MAX, KernelRangeError, series_length, zeta_limit
 from goursatfd.series import Nonlinearity, adomian_partition
 from goursatfd.solver import (
     FdSolverError,
@@ -100,6 +101,42 @@ def test_cell_rejects_kernel_argument_beyond_series_range():
         solve_cell_linear(c, z, z, 0.0, lambda x, y: 0.0, (0, 2, 0, 2), P)
     with pytest.raises(KernelRangeError):
         solve_cell_linear(-c, z, z, 0.0, lambda x, y: 0.0, (0, 2, 0, 2), P)
+
+
+@pytest.mark.parametrize("p", [12, 16, 24])
+@pytest.mark.parametrize("zeta", [s * z for z in (10.0, 50.0, 200.0, 1000.0) for s in (1, -1)])
+def test_exponential_cell_is_accurate_or_refused(zeta, p):
+    # u = e^(x - y) on the unit cell solves u_xy + zeta u = (zeta - 1) u: its
+    # data stay resolvable at every zeta, so the error is the kernel's own
+    n = cheb_nodes(p, 0.0, 1.0)
+    exact = np.exp(n[:, None] - n[None, :])
+    args = (zeta, exact[0], exact[:, 0], 1.0, lambda x, y: (zeta - 1.0) * np.exp(x - y),
+            (0.0, 1.0, 0.0, 1.0), p)
+    if abs(zeta) > zeta_limit(p):
+        with pytest.raises(KernelRangeError, match=f"at P = {p}"):
+            solve_cell_linear(*args)
+    else:
+        u = solve_cell_linear(*args)
+        assert np.max(np.abs(u - exact)) <= 1e-10 * np.max(exact)
+    # the rounding bound refuses |zeta| = 50 at every order
+    assert (abs(zeta) <= zeta_limit(p)) == (abs(zeta) == 10.0)
+
+
+def test_refused_cell_names_the_mesh_that_passes():
+    # N = 10 on [0, 3] x [0, 2]: zeta = 60 / (N1 N2) is the same in every cell
+    problem = GoursatProblem(3.0, 2.0, lambda x: 0.0, lambda y: 0.0, lambda x, y: 1.0,
+                             Nonlinearity.from_series([10.0]))
+    with pytest.raises(KernelRangeError, match=r"cell \(0, 0\).*at P = 6") as info:
+        fd_solve(problem, 2, 1, 0, 6)
+    n1, n2 = (int(v) for v in re.search(r"N1 = (\d+), N2 = (\d+)", str(info.value)).groups())
+    assert 60.0 / (n1 * n2) <= zeta_limit(6) < 60.0 / ((n1 - 1) * (n2 - 1))
+    fd_solve(problem, n1, n2, 0, 6)
+    # an infinite coefficient is refused too, with no mesh to suggest
+    problem = GoursatProblem(3.0, 2.0, lambda x: 10.0, lambda y: 10.0, lambda x, y: 1.0,
+                             Nonlinearity.from_series([0.0, 1.0e308]))
+    with np.errstate(over="ignore"), \
+            pytest.raises(KernelRangeError, match=r"\|zeta\| = inf exceeds [0-9.]+ at P = 6$"):
+        fd_solve(problem, 2, 1, 0, 6)
 
 
 def test_cell_edges_reproduce_traces():
@@ -416,7 +453,7 @@ def test_engine_growth_keeps_the_kernel_layouts(p):
         grown.moments(n)
     rng = np.random.default_rng(p)
     c = rng.uniform(-2.5, 2.5, 6)
-    assert series_length(float(np.max(np.abs(c))) * 0.01) == 8
+    assert series_length(float(np.max(np.abs(c))) * 0.01, p) == 7
     cells = _random_cells(rng, 6, p)
     a = _solve_cells(grown, c, 0.1, 0.1, *cells)
     b = _solve_cells(_CellEngine(p), c, 0.1, 0.1, *cells)
@@ -426,10 +463,10 @@ def test_engine_growth_keeps_the_kernel_layouts(p):
 @pytest.mark.parametrize("batch", [[0, 1, 2, 3, 4], [4]])
 def test_a_batch_does_not_mix_its_cells(batch):
     # zero, positive and negative coefficients, with |zeta| = |c| h1 h2
-    # needing from 2 to 21 series terms; the batch takes the longest series
+    # needing from 1 to 19 series terms; the batch takes the longest series
     h1, h2 = 0.5, 0.4
     coeffs = np.array([0.0, 3.0, -3.0, 0.05, -40.0])
-    assert sorted({series_length(abs(c) * h1 * h2) for c in coeffs}) == [2, 8, 13, 21]
+    assert sorted({series_length(abs(c) * h1 * h2, P) for c in coeffs}) == [1, 6, 11, 19]
     coeffs = coeffs[batch]
     rng = np.random.default_rng(7)
     left, bottom, _ = _random_cells(rng, 5, P)
@@ -442,6 +479,36 @@ def test_a_batch_does_not_mix_its_cells(batch):
         ref = solve_cell_linear(c, left[n], bottom[n], left[n, 0], sources[n],
                                 (0.0, h1, 0.0, h2), P)
         assert np.max(np.abs(out[n] - ref)) <= 1e-14 * np.max(np.abs(ref)), c
+
+
+def test_terms_below_the_floor_are_inert(monkeypatch):
+    # two more 0F1 terms than series_length asks for leave the field unchanged
+    preset = liouville_problem()
+    u = fd_solve(preset.problem, 20, 20, 0, 16).corrections[0].values
+    monkeypatch.setattr(solver, "series_length", lambda zmax, p: series_length(zmax, p) + 2)
+    assert fd_solve(preset.problem, 20, 20, 0, 16).corrections[0].values.tobytes() == u.tobytes()
+
+
+def test_axis_data_are_sampled_in_one_call():
+    calls = []
+
+    def counted(fn):
+        def wrapped(v):
+            calls.append(np.shape(v))
+            return fn(v)
+        return wrapped
+
+    preset = liouville_problem()
+    problem = GoursatProblem(4.0, 4.0, counted(preset.problem.psi), counted(preset.problem.phi),
+                             preset.problem.f, preset.problem.nonlinearity)
+    calls.clear()
+    u0 = solve_basic(problem, Grid(4.0, 4.0, 5, 3), 8)
+    assert calls == [(3, 8), (5, 8)]
+    # a scalar-only callable is sampled point by point, to the same values
+    scalar = GoursatProblem(4.0, 4.0, lambda x: float(preset.problem.psi(x)),
+                            lambda y: float(preset.problem.phi(y)), preset.problem.f,
+                            preset.problem.nonlinearity)
+    assert solve_basic(scalar, Grid(4.0, 4.0, 5, 3), 8).values.tobytes() == u0.values.tobytes()
 
 
 def _block_mesh(p):
