@@ -1,11 +1,16 @@
-"""The multiplier N(u) and its Adomian polynomials.
+"""The multiplier N(u), the nonlinear term G(u) = u N(u), and their Adomian polynomials.
 
-Given a multiplier function N(u) = sum_s nu_s u^s and a finite expansion
-v(tau) = sum_s v_s tau^s, the Adomian polynomial A_n(N; v_0..v_n) is the n-th
-Taylor coefficient of N(v(tau)) at tau = 0.  The solver computes them for
-whole batches of points by composing Taylor rows of N with the tail
-v - v_0 (`compose_with_tail`); the explicit partition sum
-(`adomian_partition`) is kept as an independent oracle.
+Given a function F(u) and a finite expansion v(tau) = sum_s v_s tau^s, the
+Adomian polynomial A_n(F; v_0..v_n) is the n-th Taylor coefficient of
+F(v(tau)) at tau = 0.  The solver composes Taylor rows of F at v_0 with the
+tail v - v_0 through the partial Bell triangle (Comtet, Advanced
+Combinatorics, 1974, section 3.3): `compose_with_tail` keeps every
+coefficient, `compose_last` only the last.  The Adomian polynomials of a
+product are the Cauchy product of its factors' (Rach, J. Math. Anal. Appl.
+102, 1984), so sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient
+A_n(G; v); a correction source composes N at the cell corners and G at the
+cell points.  The explicit partition sum (`adomian_partition`) is kept as an
+independent oracle.
 """
 
 from __future__ import annotations
@@ -20,45 +25,78 @@ __all__ = ["Nonlinearity", "adomian_partition"]
 PARTITION_ORDER_CAP = 10
 
 
-def compose_with_tail(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """Coefficients of N(v(tau)) from Taylor rows of N at v_0 and the tail v - v_0.
+def _bell_columns(tail: np.ndarray):
+    """Columns j = 1..K of the partial Bell triangle of `tail` (K+1, ...).
 
-    Both stacks are shaped (K+1, ...) and may carry trailing point axes;
-    `tail[0]` must be zero.  With a_j the Taylor rows and t_i the tail rows,
-    the partial Bell polynomials B[n, j] (the tau^n coefficients of the
-    j-th power of the tail) obey
+    B[n, j], the tau^n coefficient of the j-th power of the tail, obeys
 
-        B[n, 1] = t_n,   B[n, j] = sum_{i=1}^{n-j+1} t_i B[n-i, j-1],
+        B[n, 1] = t_n,   B[n, j] = sum_{i=1}^{n-j+1} t_i B[n-i, j-1].
 
-    and A_0 = a_0, A_n = sum_{j=1}^{n} a_j B[n, j].  B[n, j] vanishes for
-    n < j, so column j is stored for n = j..K only, and only the previous
-    column is kept.
+    It vanishes for n < j, so column j is yielded as rows n = j..K only,
+    and only the previous column is kept.
     """
-    k = taylor.shape[0] - 1
-    res = np.empty_like(taylor)
-    res[0] = taylor[0]
-    bell = tail[1:]  # column j = 1, rows n = 1..K
-    np.multiply(taylor[1:2], bell, out=res[1:])
+    k = tail.shape[0] - 1
+    if k == 0:
+        return
+    bell = tail[1:]
+    yield bell
     for j in range(2, k + 1):
-        nxt = np.zeros((k + 1 - j,) + bell.shape[1:])  # rows n = j..K
+        nxt = np.zeros((k + 1 - j,) + bell.shape[1:])
         for i in range(1, k + 2 - j):
             nxt[i - 1:] += tail[i] * bell[: k + 2 - j - i]
-        res[j:] += taylor[j] * nxt
+        yield nxt
         bell = nxt
+
+
+def compose_with_tail(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """Coefficients A_0..A_K of F(v(tau)) from Taylor rows of F at v_0 and the tail v - v_0.
+
+    Both stacks are shaped (K+1, ...) and may carry trailing point axes;
+    `tail[0]` must be zero.  With a_j the Taylor rows and B the partial Bell
+    triangle of the tail, A_0 = a_0 and A_n = sum_{j=1}^{n} a_j B[n, j].
+    """
+    res = np.zeros_like(taylor)
+    res[0] = taylor[0]
+    for j, column in enumerate(_bell_columns(tail), 1):
+        res[j:] += taylor[j] * column
+    return res
+
+
+def compose_last(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
+    """The last coefficient A_K of `compose_with_tail(taylor, tail)` alone.
+
+    It walks the same triangle but dots only its last row with the Taylor
+    rows, A_K = sum_{j=1}^{K} a_j B[K, j] (A_0 = a_0).
+    """
+    if taylor.shape[0] == 1:
+        return taylor[0].copy()
+    res = np.zeros_like(taylor[0])
+    for j, column in enumerate(_bell_columns(tail), 1):
+        res += taylor[j] * column[-1]
     return res
 
 
 class Nonlinearity:
-    """The multiplier N(u) with value, derivative, and recentered Taylor data.
+    """The multiplier N(u) and the term G(u) = u N(u), with recentered Taylor data.
 
     `series_coeffs` are the global coefficients nu_s of N(u) = sum nu_s u^s.
     `eval` and `deriv` are defined through `taylor_at`, so the three views can
     never disagree.  A preset may install an analytic `taylor_fn(center,
-    order)`; otherwise the coefficients are treated as a polynomial and
-    recentered exactly by binomial re-expansion.
+    order)`, whose row 0 must not depend on `order`; otherwise the
+    coefficients are treated as a polynomial and recentered exactly by
+    binomial re-expansion.
+
+    `term_taylor_at` gives the Taylor rows g_j of G, with the invariant that
+    row 0 is t * N(t), N(t) bit for bit as `eval` gives it: a rank-1
+    correction source then vanishes exactly where u0 is its cell's corner
+    value.  A polynomial recenters [0, nu_0, nu_1, ...], whose row 0 is that
+    product by construction; a preset may install `term_taylor_fn(center,
+    order)`, which must keep the invariant; a multiplier with only
+    `taylor_fn` derives g_j = t a_j + a_{j-1} from N's rows.
     """
 
-    def __init__(self, series_coeffs, taylor_fn: Callable | None = None):
+    def __init__(self, series_coeffs, taylor_fn: Callable | None = None,
+                 term_taylor_fn: Callable | None = None):
         nu = np.atleast_1d(np.asarray(series_coeffs, dtype=float))
         if nu.ndim != 1 or nu.size == 0:
             raise ValueError("need at least the constant coefficient nu_0")
@@ -66,6 +104,7 @@ class Nonlinearity:
             raise ValueError("multiplier coefficients must be finite")
         self.series_coeffs = nu
         self._taylor_fn = taylor_fn
+        self._term_taylor_fn = term_taylor_fn
 
     @classmethod
     def from_series(cls, nu) -> "Nonlinearity":
@@ -78,18 +117,28 @@ class Nonlinearity:
         `center` may be a scalar or an array; the result gains a leading
         order axis.
         """
-        if order < 0:
-            raise ValueError(f"order must be non-negative, got {order}")
+        _check_order(order)
         if self._taylor_fn is not None:
-            out = np.asarray(self._taylor_fn(center, order), dtype=float)
+            out = self._taylor_fn(center, order)
         else:
             out = _recenter_poly(self.series_coeffs, center, order)
-        expect = (order + 1,) + np.shape(center)
-        if out.shape != expect:
-            raise ValueError(
-                f"taylor_at must supply {order + 1} coefficient rows, got shape {out.shape}"
-            )
-        return out
+        return _checked_rows(out, center, order)
+
+    def term_taylor_at(self, center, order: int):
+        """Taylor coefficients g_0..g_order of G(u) = u N(u) around `center`.
+
+        Shaped like `taylor_at`; row 0 is center * N(center).
+        """
+        _check_order(order)
+        if self._term_taylor_fn is not None:
+            out = self._term_taylor_fn(center, order)
+        elif self._taylor_fn is not None:
+            a = self.taylor_at(center, order)
+            out = a * np.asarray(center, dtype=float)
+            out[1:] += a[:-1]
+        else:
+            out = _recenter_poly(np.concatenate(([0.0], self.series_coeffs)), center, order)
+        return _checked_rows(out, center, order)
 
     def eval(self, u):
         """N(u); safe at removable singularities of closed forms."""
@@ -100,16 +149,31 @@ class Nonlinearity:
         return self.taylor_at(u, 1)[1]
 
 
+def _check_order(order: int):
+    if order < 0:
+        raise ValueError(f"order must be non-negative, got {order}")
+
+
+def _checked_rows(out, center, order: int) -> np.ndarray:
+    out = np.asarray(out, dtype=float)
+    expect = (order + 1,) + np.shape(center)
+    if out.shape != expect:
+        raise ValueError(f"Taylor rows must have shape {expect}, got {out.shape}")
+    return out
+
+
 def _recenter_poly(nu: np.ndarray, center, order: int) -> np.ndarray:
-    # a_k = sum_{s >= k} nu_s C(s, k) center^(s-k); exact polynomial algebra.
+    # a_k = sum_{s >= k} nu_s C(s, k) center^(s-k); exact polynomial algebra,
+    # each row by Horner's rule in place
     t = np.asarray(center, dtype=float)
     deg = len(nu) - 1
     out = np.zeros((order + 1,) + t.shape)
     for k in range(min(order, deg) + 1):
-        acc = np.zeros_like(t)
-        for s in range(deg, k - 1, -1):
-            acc = acc * t + nu[s] * comb(s, k)
-        out[k] = acc
+        acc = out[k, ...]
+        acc[...] = nu[deg] * comb(deg, k)
+        for s in range(deg - 1, k - 1, -1):
+            acc *= t
+            acc += nu[s] * comb(s, k)
     return out
 
 

@@ -11,9 +11,12 @@ kernel R = 0F1(1; -c (xi - x)(eta - y)):
 
 Higher ranks solve linear correction problems on the same cells; their
 sources combine Adomian polynomials of the multiplier evaluated at corner
-values (a piecewise constant field) and at the running point, plus an
-explicit source -N'(u0_corner) * uk_corner * u0(x, y) carrying the
-correction's own corner value, which the march has already produced.
+values (a piecewise constant field) with the Adomian polynomial A_{k-1} of
+the term G(u) = u N(u) at the running point, plus an explicit source
+-N'(u0_corner) * uk_corner * u0(x, y) carrying the correction's own corner
+value, which the march has already produced.  G's Taylor row 0 is t N(t)
+with N(t) bit for bit as `Nonlinearity.eval` gives it, so the rank-1 source
+vanishes exactly where u0 is the cell's corner value.
 
 A cell's corner value is its own first node, values[i, j, 0, 0].  Every
 kernel term vanishes at sigma = 0, so the march stores the left trace
@@ -57,11 +60,11 @@ anti-diagonal's own coefficients.  Each solved wavefront is checked for
 non-finite values before the next one reads it.  Rank 0 freezes its
 coefficients with one evaluation of N per anti-diagonal.  A correction's
 Adomian source F^(k) reads only ranks 0..k-1, all complete before its march
-starts, so it is assembled once for the whole mesh, before the march, in
-blocks of whole cells small enough for their temporaries to stay in cache
-(two compositions per block: the corner values at order k, the cell points
-at order k - 1); an anti-diagonal gathers its share and subtracts its own
-corner term.
+starts, so it is assembled once for the whole mesh, before the march: the
+corner weights once for all cells (N composed at order k), then the cell
+points in blocks of whole cells small enough for their temporaries to stay
+in cache (one coefficient of G per block); an anti-diagonal gathers its
+share and subtracts its own corner term.
 """
 
 from __future__ import annotations
@@ -87,7 +90,7 @@ from .field import (
     unit_cheb_nodes,
 )
 from .kernels import KernelRangeError, series_length, series_terms, zeta_limit
-from .series import Nonlinearity, compose_with_tail
+from .series import Nonlinearity, compose_last, compose_with_tail
 
 __all__ = [
     "GoursatProblem",
@@ -392,33 +395,47 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
     return PiecewiseField(grid, values)
 
 
-def _adomian_source(nl: Nonlinearity, frozen: list, here: list) -> np.ndarray:
+def _corner_weights(nl: Nonlinearity, frozen: list) -> np.ndarray:
+    """Per-cell weights A^c_{k-1-s} - A^c_{k-s}, s = 0..k-1, of the rank-k source.
+
+    `frozen[s]` holds the rank-s corner values of the cells, k = len(frozen);
+    A^c are the Adomian polynomials of N at those values, composed at order
+    k with the top slot k taken as zero.  Returns a (k, cells) array.
+    """
+    k = len(frozen)
+    tail = np.zeros((k + 1, frozen[0].size))
+    for s in range(1, k):
+        tail[s] = frozen[s].ravel()
+    a = compose_with_tail(nl.taylor_at(frozen[0].ravel(), k), tail)
+    return a[k - 1::-1] - a[k:0:-1]
+
+
+def _adomian_source(nl: Nonlinearity, frozen: list, here: list, weights=None) -> np.ndarray:
     """The rank-k Adomian source F^(k), k = len(here), on a batch of cells.
 
     `frozen[s]` holds the rank-s corner values of the cells (any shape,
     one entry per cell) and `here[s]` the rank-s values at points of those
-    cells (the cell shape followed by point axes).  The source reads the
-    corner Adomian polynomials A_0..A_k (the top slot taken as zero) but the
-    running ones only up to A_{k-1}, so the corners are composed at order k
-    and the points at order k - 1.
+    cells (the cell shape followed by point axes).  With A^c the corner
+    Adomian polynomials of N (the top slot k taken as zero) and G = u N,
+
+        F^(k) = sum_{s<k} (A^c_{k-1-s} - A^c_{k-s}) v_s - A_{k-1}(G; v),
+
+    the last term being the running part sum_{s<k} A_{k-1-s}(N; v) v_s as
+    one coefficient, composed at the points for that coefficient alone.
+    `weights` are the cells' `_corner_weights`, computed here if not given.
     """
     k = len(here)
+    if weights is None:
+        weights = _corner_weights(nl, frozen)
     shape = here[0].shape
-    cells = frozen[0].size
-    v = [h.reshape(cells, -1) for h in here]
-    corner_tail = np.zeros((k + 1, cells))
-    run_tail = np.zeros((k,) + v[0].shape)
+    v = np.stack([h.reshape(weights.shape[1], -1) for h in here])
+    g = nl.term_taylor_at(v[0], k - 1)
+    f = np.multiply(weights[0][:, None], v[0])
+    scratch = np.empty_like(f)
     for s in range(1, k):
-        corner_tail[s] = frozen[s].ravel()
-        run_tail[s] = v[s]
-    a_corner = compose_with_tail(nl.taylor_at(frozen[0].ravel(), k), corner_tail)[:, :, None]
-    a_run = compose_with_tail(nl.taylor_at(v[0], k - 1), run_tail)
-
-    f = -a_corner[k] * v[0]
-    for s in range(k):
-        f += (a_corner[k - 1 - s] - a_run[k - 1 - s]) * v[s]
-        if s:
-            f -= a_corner[k - s] * v[s]
+        f += np.multiply(weights[s][:, None], v[s], out=scratch)
+    v[0] = 0.0  # v is now the tail v - v_0
+    f -= compose_last(g, v)
     return f.reshape(shape)
 
 
@@ -444,11 +461,13 @@ def _correction_source(expansion: FdExpansion, k: int):
     n1, n2, p, _ = u0.shape
     prior = [u.values.reshape(n1 * n2, p, p) for u in expansion.corrections[:k]]
     frozen = [v[:, 0, 0] for v in prior]
+    weights = _corner_weights(nl, frozen)
     f = np.empty_like(prior[0])
     step = max(1, _SOURCE_BLOCK // (p * p))
     for start in range(0, n1 * n2, step):
         block = slice(start, start + step)
-        f[block] = _adomian_source(nl, [t[block] for t in frozen], [v[block] for v in prior])
+        f[block] = _adomian_source(nl, [t[block] for t in frozen], [v[block] for v in prior],
+                                   weights[:, block])
     f = f.reshape(u0.shape)
     nprime = nl.deriv(u0[:, :, 0, 0])
 

@@ -22,7 +22,7 @@ from goursatfd.harness import (
 )
 from goursatfd import solver
 from goursatfd.kernels import series_terms
-from goursatfd.series import Nonlinearity, compose_with_tail
+from goursatfd.series import Nonlinearity, compose_last, compose_with_tail
 from goursatfd.solver import GoursatProblem, solve_basic
 from goursatfd.field import Grid, PiecewiseField
 
@@ -330,9 +330,18 @@ def _composition_without_top_bell_term(taylor, tail):
     return out
 
 
+def _last_coefficient_without_top_bell_term(taylor, tail):
+    out = compose_last(taylor, tail)
+    k = len(taylor) - 1
+    if k:
+        out -= taylor[k] * tail[1] ** k
+    return out
+
+
 @pytest.mark.parametrize("name,broken,check", [
     ("series_terms", _series_terms_without_z_term, "kernel series"),
     ("compose_with_tail", _composition_without_top_bell_term, "adomian composition"),
+    ("compose_last", _last_coefficient_without_top_bell_term, "adomian composition"),
 ])
 def test_selftest_fails_when_a_production_piece_breaks(monkeypatch, name, broken, check):
     # the march looks these up as solver module globals, and so do the checks

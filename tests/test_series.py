@@ -163,19 +163,103 @@ def test_removable_singularity_is_smooth():
     assert float(nl.deriv(0.0)) == pytest.approx(-2.0, rel=1e-13)
 
 
-def test_liouville_taylor_rows_match_mpmath_near_zero():
+def _liouville_rows_mpmath(centers, top):
     # independent oracle: N(u) = -2 int_0^1 exp(2us) ds, so the k-th Taylor
-    # row at t is -2^(k+1)/k! int_0^1 s^k exp(2ts) ds, integrated by mpmath
+    # row at t is -2^(k+1)/k! int_0^1 s^k exp(2ts) ds
+    #           = -2^(k+1)/k! sum_n (2t)^n / (n! (k + n + 1)),
+    # summed by mpmath at 60 digits until the terms fall below 1e-45 of the
+    # largest; the sum cancels about e^(2|t|) in magnitude, so this holds for
+    # the centers here (t >= -12), not far below them
     mpmath = pytest.importorskip("mpmath")
-    centers = np.array([-0.49, -0.3, -1e-9, 0.0, 1e-7, 0.25, 0.4999])
-    with mpmath.workdps(40):
-        ref = np.array([[float(-(2 ** (k + 1)) / mpmath.factorial(k) * mpmath.quad(
-            lambda s: s**k * mpmath.exp(2 * mpmath.mpf(t) * s), [0, 1]))
-            for t in centers] for k in range(MAX_RANK + 1)])
+    rows = np.empty((top + 1, len(centers)))
+    with mpmath.workdps(60):
+        for i, t in enumerate(centers):
+            x = 2 * mpmath.mpf(t)
+            for k in range(top + 1):
+                total, term, peak, n = mpmath.mpf(0), mpmath.mpf(1), mpmath.mpf(0), 0
+                while n < 10 or abs(term) > mpmath.mpf(10) ** -45 * peak:
+                    total += term / (k + n + 1)
+                    peak = max(peak, abs(term))
+                    n += 1
+                    term *= x / n
+                rows[k, i] = float(-(2 ** (k + 1)) / mpmath.factorial(k) * total)
+    return rows
+
+
+# [-5, 5], the edges of the backward recurrence's range on both sides, the
+# removable singularity, the liouville corner range, and a few centers below
+# the range, where the forward division takes over again
+LIOUVILLE_CENTERS = np.concatenate([
+    np.linspace(-5.0, 5.0, 21),
+    [-5.0 + 1e-12, -4.9, -2.02, -0.693, -0.49, -0.3, -1e-9, 1e-7, 0.25, 0.4999, 3.49,
+     3.5 - 1e-12, 3.75],
+    [-12.0, -8.0, -6.0],
+])
+
+
+def test_liouville_taylor_rows_match_mpmath_near_zero():
+    # every order of the recurrence, not only the rows of the deepest one:
+    # 1e-14 relative for |t| < 0.5, 1e-13 on the rest of [-5, 5] and below
+    ref = _liouville_rows_mpmath(LIOUVILLE_CENTERS, MAX_RANK)
+    tol = np.where(np.abs(LIOUVILLE_CENTERS) < 0.5, 1e-14, 1e-13)
     nl = liouville_multiplier()
     for order in range(MAX_RANK + 1):
-        rel = np.abs(nl.taylor_at(centers, order) / ref[: order + 1] - 1)
-        assert rel.max() <= 1e-14, (order, rel.max())
+        rel = np.abs(nl.taylor_at(LIOUVILLE_CENTERS, order) / ref[: order + 1] - 1)
+        assert np.all(rel <= tol), (order, rel.max())
+
+
+def test_liouville_term_rows_match_the_closed_form():
+    # G(u) = u N(u) = 1 - exp(2u): g_0 = 1 - e^(2t), g_j = -e^(2t) 2^j / j!
+    mpmath = pytest.importorskip("mpmath")
+    t = LIOUVILLE_CENTERS
+    with mpmath.workdps(40):
+        ref = np.array([[float(-mpmath.exp(2 * mpmath.mpf(c)) * 2**j / mpmath.factorial(j)
+                               + (1 if j == 0 else 0)) for c in t] for j in range(MAX_RANK + 1)])
+    nl = liouville_multiplier()
+    for order in range(MAX_RANK + 1):
+        rows = nl.term_taylor_at(t, order)
+        assert rows.shape == (order + 1, t.size)
+        assert np.all(np.abs(rows - ref[: order + 1]) <= 1e-15 * np.abs(ref[: order + 1])), order
+        # row 0 is t N(t) with N(t) bit for bit as eval gives it
+        assert np.array_equal(rows[0], t * nl.eval(t))
+        assert np.array_equal(rows[0], nl.term_taylor_at(t, 0)[0])
+
+
+def test_liouville_rows_keep_their_center_shape():
+    nl = liouville_multiplier()
+    for center in (-0.7, np.array(-0.7), np.full((2, 3), -0.7), np.array([-6.0, -1.0, 4.0])):
+        for order in (0, 3):
+            for rows in (nl.taylor_at(center, order), nl.term_taylor_at(center, order)):
+                assert rows.shape == (order + 1,) + np.shape(center)
+                assert np.all(np.isfinite(rows))
+
+
+def test_polynomial_term_rows_recenter_the_shifted_coefficients():
+    # G = u N is the polynomial [0, nu_0, nu_1, ...], recentered exactly
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        nu = rng.uniform(-1, 1, size=rng.integers(1, 7))
+        nl = Nonlinearity.from_series(nu)
+        term = Nonlinearity.from_series(np.concatenate(([0.0], nu)))
+        t = rng.uniform(-2, 2, size=(3, 4))
+        for order in range(6):
+            rows = nl.term_taylor_at(t, order)
+            assert np.array_equal(rows, term.taylor_at(t, order))
+            assert np.array_equal(rows[0], t * nl.eval(t))
+
+
+def test_taylor_fn_only_term_rows_are_derived_from_n():
+    # without a term hook, g_j = t a_j + a_(j-1) from N's own rows
+    poly = Nonlinearity.from_series([0.5, -1.5, 2.0, 0.25])
+    nl = Nonlinearity(poly.series_coeffs, taylor_fn=poly.taylor_at)
+    t = np.linspace(-2.0, 2.0, 9)
+    for order in range(5):
+        a = nl.taylor_at(t, order)
+        expect = t * a
+        expect[1:] += a[:-1]
+        rows = nl.term_taylor_at(t, order)
+        assert np.array_equal(rows, expect)
+        assert np.allclose(rows, poly.term_taylor_at(t, order), rtol=1e-14, atol=1e-14)
 
 
 def test_liouville_series_coefficients():
@@ -201,6 +285,14 @@ def test_taylor_fn_shape_is_validated():
     bad = Nonlinearity([1.0], taylor_fn=lambda c, n: np.zeros(n))  # one row short
     with pytest.raises(ValueError):
         bad.taylor_at(0.0, 3)
+
+
+def test_term_taylor_fn_shape_is_validated():
+    bad = Nonlinearity([1.0], term_taylor_fn=lambda c, n: np.zeros(n))  # one row short
+    with pytest.raises(ValueError):
+        bad.term_taylor_at(0.0, 3)
+    with pytest.raises(ValueError):
+        liouville_multiplier().term_taylor_at(0.0, -1)
 
 
 def test_nonlinearity_validation():

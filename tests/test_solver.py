@@ -292,29 +292,34 @@ def test_correction_rhs_k1_closed_form():
 
 def test_correction_rhs_matches_partition_sum_assembly():
     # independent term-by-term assembly of the rank-k source from the
-    # partition-sum Adomian oracle
-    preset = liouville_problem()
-    expansion = fd_solve(preset.problem, 3, 3, 3, 10)
-    nl = preset.problem.nonlinearity
+    # partition-sum Adomian oracle, through rank 7 (the depth of the deep
+    # benchmark study), on the benchmark and on a cubic multiplier
+    cubic = GoursatProblem(
+        X=1.0, Y=1.0, psi=lambda x: 0.4 * np.sin(2 * x), phi=lambda y: 0.3 * y,
+        f=lambda x, y: 1.0 + x - y, nonlinearity=Nonlinearity.from_series([0.8, -0.5, 0.3, 0.2]),
+    )
     rng = np.random.default_rng(3)
-    for k in (2, 3):
-        for _ in range(8):
-            i, j = (int(v) for v in rng.integers(0, 3, size=2))
-            x0, x1, y0, y1 = expansion.grid.cell_rect(i, j)
-            x = float(rng.uniform(x0, x1))
-            y = float(rng.uniform(y0, y1))
-            corners = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
-            here = [expansion.corrections[s].evaluate_in_cell(i, j, x, y) for s in range(k)]
-            val = 0.0
-            for s in range(1, k):
-                val -= adomian_partition(nl, corners[: k - s + 1]) * here[s]
-            for s in range(k):
-                a_frozen = adomian_partition(nl, corners[: k - s])
-                a_here = adomian_partition(nl, here[: k - s])
-                val += (a_frozen - a_here) * here[s]
-            val -= adomian_partition(nl, corners + [0.0]) * here[0]
-            mine = correction_rhs(expansion, k, (i, j), (x, y))
-            assert mine == pytest.approx(val, rel=1e-10, abs=1e-13)
+    for problem in (liouville_problem().problem, cubic):
+        expansion = fd_solve(problem, 3, 3, 6, 10)
+        nl = problem.nonlinearity
+        for k in range(1, 8):
+            for _ in range(8):
+                i, j = (int(v) for v in rng.integers(0, 3, size=2))
+                x0, x1, y0, y1 = expansion.grid.cell_rect(i, j)
+                x = float(rng.uniform(x0, x1))
+                y = float(rng.uniform(y0, y1))
+                corners = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
+                here = [expansion.corrections[s].evaluate_in_cell(i, j, x, y) for s in range(k)]
+                val = 0.0
+                for s in range(1, k):
+                    val -= adomian_partition(nl, corners[: k - s + 1]) * here[s]
+                for s in range(k):
+                    a_frozen = adomian_partition(nl, corners[: k - s])
+                    a_here = adomian_partition(nl, here[: k - s])
+                    val += (a_frozen - a_here) * here[s]
+                val -= adomian_partition(nl, corners + [0.0]) * here[0]
+                mine = correction_rhs(expansion, k, (i, j), (x, y))
+                assert mine == pytest.approx(val, rel=1e-10, abs=1e-13), (k, i, j)
 
 
 def test_residual_basic_manufactured():
@@ -571,6 +576,27 @@ def test_source_is_assembled_once_per_block(monkeypatch):
         calls.clear()
         expansion.corrections.append(solve_correction(expansion, k))
         assert len(calls) == math.ceil(n1 * n2 / per_block) < n1 + n2 - 1, k
+
+
+@pytest.mark.parametrize("problem", [liouville_problem().problem, _poly_problem()],
+                         ids=["liouville", "poly"])
+def test_correction_reads_taylor_rows_of_n_only_at_corners(monkeypatch, problem):
+    # the running part of the source composes G = u N at the cell points;
+    # rows of N are taken only at the N1 * N2 corner values, never per node
+    n1, n2, _ = _block_mesh(P)
+    expansion = fd_solve(problem, n1, n2, 0, P)
+    sizes = []
+    taylor_at = Nonlinearity.taylor_at
+
+    def counted(self, center, order):
+        sizes.append(np.size(center))
+        return taylor_at(self, center, order)
+
+    monkeypatch.setattr(Nonlinearity, "taylor_at", counted)
+    for k in range(1, 4):
+        sizes.clear()
+        expansion.corrections.append(solve_correction(expansion, k))
+        assert sizes and max(sizes) <= n1 * n2, (k, max(sizes))
 
 
 def test_correction_memory_stays_within_four_fields():
