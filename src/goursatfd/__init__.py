@@ -15,29 +15,23 @@ from .harness import (
     ErrorRow,
     Preset,
     StudySpec,
-    characteristic_transform,
     convergence_study,
     error_norm1,
     error_vs_exact,
     fd_solve,
     liouville_multiplier,
     liouville_problem,
-    mu_bound_check,
-    mu_explicit,
-    mu_recurrence,
     run_selftest,
 )
 from .kernels import KernelRangeError
-from .series import Nonlinearity, adomian_partition
+from .series import Nonlinearity
 from .solver import (
     FdExpansion,
     FdSolverError,
     GoursatProblem,
-    picard_cell_oracle,
     residual_basic,
     residual_correction,
     solve_basic,
-    solve_cell_linear,
     solve_correction,
 )
 
@@ -46,12 +40,10 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     "Grid", "PiecewiseField", "cheb_nodes", "max_edge_jump",
-    "KernelRangeError", "Nonlinearity", "adomian_partition",
-    "GoursatProblem", "FdExpansion", "FdSolverError", "solve_cell_linear",
-    "picard_cell_oracle", "solve_basic", "solve_correction",
+    "KernelRangeError", "Nonlinearity",
+    "GoursatProblem", "FdExpansion", "FdSolverError", "solve_basic", "solve_correction",
     "residual_basic", "residual_correction",
     "Preset", "StudySpec", "ErrorRow", "ErrorReport", "fd_solve", "error_vs_exact",
-    "error_norm1", "convergence_study", "mu_recurrence", "mu_explicit",
-    "mu_bound_check", "characteristic_transform", "liouville_problem",
+    "error_norm1", "convergence_study", "liouville_problem",
     "liouville_multiplier", "run_selftest",
 ]

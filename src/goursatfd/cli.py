@@ -173,11 +173,12 @@ def _validate(cfg: argparse.Namespace):
         if cfg.n1 is not None and cfg.n_list is not None:
             raise ConfigError("keys `n1` and `n_list` exclude each other: "
                               "give `n_list`, or `n1` for a one-mesh study")
-        if not cfg.n_list:
-            if cfg.n1:
-                cfg.n_list = (cfg.n1,)
-            else:
+        if cfg.n_list is None:
+            if cfg.n1 is None:
                 raise ConfigError("key `n_list` is required for a study")
+            if cfg.n1 < 1:
+                raise ConfigError(f"key `n1` expects a positive int, got {cfg.n1!r}")
+            cfg.n_list = (cfg.n1,)
         if any(n < 1 for n in cfg.n_list):
             raise ConfigError(f"key `n_list` entries must be positive, got {cfg.n_list}")
     if not 0 <= cfg.rank <= MAX_RANK:

@@ -3,8 +3,7 @@
 This is the driving layer: it runs the basic solve plus corrections to a
 requested rank, measures sup-norm errors against an exact solution on a
 fixed, documented sample set, and sweeps meshes to produce convergence
-tables.  It also houses the built-in benchmark problem and the two-index
-linear recurrence used to sanity-check the method's a-priori bounds.
+tables.  It also houses the built-in benchmark problem and the selftest.
 """
 
 from __future__ import annotations
@@ -38,10 +37,6 @@ __all__ = [
     "error_vs_exact",
     "error_norm1",
     "convergence_study",
-    "mu_recurrence",
-    "mu_explicit",
-    "mu_bound_check",
-    "characteristic_transform",
     "liouville_problem",
     "run_selftest",
     "PRESETS",
@@ -250,16 +245,27 @@ def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
     return samples.norm1_delta(np.subtract(total, samples.nodes, out=total))
 
 
-def _sup_abs(a: np.ndarray) -> float:
-    # max |a| without an |a| temporary; NaN propagates as with np.abs
-    return max(float(a.max()), -float(a.min()))
+def _sup_abs(e: np.ndarray) -> float:
+    """max |e| over per-cell samples (N1, N2, ...) of an error field.
+
+    No |e| temporary is formed.  A non-finite sup raises FdSolverError
+    naming a cell where it fails, so the success path makes no extra pass.
+    """
+    sup = max(float(e.max()), -float(e.min()))
+    if not math.isfinite(sup):
+        bad = ~np.isfinite(e).reshape(e.shape[0], e.shape[1], -1).all(axis=2)
+        i, j = np.argwhere(bad)[0]
+        raise FdSolverError(f"cell ({i}, {j}): the error is not finite at a sample; "
+                            "the exact solution must be finite on the whole domain")
+    return sup
 
 
 class _ExactSamples:
     """An exact solution sampled once per mesh: on every cell's tensor nodes
     and on a uniform 5 x 5 lattice per cell.
 
-    Both error metrics of every partial sum are read from these samples.
+    Both error metrics of every partial sum are read from these samples; an
+    exact solution that is not finite at a sample raises FdSolverError.
     """
 
     def __init__(self, expansion: FdExpansion, exact):
@@ -282,13 +288,14 @@ class _ExactSamples:
 
     def norm1_delta(self, e: np.ndarray) -> float:
         """max of sup|e| and the per-cell hypot of the sup norms of e_x and e_y."""
+        sup = _sup_abs(e)
         d = self.diff @ e
         d /= self.grid.h1
         sup_x = np.abs(d, out=d).max(axis=(2, 3))
         d = np.matmul(e, self.diff.T, out=d)
         d /= self.grid.h2
         sup_y = np.abs(d, out=d).max(axis=(2, 3))
-        return max(_sup_abs(e), float(np.max(np.hypot(sup_x, sup_y))))
+        return max(sup, float(np.max(np.hypot(sup_x, sup_y))))
 
 
 def _rank_errors(expansion: FdExpansion, exact, ranks) -> list:
@@ -377,84 +384,17 @@ def _study_mesh(spec: StudySpec, n1: int, n2: int):
 
 
 # ---------------------------------------------------------------------------
-# two-index recurrence diagnostics
-
-
-def mu_recurrence(a: float, b: float, c: float, n1: int, n2: int) -> np.ndarray:
-    """mu_{i,j} = a mu_{i-1,j} + b mu_{i,j-1} + c with zero first row/column."""
-    mu = np.zeros((n1 + 1, n2 + 1))
-    for i in range(1, n1 + 1):
-        for j in range(1, n2 + 1):
-            mu[i, j] = a * mu[i - 1, j] + b * mu[i, j - 1] + c
-    return mu
-
-
-def mu_explicit(a: float, b: float, c: float, i: int, j: int) -> float:
-    """Closed form c * sum_{k<j} sum_{p<i} C(k+p, k) a^p b^k.
-
-    Binomial factors grow multiplicatively along each row, so no factorial
-    is ever materialized.
-    """
-    if i < 0 or j < 0:
-        raise ValueError(f"indices must be non-negative, got ({i}, {j})")
-    if i == 0 or j == 0:
-        return 0.0
-    total = 0.0
-    for k in range(j):
-        binom = 1.0  # C(k+p, k) at p = 0
-        apow = 1.0
-        row = 0.0
-        for p in range(i):
-            if p > 0:
-                binom *= (k + p) / p
-                apow *= a
-            row += binom * apow
-        total += row * b**k
-    return c * total
-
-
-def mu_bound_check(a1: float, b1: float, c1: float, h: float,
-                   X: float, Y: float, n1: int, n2: int) -> bool:
-    """Check max mu <= h X c1 exp((X+Y) b1 + X a1) for the scaled recurrence.
-
-    Requires the mesh anisotropy precondition h1 <= h2.
-    """
-    h1 = X / n1
-    h2 = Y / n2
-    if h1 > h2:
-        raise ValueError(f"precondition h1 <= h2 violated: h1={h1}, h2={h2}")
-    a = 1.0 + h1 * a1
-    b = h1 * b1
-    c = h1 * h * c1
-    mu = mu_recurrence(a, b, c, n1, n2)
-    bound = h * X * c1 * math.exp((X + Y) * b1 + X * a1)
-    return bool(np.max(mu) <= bound)
-
-
-def characteristic_transform(source: Callable[[float, float], float]) -> Callable:
-    """Rewrite a wave-form source Phi(t, xi) in characteristic variables.
-
-    Returns f(x, y) = Phi(x - y, x + y), the argument order being exactly the
-    substitution t = x - y, xi = x + y.  Note the sign bookkeeping: under this
-    substitution the wave operator v_tt - v_xixi maps to MINUS the mixed
-    derivative u_xy (times 1), so callers moving a full equation between the
-    two forms must reconcile signs themselves.
-    """
-    return lambda x, y: source(x - y, x + y)
-
-
-# ---------------------------------------------------------------------------
 # selftest
 
 
 def run_selftest(verbose: bool = True):
     """Cheap checks of the pieces the solver runs; returns (passed, failed, lines).
 
-    The kernel series and the Adomian compositions, of N at corners and of
-    G = u N at points, are called through the solver's own module names, so
-    the checks see what the march calls.
+    The kernel series, the moment stack, the Adomian compositions and the
+    cell solve are reached through the solver's own module names, so the
+    checks see what the march calls.
     """
-    from . import series, solver
+    from . import solver
 
     checks = []
 
@@ -462,26 +402,6 @@ def run_selftest(verbose: bool = True):
         checks.append((name, fn))
 
     rng = np.random.default_rng(20240817)
-
-    def adomian_oracle():
-        # N composes at the corners; G = u N, the polynomial [0, nu], at the
-        # points, one coefficient at a time
-        for _ in range(40):
-            nu = rng.uniform(-1, 1, size=rng.integers(1, 9))
-            nl = series.Nonlinearity.from_series(nu)
-            term = series.Nonlinearity.from_series(np.concatenate(([0.0], nu)))
-            v = rng.uniform(-1, 1, size=rng.integers(1, 7))
-            tail = v.copy()
-            tail[0] = 0.0
-            comp = solver.compose_with_tail(nl.taylor_at(v[0], len(v) - 1), tail)
-            for n in range(len(v)):
-                last = solver.compose_last(nl.term_taylor_at(v[0], n), tail[: n + 1])
-                if (abs(comp[n] - series.adomian_partition(nl, v[: n + 1])) > 1.0e-12
-                        or abs(last - series.adomian_partition(term, v[: n + 1])) > 1.0e-12):
-                    return False
-        return True
-
-    check("adomian composition vs partition sum", adomian_oracle)
 
     def kernel_series():
         # 0F1(1; z) = I0(2 sqrt z) for z > 0; z0 puts 2 sqrt|z0| on the first zero of J0
@@ -507,45 +427,40 @@ def run_selftest(verbose: bool = True):
 
     check("moment matrix A_0 integrates sigma^j exactly", moment_exactness)
 
-    def cell_cross_oracle():
-        p = 10
-        s = unit_cheb_nodes(p)
-        for _ in range(8):
-            c = float(rng.uniform(-5, 5))
-            h1, h2 = rng.uniform(0.05, 0.25, size=2)
-            bot = np.polynomial.polynomial.polyval(h1 * s, rng.normal(size=5))
-            left = np.polynomial.polynomial.polyval(h2 * s, rng.normal(size=5))
-            left = left - left[0] + bot[0]
-            rect = (0.0, h1, 0.0, h2)
-            rhs = lambda x, y: np.sin(x + 2 * y)
-            a = solver.solve_cell_linear(c, left, bot, float(bot[0]), rhs, rect, p)
-            b = solver.picard_cell_oracle(c, left, bot, float(bot[0]), rhs, rect, p)
-            if np.max(np.abs(a - b)) > 1.0e-10:
+    def adomian_composition():
+        # coefficient n of F(v(tau)) for a polynomial F is A_n(F; v); N composes
+        # at the corners and G = u N, the polynomial [0, nu], at the points
+        poly = np.polynomial.Polynomial
+        for _ in range(40):
+            nu = rng.uniform(-1, 1, size=rng.integers(1, 9))
+            nl = Nonlinearity.from_series(nu)
+            v = rng.uniform(-1, 1, size=rng.integers(1, 7))
+            n = len(v)
+            ref_n = np.pad(poly(nu)(poly(v)).coef, (0, n))[:n]
+            ref_g = np.pad(poly(np.concatenate(([0.0], nu)))(poly(v)).coef, (0, n))[:n]
+            tail = v.copy()
+            tail[0] = 0.0
+            comp = solver.compose_with_tail(nl.taylor_at(v[0], n - 1), tail)
+            last = np.array([solver.compose_last(nl.term_taylor_at(v[0], k), tail[: k + 1])
+                             for k in range(n)])
+            if max(np.max(np.abs(comp - ref_n)), np.max(np.abs(last - ref_g))) > 1.0e-12:
                 return False
         return True
 
-    check("cell solver vs picard oracle", cell_cross_oracle)
-
-    def mu_equivalence():
-        for _ in range(10):
-            a, b, c = rng.uniform(0, 2, size=3)
-            n1, n2 = rng.integers(1, 12, size=2)
-            mu = mu_recurrence(a, b, c, int(n1), int(n2))
-            ref = mu_explicit(a, b, c, int(n1), int(n2))
-            if abs(mu[n1, n2] - ref) > 1.0e-10 * (1.0 + abs(ref)):
-                return False
-        return True
-
-    check("mu recurrence vs explicit formula", mu_equivalence)
+    check("adomian composition vs numpy polynomial composition", adomian_composition)
 
     def tiny_solve():
+        # the residuals are 2.5e-10 (basic) and 2e-7 (corrections) on this mesh
         preset = liouville_problem()
         expansion = fd_solve(preset.problem, 8, 8, 3, 8)
         delta0 = error_vs_exact(expansion, preset.exact, 0)
         delta3 = error_vs_exact(expansion, preset.exact, 3)
-        return delta3 < 0.2 * delta0 < 1.0
+        return (delta3 < 0.2 * delta0 < 1.0
+                and solver.residual_basic(expansion).max() <= 1.0e-8
+                and all(solver.residual_correction(expansion, k).max() <= 1.0e-5
+                        for k in range(1, 4)))
 
-    check("benchmark problem rank-3 improves on rank-0", tiny_solve)
+    check("benchmark problem: rank 3 improves on rank 0, small residuals", tiny_solve)
 
     passed = failed = 0
     lines = []

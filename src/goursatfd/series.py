@@ -9,20 +9,17 @@ coefficient, `compose_last` only the last.  The Adomian polynomials of a
 product are the Cauchy product of its factors' (Rach, J. Math. Anal. Appl.
 102, 1984), so sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient
 A_n(G; v); a correction source composes N at the cell corners and G at the
-cell points.  The explicit partition sum (`adomian_partition`) is kept as an
-independent oracle.
+cell points.
 """
 
 from __future__ import annotations
 
-from math import comb, factorial
+from math import comb
 from typing import Callable
 
 import numpy as np
 
-__all__ = ["Nonlinearity", "adomian_partition"]
-
-PARTITION_ORDER_CAP = 10
+__all__ = ["Nonlinearity"]
 
 
 def _bell_columns(tail: np.ndarray):
@@ -81,18 +78,17 @@ class Nonlinearity:
 
     `series_coeffs` are the global coefficients nu_s of N(u) = sum nu_s u^s.
     `eval` and `deriv` are defined through `taylor_at`, so the three views can
-    never disagree.  A preset may install an analytic `taylor_fn(center,
-    order)`, whose row 0 must not depend on `order`; otherwise the
-    coefficients are treated as a polynomial and recentered exactly by
-    binomial re-expansion.
+    never disagree.
 
     `term_taylor_at` gives the Taylor rows g_j of G, with the invariant that
     row 0 is t * N(t), N(t) bit for bit as `eval` gives it: a rank-1
     correction source then vanishes exactly where u0 is its cell's corner
-    value.  A polynomial recenters [0, nu_0, nu_1, ...], whose row 0 is that
-    product by construction; a preset may install `term_taylor_fn(center,
-    order)`, which must keep the invariant; a multiplier with only
-    `taylor_fn` derives g_j = t a_j + a_{j-1} from N's rows.
+    value.  By default both are polynomials, N's coefficients and G's
+    [0, nu_0, nu_1, ...], recentered exactly by binomial re-expansion; G's
+    row 0 is then that product by construction.  A preset replaces both
+    with analytic hooks `taylor_fn(center, order)`, whose row 0 must not
+    depend on `order`, and `term_taylor_fn(center, order)`, which must keep
+    the invariant; it gives both or neither.
     """
 
     def __init__(self, series_coeffs, taylor_fn: Callable | None = None,
@@ -102,6 +98,8 @@ class Nonlinearity:
             raise ValueError("need at least the constant coefficient nu_0")
         if not np.all(np.isfinite(nu)):
             raise ValueError("multiplier coefficients must be finite")
+        if (taylor_fn is None) != (term_taylor_fn is None):
+            raise ValueError("give both taylor_fn and term_taylor_fn, or neither")
         self.series_coeffs = nu
         self._taylor_fn = taylor_fn
         self._term_taylor_fn = term_taylor_fn
@@ -109,7 +107,7 @@ class Nonlinearity:
     @classmethod
     def from_series(cls, nu) -> "Nonlinearity":
         """Polynomial multiplier defined by its global coefficients."""
-        return cls(nu, taylor_fn=None)
+        return cls(nu)
 
     def taylor_at(self, center, order: int):
         """Taylor coefficients a_0..a_order of N around `center`.
@@ -132,10 +130,6 @@ class Nonlinearity:
         _check_order(order)
         if self._term_taylor_fn is not None:
             out = self._term_taylor_fn(center, order)
-        elif self._taylor_fn is not None:
-            a = self.taylor_at(center, order)
-            out = a * np.asarray(center, dtype=float)
-            out[1:] += a[:-1]
         else:
             out = _recenter_poly(np.concatenate(([0.0], self.series_coeffs)), center, order)
         return _checked_rows(out, center, order)
@@ -175,42 +169,3 @@ def _recenter_poly(nu: np.ndarray, center, order: int) -> np.ndarray:
             acc *= t
             acc += nu[s] * comb(s, k)
     return out
-
-
-def adomian_partition(nl: Nonlinearity, v) -> float:
-    """A_n(N; v_0..v_n) by direct enumeration of the defining partition sum.
-
-    The sum runs over integer tuples alpha_1 >= ... >= alpha_n >= alpha_{n+1} = 0
-    with alpha_1 + ... + alpha_n = n; each contributes
-    N^(alpha_1)(v_0) * prod_i v_i^(alpha_i - alpha_{i+1}) / (alpha_i - alpha_{i+1})!.
-    Kept deliberately independent of the composition path; n is capped at 10
-    because enumeration is the point, not speed.
-    """
-    v = np.atleast_1d(np.asarray(v, dtype=float))
-    n = len(v) - 1
-    if n > PARTITION_ORDER_CAP:
-        raise ValueError(f"partition enumeration supports n <= {PARTITION_ORDER_CAP}, got n={n}")
-    if n == 0:
-        return float(nl.eval(v[0]))
-    taylor = nl.taylor_at(float(v[0]), n)
-    total = 0.0
-    for parts in _partitions(n, n):
-        alphas = list(parts) + [0] * (n + 1 - len(parts))
-        a1 = alphas[0]
-        term = taylor[a1] * factorial(a1)
-        for i in range(n):
-            d = alphas[i] - alphas[i + 1]
-            if d:
-                term *= v[i + 1] ** d / factorial(d)
-        total += term
-    return float(total)
-
-
-def _partitions(n: int, max_part: int):
-    # Non-increasing positive integer tuples summing to n, parts <= max_part.
-    if n == 0:
-        yield ()
-        return
-    for first in range(min(n, max_part), 0, -1):
-        for rest in _partitions(n - first, first):
-            yield (first,) + rest

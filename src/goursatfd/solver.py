@@ -85,7 +85,6 @@ from .field import (
     _sample_cells,
     bary_matrix,
     cheb_diff_matrix,
-    cheb_nodes,
     unit_cc_weights,
     unit_cheb_nodes,
 )
@@ -96,8 +95,6 @@ __all__ = [
     "GoursatProblem",
     "FdExpansion",
     "FdSolverError",
-    "solve_cell_linear",
-    "picard_cell_oracle",
     "solve_basic",
     "solve_correction",
     "residual_basic",
@@ -255,80 +252,6 @@ def _corner_mismatch(left: np.ndarray, bottom: np.ndarray, corners: np.ndarray):
                f"bottom[0]={bottom[n, 0]!r}, corner={corners[n]!r}")
 
 
-def _trace_values(trace, p: int) -> np.ndarray:
-    values = np.asarray(trace, dtype=float)
-    if values.shape != (p,):
-        raise ValueError(f"trace must carry {p} CGL samples, got shape {values.shape}")
-    return values
-
-
-def _cell_inputs(left_trace, bottom_trace, corner_value: float, rhs, rect, p: int):
-    """Checked inputs of a one-cell solve: (left, bottom, rhs samples, h1, h2).
-
-    The rectangle must be non-degenerate, each trace must hold P samples and
-    both traces must start at the corner value; rhs is sampled on the cell's
-    tensor nodes.
-    """
-    x0, x1, y0, y1 = rect
-    if not (x0 < x1 and y0 < y1):
-        raise ValueError(f"degenerate cell rectangle {rect}")
-    left, bottom = _trace_values(left_trace, p), _trace_values(bottom_trace, p)
-    bad = _corner_mismatch(left[None], bottom[None], np.array([float(corner_value)]))
-    if bad:
-        raise ValueError(bad[1])
-    rhs_vals = _sample_cells(rhs, cheb_nodes(p, x0, x1)[None], cheb_nodes(p, y0, y1)[None])
-    return left, bottom, rhs_vals[0, 0], x1 - x0, y1 - y0
-
-
-def solve_cell_linear(c: float, left_trace, bottom_trace, corner_value: float,
-                      rhs: Callable[[float, float], float], rect, p: int) -> np.ndarray:
-    """Solve u_xy + c*u = rhs on one cell from its left/bottom traces.
-
-    Traces are arrays of P CGL samples on the cell sides; the result is the
-    P x P tensor on the cell nodes, whose left and bottom edges reproduce the
-    traces.  Raises KernelRangeError when |c| h1 h2 exceeds
-    `kernels.zeta_limit(p)`.
-    """
-    left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
-                                                  rhs, rect, p)
-    return _solve_cells(_engine(p), np.array([float(c)]), h1, h2,
-                        left[None], bottom[None], rhs_vals[None])[0]
-
-
-def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
-                       rhs: Callable[[float, float], float], rect, p: int,
-                       tol: float = 1.0e-13, max_iter: int = 100) -> np.ndarray:
-    """Independent cell solution by Picard iteration on the integral form.
-
-    Iterates u <- B + int int (rhs - c*u) over [x0, x] x [y0, y], where B is
-    the boundary combination left(y) + bottom(x) - corner.  The iteration
-    contracts only when |c| * h1 * h2 < 1; larger cells are rejected.  Shares
-    no code with the Riemann representation path except the input checks and
-    interpolation plumbing.
-    """
-    left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
-                                                  rhs, rect, p)
-    if abs(c) * h1 * h2 >= 1.0:
-        raise ValueError(f"no contraction: |c|*h1*h2 = {abs(c) * h1 * h2:.3g} >= 1")
-    eng = _engine(p)
-    wflat = eng.W.reshape(p * p, p)
-    boundary = bottom[:, None] + left[None, :] - corner_value
-    ws1 = h1 * eng.WSUB
-    ws2 = h2 * eng.WSUB
-    u = np.zeros((p, p))
-    for _ in range(max_iter):
-        w = rhs_vals - c * u
-        wq = (wflat @ w @ wflat.T).reshape(p, p, p, p)
-        wq *= ws1[:, :, None, None]
-        wq *= ws2[None, None, :, :]
-        new = boundary + wq.sum(axis=(1, 3))
-        change = float(np.max(np.abs(new - u)))
-        u = new
-        if change <= tol:
-            return u
-    raise FdSolverError(f"picard iteration did not reach {tol:.1e} in {max_iter} steps")
-
-
 def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
            wavefront) -> np.ndarray:
     """Solve every cell, one anti-diagonal per batched call.
@@ -410,23 +333,20 @@ def _corner_weights(nl: Nonlinearity, frozen: list) -> np.ndarray:
     return a[k - 1::-1] - a[k:0:-1]
 
 
-def _adomian_source(nl: Nonlinearity, frozen: list, here: list, weights=None) -> np.ndarray:
+def _adomian_source(nl: Nonlinearity, here: list, weights: np.ndarray) -> np.ndarray:
     """The rank-k Adomian source F^(k), k = len(here), on a batch of cells.
 
-    `frozen[s]` holds the rank-s corner values of the cells (any shape,
-    one entry per cell) and `here[s]` the rank-s values at points of those
-    cells (the cell shape followed by point axes).  With A^c the corner
-    Adomian polynomials of N (the top slot k taken as zero) and G = u N,
+    `here[s]` holds the rank-s values at points of the cells (the cell
+    shape followed by point axes) and `weights` the cells' (k, cells)
+    `_corner_weights`.  With A^c the corner Adomian polynomials of N (the
+    top slot k taken as zero) and G = u N,
 
         F^(k) = sum_{s<k} (A^c_{k-1-s} - A^c_{k-s}) v_s - A_{k-1}(G; v),
 
     the last term being the running part sum_{s<k} A_{k-1-s}(N; v) v_s as
     one coefficient, composed at the points for that coefficient alone.
-    `weights` are the cells' `_corner_weights`, computed here if not given.
     """
     k = len(here)
-    if weights is None:
-        weights = _corner_weights(nl, frozen)
     shape = here[0].shape
     v = np.stack([h.reshape(weights.shape[1], -1) for h in here])
     g = nl.term_taylor_at(v[0], k - 1)
@@ -460,14 +380,12 @@ def _correction_source(expansion: FdExpansion, k: int):
     u0 = expansion.corrections[0].values
     n1, n2, p, _ = u0.shape
     prior = [u.values.reshape(n1 * n2, p, p) for u in expansion.corrections[:k]]
-    frozen = [v[:, 0, 0] for v in prior]
-    weights = _corner_weights(nl, frozen)
+    weights = _corner_weights(nl, [v[:, 0, 0] for v in prior])
     f = np.empty_like(prior[0])
     step = max(1, _SOURCE_BLOCK // (p * p))
     for start in range(0, n1 * n2, step):
         block = slice(start, start + step)
-        f[block] = _adomian_source(nl, [t[block] for t in frozen], [v[block] for v in prior],
-                                   weights[:, block])
+        f[block] = _adomian_source(nl, [v[block] for v in prior], weights[:, block])
     f = f.reshape(u0.shape)
     nprime = nl.deriv(u0[:, :, 0, 0])
 

@@ -4,23 +4,34 @@
   `riemann_d2`: scalar 0F1 summation, against which the batched moment
   solve and the kernel identities are checked;
 - `integrate_1d`, `integrate_2d`: Clenshaw-Curtis quadrature of callables;
+- `solve_cell_linear`: one constant-coefficient cell through the production
+  batch solve `solver._solve_cells`, and `picard_cell_oracle`, the same
+  cell by Picard iteration on the integral form;
+- `adomian_partition`: Adomian polynomials by enumeration of the defining
+  partition sum, independent of the Bell-triangle composition;
 - `TruncatedSeries`, `series_compose_nonlinearity`: Adomian polynomials of
   one scalar series through the production composition;
 - `correction_rhs`: the rank-k Adomian source F^(k) at one point of one
-  cell, through the production assembly.
+  cell, through the production assembly;
+- `mu_recurrence`, `mu_explicit`, `mu_bound_check`: the two-index
+  recurrence of the method's a-priori error bound, its closed form and the
+  bound itself.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from math import factorial
 from typing import Callable
 
 import numpy as np
 
-from goursatfd.field import cheb_nodes, unit_cc_weights
+from goursatfd import solver
+from goursatfd.field import FdSolverError, _sample_cells, cheb_nodes, unit_cc_weights
 from goursatfd.kernels import KernelRangeError
 from goursatfd.series import Nonlinearity, compose_with_tail
-from goursatfd.solver import FdExpansion, _adomian_source
+from goursatfd.solver import FdExpansion, _adomian_source, _corner_weights
 
 
 # ---------------------------------------------------------------------------
@@ -118,6 +129,130 @@ def integrate_2d(g: Callable[[float, float], float], rect, p: int) -> float:
 
 
 # ---------------------------------------------------------------------------
+# one constant-coefficient cell: the production solve and a Picard iteration
+
+
+def _trace_values(trace, p: int) -> np.ndarray:
+    values = np.asarray(trace, dtype=float)
+    if values.shape != (p,):
+        raise ValueError(f"trace must carry {p} CGL samples, got shape {values.shape}")
+    return values
+
+
+def _cell_inputs(left_trace, bottom_trace, corner_value: float, rhs, rect, p: int):
+    """Checked inputs of a one-cell solve: (left, bottom, rhs samples, h1, h2).
+
+    The rectangle must be non-degenerate, each trace must hold P samples and
+    both traces must start at the corner value; rhs is sampled on the cell's
+    tensor nodes.
+    """
+    x0, x1, y0, y1 = rect
+    if not (x0 < x1 and y0 < y1):
+        raise ValueError(f"degenerate cell rectangle {rect}")
+    left, bottom = _trace_values(left_trace, p), _trace_values(bottom_trace, p)
+    bad = solver._corner_mismatch(left[None], bottom[None], np.array([float(corner_value)]))
+    if bad:
+        raise ValueError(bad[1])
+    rhs_vals = _sample_cells(rhs, cheb_nodes(p, x0, x1)[None], cheb_nodes(p, y0, y1)[None])
+    return left, bottom, rhs_vals[0, 0], x1 - x0, y1 - y0
+
+
+def solve_cell_linear(c: float, left_trace, bottom_trace, corner_value: float,
+                      rhs: Callable[[float, float], float], rect, p: int) -> np.ndarray:
+    """Solve u_xy + c*u = rhs on one cell from its left/bottom traces.
+
+    Traces are arrays of P CGL samples on the cell sides; the result is the
+    P x P tensor on the cell nodes, whose left and bottom edges reproduce the
+    traces.  Raises KernelRangeError when |c| h1 h2 exceeds
+    `kernels.zeta_limit(p)`.
+    """
+    left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
+                                                  rhs, rect, p)
+    return solver._solve_cells(solver._engine(p), np.array([float(c)]), h1, h2,
+                               left[None], bottom[None], rhs_vals[None])[0]
+
+
+def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
+                       rhs: Callable[[float, float], float], rect, p: int,
+                       tol: float = 1.0e-13, max_iter: int = 100) -> np.ndarray:
+    """Independent cell solution by Picard iteration on the integral form.
+
+    Iterates u <- B + int int (rhs - c*u) over [x0, x] x [y0, y], where B is
+    the boundary combination left(y) + bottom(x) - corner.  The iteration
+    contracts only when |c| * h1 * h2 < 1; larger cells are rejected.  Shares
+    no code with the Riemann representation path except the input checks and
+    interpolation plumbing.
+    """
+    left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
+                                                  rhs, rect, p)
+    if abs(c) * h1 * h2 >= 1.0:
+        raise ValueError(f"no contraction: |c|*h1*h2 = {abs(c) * h1 * h2:.3g} >= 1")
+    eng = solver._engine(p)
+    wflat = eng.W.reshape(p * p, p)
+    boundary = bottom[:, None] + left[None, :] - corner_value
+    ws1 = h1 * eng.WSUB
+    ws2 = h2 * eng.WSUB
+    u = np.zeros((p, p))
+    for _ in range(max_iter):
+        w = rhs_vals - c * u
+        wq = (wflat @ w @ wflat.T).reshape(p, p, p, p)
+        wq *= ws1[:, :, None, None]
+        wq *= ws2[None, None, :, :]
+        new = boundary + wq.sum(axis=(1, 3))
+        change = float(np.max(np.abs(new - u)))
+        u = new
+        if change <= tol:
+            return u
+    raise FdSolverError(f"picard iteration did not reach {tol:.1e} in {max_iter} steps")
+
+
+# ---------------------------------------------------------------------------
+# Adomian polynomials by the partition sum
+
+
+PARTITION_ORDER_CAP = 10
+
+
+def adomian_partition(nl: Nonlinearity, v) -> float:
+    """A_n(N; v_0..v_n) by direct enumeration of the defining partition sum.
+
+    The sum runs over integer tuples alpha_1 >= ... >= alpha_n >= alpha_{n+1} = 0
+    with alpha_1 + ... + alpha_n = n; each contributes
+    N^(alpha_1)(v_0) * prod_i v_i^(alpha_i - alpha_{i+1}) / (alpha_i - alpha_{i+1})!.
+    Kept deliberately independent of the composition path; n is capped at 10
+    because enumeration is the point, not speed.
+    """
+    v = np.atleast_1d(np.asarray(v, dtype=float))
+    n = len(v) - 1
+    if n > PARTITION_ORDER_CAP:
+        raise ValueError(f"partition enumeration supports n <= {PARTITION_ORDER_CAP}, got n={n}")
+    if n == 0:
+        return float(nl.eval(v[0]))
+    taylor = nl.taylor_at(float(v[0]), n)
+    total = 0.0
+    for parts in _partitions(n, n):
+        alphas = list(parts) + [0] * (n + 1 - len(parts))
+        a1 = alphas[0]
+        term = taylor[a1] * factorial(a1)
+        for i in range(n):
+            d = alphas[i] - alphas[i + 1]
+            if d:
+                term *= v[i + 1] ** d / factorial(d)
+        total += term
+    return float(total)
+
+
+def _partitions(n: int, max_part: int):
+    # Non-increasing positive integer tuples summing to n, parts <= max_part.
+    if n == 0:
+        yield ()
+        return
+    for first in range(min(n, max_part), 0, -1):
+        for rest in _partitions(n - first, first):
+            yield (first,) + rest
+
+
+# ---------------------------------------------------------------------------
 # Adomian polynomials of one scalar series
 
 
@@ -168,6 +303,62 @@ def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
         raise ValueError(f"corrections 0..{k - 1} must be complete, have {len(expansion.corrections)}")
     i, j = cell
     x, y = point
+    nl = expansion.problem.nonlinearity
     frozen = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
     here = [np.array([expansion.corrections[s].evaluate_in_cell(i, j, x, y)]) for s in range(k)]
-    return float(_adomian_source(expansion.problem.nonlinearity, frozen, here)[0])
+    return float(_adomian_source(nl, here, _corner_weights(nl, frozen))[0])
+
+
+# ---------------------------------------------------------------------------
+# two-index recurrence of the a-priori bound
+
+
+def mu_recurrence(a: float, b: float, c: float, n1: int, n2: int) -> np.ndarray:
+    """mu_{i,j} = a mu_{i-1,j} + b mu_{i,j-1} + c with zero first row/column."""
+    mu = np.zeros((n1 + 1, n2 + 1))
+    for i in range(1, n1 + 1):
+        for j in range(1, n2 + 1):
+            mu[i, j] = a * mu[i - 1, j] + b * mu[i, j - 1] + c
+    return mu
+
+
+def mu_explicit(a: float, b: float, c: float, i: int, j: int) -> float:
+    """Closed form c * sum_{k<j} sum_{p<i} C(k+p, k) a^p b^k.
+
+    Binomial factors grow multiplicatively along each row, so no factorial
+    is ever materialized.
+    """
+    if i < 0 or j < 0:
+        raise ValueError(f"indices must be non-negative, got ({i}, {j})")
+    if i == 0 or j == 0:
+        return 0.0
+    total = 0.0
+    for k in range(j):
+        binom = 1.0  # C(k+p, k) at p = 0
+        apow = 1.0
+        row = 0.0
+        for p in range(i):
+            if p > 0:
+                binom *= (k + p) / p
+                apow *= a
+            row += binom * apow
+        total += row * b**k
+    return c * total
+
+
+def mu_bound_check(a1: float, b1: float, c1: float, h: float,
+                   X: float, Y: float, n1: int, n2: int) -> bool:
+    """Check max mu <= h X c1 exp((X+Y) b1 + X a1) for the scaled recurrence.
+
+    Requires the mesh anisotropy precondition h1 <= h2.
+    """
+    h1 = X / n1
+    h2 = Y / n2
+    if h1 > h2:
+        raise ValueError(f"precondition h1 <= h2 violated: h1={h1}, h2={h2}")
+    a = 1.0 + h1 * a1
+    b = h1 * b1
+    c = h1 * h * c1
+    mu = mu_recurrence(a, b, c, n1, n2)
+    bound = h * X * c1 * math.exp((X + Y) * b1 + X * a1)
+    return bool(np.max(mu) <= bound)

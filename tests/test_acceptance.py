@@ -22,20 +22,23 @@ from goursatfd.harness import (
     error_vs_exact,
     fd_solve,
     liouville_problem,
-    mu_bound_check,
-    mu_explicit,
-    mu_recurrence,
 )
-from goursatfd.series import Nonlinearity, adomian_partition
-from goursatfd.solver import picard_cell_oracle, residual_basic, residual_correction, solve_cell_linear
+from goursatfd.series import Nonlinearity
+from goursatfd.solver import residual_basic, residual_correction
 from oracles import (
     RiemannKernel,
     TruncatedSeries,
+    adomian_partition,
     hyp0f1,
+    mu_bound_check,
+    mu_explicit,
+    mu_recurrence,
+    picard_cell_oracle,
     riemann,
     riemann_d1,
     riemann_d2,
     series_compose_nonlinearity,
+    solve_cell_linear,
 )
 
 # mesh (N1 = N2) for each benchmark cell size h = 4/N

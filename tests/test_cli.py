@@ -61,6 +61,11 @@ def test_invalid_values_exit_2(capsys):
     assert "`cheb_order`" in capsys.readouterr().err
     assert main(["study", "--problem", "pr1", "--n-list", "4,x"]) == 2
     assert "`n_list`" in capsys.readouterr().err
+    # a one-mesh study names the key it was given
+    for n1 in ("0", "-3"):
+        assert main(["study", "--problem", "pr1", "--n1", n1]) == 2
+        err = capsys.readouterr().err
+        assert "`n1`" in err and "`n_list`" not in err
 
 
 def test_unknown_flag_exits_2():
@@ -486,6 +491,29 @@ def test_custom_problem_file_roundtrip(tmp_path, capsys):
     shape = (3, 3, 8, 8)
     assert np.array_equal(data[:, 0], np.broadcast_to(xs[:, None, :, None], shape).ravel())
     assert np.array_equal(data[:, 1], np.broadcast_to(ys[None, :, None, :], shape).ravel())
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_non_finite_exact_solution_exits_1(tmp_path, capsys, fmt):
+    # log(x) is -inf on the y axis: no `Infinity` reaches the output, and a
+    # study records the mesh as failed
+    spec = tmp_path / "log.prob"
+    spec.write_text("X = 2.0\nY = 2.0\npsi = 0*x\nphi = 0*y\nf = 1 + x*y\n"
+                    "nu = 1.0\nexact = x*y + log(x)\n")
+    out = tmp_path / "o.txt"
+    with np.errstate(divide="ignore"):
+        code = main(["solve", "--problem", str(spec), "--n1", "2", "--cheb-order", "8",
+                     "--format", fmt, "--output", str(out)])
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "FdSolverError: cell (0, 0)" in captured.err and "delta" not in captured.out
+        assert not out.exists()
+        code = main(["study", "--problem", str(spec), "--n-list", "2,3", "--cheb-order", "8",
+                     "--format", fmt, "--output", str(out)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert "mesh (2,2) failed: FdSolverError" in err and "mesh (3,3) failed" in err
+    assert "Infinity" not in out.read_text() and "inf" not in out.read_text()
 
 
 @pytest.mark.parametrize("n1", [1, 2])

@@ -8,23 +8,20 @@ import pytest
 from goursatfd.harness import (
     StudySpec,
     _rank_errors,
-    characteristic_transform,
     convergence_study,
     error_norm1,
     error_vs_exact,
     fd_solve,
     liouville_multiplier,
     liouville_problem,
-    mu_bound_check,
-    mu_explicit,
-    mu_recurrence,
     run_selftest,
 )
 from goursatfd import solver
 from goursatfd.kernels import series_terms
 from goursatfd.series import Nonlinearity, compose_last, compose_with_tail
-from goursatfd.solver import GoursatProblem, solve_basic
+from goursatfd.solver import FdSolverError, GoursatProblem, _solve_cells, solve_basic
 from goursatfd.field import Grid, PiecewiseField
+from oracles import mu_bound_check, mu_explicit, mu_recurrence
 
 
 def test_mu_collapsed_recurrence():
@@ -72,15 +69,6 @@ def test_mu_bound_holds_and_checks_precondition():
     assert mu_bound_check(0.5, 0.5, 0.5, 0.2, 1.0, 1.0, 1, 1)  # single cell
     with pytest.raises(ValueError, match="h1 <= h2"):
         mu_bound_check(1.0, 1.0, 1.0, 0.1, 1.0, 1.0, 2, 10)
-
-
-def test_characteristic_transform():
-    assert characteristic_transform(lambda t, xi: 0.0)(0.3, 0.9) == 0.0
-    f = characteristic_transform(lambda t, xi: xi)
-    assert f(0.7, 0.2) == pytest.approx(0.9)
-    g = characteristic_transform(lambda t, xi: t * xi)
-    for x, y in [(0.5, 0.1), (1.2, 2.0)]:
-        assert g(x, y) == pytest.approx(x * x - y * y)
 
 
 def test_fd_solve_rank_zero_is_basic_solve():
@@ -237,6 +225,47 @@ def test_convergence_study_records_failures_and_continues():
     assert math.isnan(report.rows[0].delta)
 
 
+def _product_problem():
+    # u = x*y solves u_xy + u = 1 + x*y with zero data on the axes
+    return GoursatProblem(
+        X=2.0, Y=2.0, psi=lambda x: 0.0 * x, phi=lambda y: 0.0 * y,
+        f=lambda x, y: 1.0 + x * y, nonlinearity=Nonlinearity.from_series([1.0]),
+    )
+
+
+def _log_exact(x, y):
+    # -inf on the whole y axis
+    with np.errstate(divide="ignore"):
+        return x * y + np.log(x)
+
+
+def _lattice_nan_exact(x, y):
+    # NaN on the line x = 1.25, which holds lattice points of cells (1, j)
+    # but no cell node
+    return np.where(x == 1.25, np.nan, x * y)
+
+
+def test_non_finite_exact_solution_is_an_error_naming_its_cell():
+    expansion = fd_solve(_product_problem(), 2, 2, 1, 8)
+    assert error_vs_exact(expansion, lambda x, y: x * y, 1) <= 1e-12
+    for metric in (error_vs_exact, error_norm1):
+        with pytest.raises(FdSolverError, match=r"cell \(0, 0\).*not finite"):
+            metric(expansion, _log_exact, 1)
+    with pytest.raises(FdSolverError, match=r"cell \(1, 0\).*not finite"):
+        error_vs_exact(expansion, _lattice_nan_exact, 1)
+    # the derivative-augmented norm reads the cell nodes only
+    assert error_norm1(expansion, _lattice_nan_exact, 1) <= 1e-10
+
+
+def test_convergence_study_records_a_non_finite_exact_solution_as_a_failure():
+    spec = StudySpec(problem=_product_problem(), exact=_log_exact, meshes=((2, 2), (3, 3)),
+                     max_rank=1, p=8)
+    report = convergence_study(spec)
+    assert report.rows == []
+    assert [f[:2] for f in report.failures] == [(2, 2), (3, 3)]
+    assert all(f[2].startswith("FdSolverError: cell (0, 0)") for f in report.failures)
+
+
 def test_convergence_study_propagates_programming_errors(monkeypatch):
     # only the solver's own error types become "failed mesh" rows
     from goursatfd import harness
@@ -310,9 +339,8 @@ def test_liouville_multiplier_is_negative_on_solution_range():
 def test_selftest_passes():
     passed, failed, lines = run_selftest(verbose=False)
     assert failed == 0
-    assert passed >= 6
+    assert passed == 4
     assert lines[-1].startswith("selftest:")
-
 
 
 def _series_terms_without_z_term(z, n):
@@ -338,15 +366,20 @@ def _last_coefficient_without_top_bell_term(taylor, tail):
     return out
 
 
+def _cell_solve_of_negated_source(eng, c, h1, h2, left, bottom, rhs):
+    return _solve_cells(eng, c, h1, h2, left, bottom, -rhs)
+
+
 @pytest.mark.parametrize("name,broken,check", [
     ("series_terms", _series_terms_without_z_term, "kernel series"),
     ("compose_with_tail", _composition_without_top_bell_term, "adomian composition"),
     ("compose_last", _last_coefficient_without_top_bell_term, "adomian composition"),
+    ("_solve_cells", _cell_solve_of_negated_source, "benchmark problem"),
 ])
 def test_selftest_fails_when_a_production_piece_breaks(monkeypatch, name, broken, check):
     # the march looks these up as solver module globals, and so do the checks
     passed, failed, lines = run_selftest(verbose=False)
-    assert (passed, failed, len(lines)) == (6, 0, 7)
+    assert (passed, failed, len(lines)) == (4, 0, 5)
     monkeypatch.setattr(solver, name, broken)
     passed, failed, lines = run_selftest(verbose=False)
     assert failed >= 1

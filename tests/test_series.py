@@ -5,14 +5,14 @@ import math
 import numpy as np
 import pytest
 
-from goursatfd.series import (
-    PARTITION_ORDER_CAP,
-    Nonlinearity,
-    adomian_partition,
-    compose_with_tail,
-)
+from goursatfd.series import Nonlinearity, compose_with_tail
 from goursatfd.harness import MAX_RANK, liouville_multiplier
-from oracles import TruncatedSeries, series_compose_nonlinearity
+from oracles import (
+    PARTITION_ORDER_CAP,
+    TruncatedSeries,
+    adomian_partition,
+    series_compose_nonlinearity,
+)
 
 
 def test_series_validation():
@@ -248,20 +248,6 @@ def test_polynomial_term_rows_recenter_the_shifted_coefficients():
             assert np.array_equal(rows[0], t * nl.eval(t))
 
 
-def test_taylor_fn_only_term_rows_are_derived_from_n():
-    # without a term hook, g_j = t a_j + a_(j-1) from N's own rows
-    poly = Nonlinearity.from_series([0.5, -1.5, 2.0, 0.25])
-    nl = Nonlinearity(poly.series_coeffs, taylor_fn=poly.taylor_at)
-    t = np.linspace(-2.0, 2.0, 9)
-    for order in range(5):
-        a = nl.taylor_at(t, order)
-        expect = t * a
-        expect[1:] += a[:-1]
-        rows = nl.term_taylor_at(t, order)
-        assert np.array_equal(rows, expect)
-        assert np.allclose(rows, poly.term_taylor_at(t, order), rtol=1e-14, atol=1e-14)
-
-
 def test_liouville_series_coefficients():
     nu = liouville_multiplier().series_coeffs
     fact = 1.0
@@ -281,14 +267,21 @@ def test_taylor_vectorized_centers():
             assert np.allclose(rows[:, i, j], ref, rtol=1e-12, atol=1e-15)
 
 
+def _zero_rows(center, order):
+    # rows of the right shape; the hook tests never read their values
+    return np.zeros((order + 1,) + np.shape(center))
+
+
 def test_taylor_fn_shape_is_validated():
-    bad = Nonlinearity([1.0], taylor_fn=lambda c, n: np.zeros(n))  # one row short
+    bad = Nonlinearity([1.0], taylor_fn=lambda c, n: np.zeros(n),  # one row short
+                       term_taylor_fn=_zero_rows)
     with pytest.raises(ValueError):
         bad.taylor_at(0.0, 3)
 
 
 def test_term_taylor_fn_shape_is_validated():
-    bad = Nonlinearity([1.0], term_taylor_fn=lambda c, n: np.zeros(n))  # one row short
+    bad = Nonlinearity([1.0], taylor_fn=_zero_rows,
+                       term_taylor_fn=lambda c, n: np.zeros(n))  # one row short
     with pytest.raises(ValueError):
         bad.term_taylor_at(0.0, 3)
     with pytest.raises(ValueError):
@@ -300,3 +293,7 @@ def test_nonlinearity_validation():
         Nonlinearity([])
     with pytest.raises(ValueError):
         Nonlinearity([1.0, np.inf])
+    # the analytic hooks come in pairs: N's rows alone cannot give G's
+    for hooks in ({"taylor_fn": _zero_rows}, {"term_taylor_fn": _zero_rows}):
+        with pytest.raises(ValueError, match="both"):
+            Nonlinearity([1.0], **hooks)

@@ -11,24 +11,29 @@ from goursatfd import solver
 from goursatfd.field import Grid, _sample_cells, cheb_nodes, max_edge_jump, unit_cheb_nodes
 from goursatfd.harness import fd_solve, liouville_problem
 from goursatfd.kernels import Z_MAX, KernelRangeError, series_length, zeta_limit
-from goursatfd.series import Nonlinearity, adomian_partition
+from goursatfd.series import Nonlinearity
 from goursatfd.solver import (
     FdSolverError,
     GoursatProblem,
     _SOURCE_BLOCK,
     _CellEngine,
     _adomian_source,
+    _corner_weights,
     _correction_source,
     _engine,
     _solve_cells,
-    picard_cell_oracle,
     residual_basic,
     residual_correction,
     solve_basic,
-    solve_cell_linear,
     solve_correction,
 )
-from oracles import correction_rhs, hyp0f1
+from oracles import (
+    adomian_partition,
+    correction_rhs,
+    hyp0f1,
+    picard_cell_oracle,
+    solve_cell_linear,
+)
 
 P = 12
 
@@ -556,7 +561,8 @@ def test_blocked_source_equals_per_wavefront_assembly(problem):
             jj = d - ii
             corners = prior[k][ii, jj, 0, 0]
             here = [v[ii, jj] for v in prior[:k]]
-            ref = _adomian_source(nl, [v[ii, jj, 0, 0] for v in prior[:k]], here)
+            weights = _corner_weights(nl, [v[ii, jj, 0, 0] for v in prior[:k]])
+            ref = _adomian_source(nl, here, weights)
             ref -= (nprime[ii, jj] * corners)[:, None, None] * here[0]
             assert source(ii, jj, corners).tobytes() == ref.tobytes(), (k, d)
 
