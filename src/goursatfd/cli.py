@@ -2,6 +2,7 @@
 
 Outputs are plain machine-readable tables; numbers are printed in scientific
 notation with 17 significant digits so files round-trip through doubles.
+`solve` formats its field in numpy blocks: exactly `%.16e` for 1e-6 <= |u| < 1e17.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .harness import (
     ErrorRow,
     Preset,
     StudySpec,
-    _rank_errors,
+    _ExactSamples,
     convergence_study,
     fd_solve,
     run_selftest,
@@ -344,12 +345,67 @@ def _emit(text: str, output: str | None):
 
 
 _ROW_BLOCK = 4096
-# `%.16e` and `repr` of every element: object arrays of str
-_format_e17 = np.frompyfunc("%.16e".__mod__, 1, 1)
-_format_repr = np.frompyfunc(float.__repr__, 1, 1)
-# one sample of `json.dumps(obj, indent=1)`; `%r` of a float is its repr,
-# as json prints it
-_JSON_SAMPLE = '  {\n   "x": %s,\n   "y": %s,\n   "u": %r\n  }'
+_POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
+# the least double >= 10**e, e in -6..17: a double is >= it exactly when >= 10**e;
+# of the nearest doubles to these powers only 1e-6 lies below (the tests check each)
+_DECADES = np.array([math.nextafter(1e-6, 1.0)] + [float("1e%d" % e) for e in range(-5, 18)])
+
+
+def _split(a):
+    c = 134217729.0 * a  # Dekker's split by 2**27 + 1: a = hi + lo, 26 bits each
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _split(_POW10)
+# a fast `%.16e` field is six 4-byte words: g < 10000 is g's two digit pairs, 10000 + 10 s + d
+# is a padding zero, "-" if s, digit d and ".", and 10026 + e is "e" and exponent e
+_PAIRS = np.frombuffer(b"".join(b"%02d" % i for i in range(100)), np.uint16)
+_WORDS = np.frombuffer(np.dstack(np.meshgrid(_PAIRS, _PAIRS, indexing="ij")).tobytes() + b"".join(
+    [b"\0%s%d." % (s, d) for s in (b"\0", b"-") for d in range(10)]
+    + [b"e%+03d" % e for e in range(-6, 17)]), np.uint32)
+
+
+def _format_e17(v: np.ndarray) -> np.ndarray:
+    """`"%.16e" % x` of each x of v, as zero-padded rows of a (len(v), 24) uint8 matrix.
+
+    Where 1e-6 <= |x| < 1e17, with 10**e <= |x| < 10**(e + 1), the product of the
+    doubles |x| and 10**(16 - e) is p + lo exactly (Dekker's TwoProduct), and
+    p + rint(lo) is the 17-digit mantissa, rounded as `%.16e` rounds, ties to even.
+    Python formats every other x: zeros, subnormals, smaller or larger |x|, inf, nan.
+    """
+    a = np.abs(v)
+    e = np.searchsorted(_DECADES, a, side="right") - 7
+    fast = (e >= -6) & (e <= 16)
+    a[~fast], e[~fast] = 1.0, 0
+    a_hi, a_lo = _split(a)
+    p = a * _POW10.take(16 - e)
+    b_hi, b_lo = _POW10_HI.take(16 - e), _POW10_LO.take(16 - e)
+    lo = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
+    # p >= 1e16 > 2**53 is an even integer and |lo| <= ulp(p) / 2.  No double in
+    # range rounds up to 10**17 (the tests check every decade); Python prints any that did
+    d = p.astype(np.int64) + np.rint(lo).astype(np.int64)
+    fast &= d < 10 ** 17
+    lead, d = np.divmod(d, 10 ** 16)
+    words = np.empty((6, len(v)), np.intp)
+    words[0], words[5] = 10000 + 10 * (v < 0) + lead, 10026 + e
+    words[1:5:2], words[2:5:2] = np.divmod(np.array(np.divmod(d, 10 ** 8)), 10 ** 4)
+    # a row that Python formats may hold any index: clip it
+    out = np.ascontiguousarray(_WORDS.take(words, mode="clip").T).view(np.uint8)
+    text = ["%.16e" % x for x in v[~fast].tolist()]
+    out[~fast] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
+    return out
+
+
+def _format_repr(v: np.ndarray) -> np.ndarray:
+    """`repr(x)`, as json prints a float, of each x of v: zero-padded uint8 rows."""
+    return np.array([repr(x) for x in v.tolist()], "S").view(np.uint8).reshape(len(v), -1)
+
+
+# the value formatter, the text before x, y and u and after u in a row, and
+# the bytes the first row drops; a JSON row is a sample of json.dumps(obj, indent=1)
+_ROWS = {"csv": (_format_e17, ("", ",", ",", "\n"), 0),
+         "json": (_format_repr, (',\n  {\n   "x": ', ',\n   "y": ', ',\n   "u": ', "\n  }"), 2)}
 
 
 def _run_solve(cfg: argparse.Namespace) -> int:
@@ -359,33 +415,33 @@ def _run_solve(cfg: argparse.Namespace) -> int:
     xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(cfg.cheb_order))
     delta = norm1 = None
     if preset.exact is not None:
-        (delta, norm1), = _rank_errors(expansion, preset.exact, [cfg.rank])
+        samples = _ExactSamples(expansion, preset.exact)
+        delta, norm1 = samples.errors(total, samples.nodes)
         print("delta=%.16e\nnorm1_delta=%.16e" % (delta, norm1))
-    csv = cfg.format == "csv"
-    # each of the N1*P x-nodes and N2*P y-nodes is formatted once, and one
-    # (x, y, u) row per cell tensor node follows in cell-major order; the
-    # rows format only their u
-    fmt = _format_e17 if csv else _format_repr
-    columns = (np.broadcast_to(fmt(xs)[:, None, :, None], total.shape).ravel(),
-               np.broadcast_to(fmt(ys)[None, :, None, :], total.shape).ravel(), total.ravel())
+    value, text, drop = _ROWS[cfg.format]
+    lit = [np.frombuffer(t.encode(), np.uint8) for t in text]
+    xb, yb = value(xs.ravel()), value(ys.ravel())  # the N1*P and N2*P nodes, once each
     with _open_output(cfg.output) as fh:
-        if csv:
+        if cfg.format == "csv":
             if delta is not None:
                 fh.write("# delta = %.16e\n# norm1_delta = %.16e\n" % (delta, norm1))
             fh.write("x,y,u\n")
-            row, sep = "%s,%s,%.16e\n", ""
         else:
             # the text of json.dumps(obj, indent=1), written piece by piece
             fh.write('{\n "delta": %s,\n "norm1_delta": %s,\n "samples": [\n'
                      % (json.dumps(delta), json.dumps(norm1)))
-            row, sep = _JSON_SAMPLE, ",\n"
-        # formatted and written a block of rows at a time, so the text of
-        # the whole field is never held at once
+        # one row per cell tensor node, cell-major; a block of rows is a zero-padded
+        # byte matrix whose zeros are dropped, and the field's text is never held
         for start in range(0, total.size, _ROW_BLOCK):
-            block = np.stack([c[start:start + _ROW_BLOCK] for c in columns], axis=1)
-            fh.write((sep if start else "")
-                     + sep.join([row] * len(block)) % tuple(block.ravel().tolist()))
-        if not csv:
+            block = total.ravel()[start:start + _ROW_BLOCK]
+            i, j, a, b = np.unravel_index(np.arange(start, start + len(block)), total.shape)
+            parts = (lit[0], xb.take(i * cfg.cheb_order + a, axis=0), lit[1],
+                     yb.take(j * cfg.cheb_order + b, axis=0), lit[2], value(block), lit[3])
+            m = np.concatenate([np.broadcast_to(c, (len(block), c.shape[-1])) for c in parts], 1)
+            if not start:
+                m[0, :drop] = 0
+            fh.write(m[m != 0].tobytes().decode("ascii"))
+        if cfg.format == "json":
             fh.write("\n ]\n}\n")
     return 0
 

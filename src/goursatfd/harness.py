@@ -231,7 +231,7 @@ def error_vs_exact(expansion: FdExpansion, exact, m: int) -> float:
     total = expansion.corrections[0].values if m == 0 else expansion.partial_sum(m).values
     # the samples serve this one rank, so the node error can replace them:
     # on the largest meshes a further field would be the peak memory
-    return samples.delta(total, np.subtract(total, samples.nodes, out=samples.nodes))
+    return samples.delta(total, _sup_abs(np.subtract(total, samples.nodes, out=samples.nodes)))
 
 
 def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
@@ -242,7 +242,8 @@ def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
     """
     total = expansion.partial_sum(m).values
     samples = _ExactSamples(expansion, exact)
-    return samples.norm1_delta(np.subtract(total, samples.nodes, out=total))
+    e = np.subtract(total, samples.nodes, out=total)
+    return samples.norm1_delta(e, _sup_abs(e))
 
 
 def _sup_abs(e: np.ndarray) -> float:
@@ -282,20 +283,24 @@ class _ExactSamples:
         # only `delta` reads it, so `norm1_delta` alone never samples it
         return _sample_cells(self.exact, *self.grid.cell_nodes(_LATTICE))
 
-    def delta(self, total: np.ndarray, e: np.ndarray) -> float:
-        """Sup error of the field `total`, whose node error is `e`, on nodes and lattice."""
-        return max(_sup_abs(e), _sup_abs(self.interp @ total @ self.interp.T - self.lattice))
+    def errors(self, total: np.ndarray, e: np.ndarray) -> tuple:
+        """(delta, norm1_delta) of the field `total`, its node error written to `e`."""
+        sup = _sup_abs(np.subtract(total, self.nodes, out=e))
+        return self.delta(total, sup), self.norm1_delta(e, sup)
 
-    def norm1_delta(self, e: np.ndarray) -> float:
-        """max of sup|e| and the per-cell hypot of the sup norms of e_x and e_y."""
-        sup = _sup_abs(e)
+    def delta(self, total: np.ndarray, node_sup: float) -> float:
+        """Sup error of the field `total`, node sup `node_sup`, on nodes and lattice."""
+        return max(node_sup, _sup_abs(self.interp @ total @ self.interp.T - self.lattice))
+
+    def norm1_delta(self, e: np.ndarray, node_sup: float) -> float:
+        """max of `node_sup` = sup|e| and the per-cell hypot of the sup norms of e_x and e_y."""
         d = self.diff @ e
         d /= self.grid.h1
         sup_x = np.abs(d, out=d).max(axis=(2, 3))
         d = np.matmul(e, self.diff.T, out=d)
         d /= self.grid.h2
         sup_y = np.abs(d, out=d).max(axis=(2, 3))
-        return max(sup, float(np.max(np.hypot(sup_x, sup_y))))
+        return max(node_sup, float(np.max(np.hypot(sup_x, sup_y))))
 
 
 def _rank_errors(expansion: FdExpansion, exact, ranks) -> list:
@@ -312,8 +317,7 @@ def _rank_errors(expansion: FdExpansion, exact, ranks) -> list:
         if m:
             total += expansion.corrections[m].values
         if m in ranks:
-            np.subtract(total, samples.nodes, out=e)
-            out.append((samples.delta(total, e), samples.norm1_delta(e)))
+            out.append(samples.errors(total, e))
     return out
 
 

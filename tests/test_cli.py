@@ -3,8 +3,10 @@
 import inspect
 import json
 import math
+import os
 import re
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +15,7 @@ import pytest
 from goursatfd.field import Grid, unit_cheb_nodes
 from goursatfd import cli
 from goursatfd.harness import (
+    _rank_errors,
     error_norm1,
     error_vs_exact,
     fd_solve,
@@ -361,6 +364,140 @@ def test_solve_json_holds_less_than_its_text(tmp_path):
         tracemalloc.stop()
     size = (tmp_path / "f.json").stat().st_size
     assert peak < size, (peak, size)
+
+
+def test_solve_csv_holds_less_than_its_text(tmp_path):
+    argv = ["solve", "--problem", "liouville", "--n1", "20", "--n2", "20", "--rank", "1",
+            "--cheb-order", "12", "--output", str(tmp_path / "f.csv")]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    size = (tmp_path / "f.csv").stat().st_size
+    assert peak < size, (peak, size)
+
+
+def test_solve_prints_the_errors_of_the_rank_errors_running_sum(capsys):
+    # the CLI reads both errors from the one partial sum it writes; the study
+    # path adds the same corrections in the same order, so they agree bit for bit
+    preset = liouville_problem()
+    expansion = fd_solve(preset.problem, 4, 3, 3, 8)
+    expect = _rank_errors(expansion, preset.exact, [0, 1, 2, 3])
+    for m in range(4):
+        assert main(["solve", "--problem", "liouville", "--n1", "4", "--n2", "3",
+                     "--rank", str(m), "--cheb-order", "8", "--output", os.devnull]) == 0
+        printed = capsys.readouterr().out
+        assert printed == "delta=%.16e\nnorm1_delta=%.16e\n" % expect[m]
+
+
+def _assert_formats_as_percent_e17(v):
+    # both sides as one stream of newline-ended rows with the padding zeros
+    # dropped: equal streams mean equal rows
+    v = np.asarray(v, dtype=float)
+    if v.size > 65536:
+        for start in range(0, v.size, 65536):
+            _assert_formats_as_percent_e17(v[start:start + 65536])
+        return
+    with np.errstate(all="raise"):
+        got = cli._format_e17(v)
+    assert got.shape == (v.size, 24)
+    got = np.concatenate([got, np.full((v.size, 1), ord("\n"), np.uint8)], axis=1)
+    got = got[got != 0].tobytes().decode("ascii")
+    expect = "".join("%.16e\n" % x for x in v.tolist())
+    if got != expect:
+        bad = next(k for k, (a, b) in enumerate(zip(got.split(), expect.split())) if a != b)
+        raise AssertionError(f"{v[bad]!r}: {got.split()[bad]} != {expect.split()[bad]}")
+
+
+def test_format_e17_on_log_uniform_doubles():
+    rng = np.random.default_rng(14)
+    n = 1_000_000
+    # log-uniform over [5e-324, 1e308], subnormals included
+    v = np.power(10.0, rng.uniform(math.log10(5e-324), 308.0, n))
+    v[v == 0] = 5e-324
+    _assert_formats_as_percent_e17(v * rng.choice([-1.0, 1.0], n))
+    # the fast range itself, densely
+    t = rng.uniform(-6.5, 17.5, 200_000)
+    _assert_formats_as_percent_e17(np.power(10.0, t) * rng.choice([-1.0, 1.0], t.size))
+
+
+def test_format_e17_on_zeros_subnormals_specials_and_odd_block_sizes():
+    tiny = np.finfo(float).tiny
+    v = [0.0, -0.0, 5e-324, -5e-324, tiny, -tiny, np.nextafter(tiny, 0), 1e-310, -3e-320,
+         math.inf, -math.inf, math.nan, np.finfo(float).max, -np.finfo(float).max]
+    _assert_formats_as_percent_e17(v)
+    rng = np.random.default_rng(3)
+    for n in (1, 2, 4095, 4097, 5040):
+        _assert_formats_as_percent_e17(rng.standard_normal(n) * 10.0 ** rng.integers(-9, 19, n))
+    _assert_formats_as_percent_e17([])
+
+
+def test_format_e17_at_powers_of_ten_and_decade_round_ups():
+    # the formatter's decade bounds are the least doubles >= 10**e
+    for e, bound in zip(range(-6, 18), cli._DECADES.tolist()):
+        assert Fraction(bound) >= Fraction(10) ** e > Fraction(np.nextafter(bound, 0.0))
+    v = []
+    for e in range(-8, 19):
+        p = float(Fraction(10) ** e)
+        v += [np.nextafter(p, 0.0), p, np.nextafter(p, math.inf)]
+    # a double within half a unit in the 17th digit below 10**e prints as
+    # 10**e; only the largest double below 10**e can be one, and none lies in
+    # the formatter's exact range 1e-6 <= |x| < 1e17
+    ups = []
+    for e in range(-323, 309):
+        top = Fraction(10) ** e
+        x = float(top)
+        if Fraction(x) >= top:
+            x = float(np.nextafter(x, 0.0))
+        if Fraction(x) >= top - Fraction(10) ** (e - 17) / 2:
+            ups.append(x)
+            assert "%.16e" % x == "1.0000000000000000e%+03d" % e
+    assert len(ups) == 14 and not any(1e-6 <= x < 1e17 for x in ups)
+    v += ups
+    v = np.array(v)
+    _assert_formats_as_percent_e17(np.concatenate([v, -v]))
+
+
+def test_format_e17_rounds_exact_ties_to_even():
+    # x * 10**k = D + 1/2 exactly with D of 17 digits: x = n / 2**(k + 1) for
+    # odd n with n * 5**k = 2 D + 1; such x is a double when n < 2**53
+    rng = np.random.default_rng(7)
+    ties = []
+    for k in range(1, 23):
+        low = -(-2 * 10 ** 16 // 5 ** k)
+        high = min(2 * 10 ** 17 // 5 ** k, 2 ** 53)
+        for n in {int(rng.integers(low, high)) | 1 for _ in range(600)}:
+            if not low <= n < high:
+                continue
+            x = math.ldexp(n, -(k + 1))
+            D2 = Fraction(x) * 10 ** k * 2
+            assert D2.denominator == 1 and D2.numerator % 2 == 1
+            assert 2 * 10 ** 16 <= D2.numerator < 2 * 10 ** 17
+            ties.append(x)
+    assert len(ties) > 10_000
+    evens = sum(int(("%.16e" % x).split("e")[0][-1]) % 2 == 0 for x in ties)
+    assert evens == len(ties)
+    # and their neighbours, a hair off the tie either way
+    ties = np.array(ties)
+    ties = np.concatenate([ties, np.nextafter(ties, 0.0), np.nextafter(ties, math.inf)])
+    _assert_formats_as_percent_e17(np.concatenate([ties, -ties]))
+
+
+def test_solve_csv_formats_zeros_and_huge_values_as_python(tmp_path):
+    # u(0, 0) = 0 exactly and |u| >= 1e17 on much of the domain: both take
+    # the `%.16e` fallback in a real file
+    spec = tmp_path / "huge.prob"
+    spec.write_text("X = 2.0\nY = 1.5\npsi = 1e17*sin(x)\nphi = 1e17*sin(2*y)\nf = 0*x\n"
+                    "nu = 0.5\n")
+    expansion, rows = _reference_rows(load_problem_file(str(spec)).problem, 3, 2, 1, 8)
+    u = expansion.partial_sum(1).values
+    assert (u == 0).any() and (np.abs(u) >= 1e17).any()
+    out = tmp_path / "field.csv"
+    assert main(["solve", "--problem", str(spec), "--n1", "3", "--n2", "2", "--rank", "1",
+                 "--cheb-order", "8", "--output", str(out)]) == 0
+    _assert_lines(out.read_text(), rows)
 
 
 def test_study_csv_schema_and_json_roundtrip(tmp_path):

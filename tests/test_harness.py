@@ -16,7 +16,7 @@ from goursatfd.harness import (
     liouville_problem,
     run_selftest,
 )
-from goursatfd import solver
+from goursatfd import harness, solver
 from goursatfd.kernels import series_terms
 from goursatfd.series import Nonlinearity, compose_last, compose_with_tail
 from goursatfd.solver import FdSolverError, GoursatProblem, _solve_cells, solve_basic
@@ -186,6 +186,26 @@ def test_convergence_study_samples_exact_once_per_mesh():
     # the tensor nodes and the 5 x 5 refine lattice of every cell
     assert len(calls) <= 2
     assert sum(calls) == 8 * 8 * (12 * 12 + 5 * 5)
+
+
+def test_rank_errors_take_one_node_sup_per_rank(monkeypatch):
+    # `delta` and `norm1_delta` share the node sup: one pass over the node
+    # error and one over the lattice error per rank
+    preset = liouville_problem()
+    expansion = fd_solve(preset.problem, 4, 3, 3, 8)
+    shapes = []
+    sup_abs = harness._sup_abs
+
+    def counted(e):
+        shapes.append(e.shape[2:])
+        return sup_abs(e)
+
+    monkeypatch.setattr(harness, "_sup_abs", counted)
+    rows = _rank_errors(expansion, preset.exact, [0, 1, 2, 3])
+    assert shapes == [(8, 8), (5, 5)] * 4
+    monkeypatch.undo()
+    assert rows == [(error_vs_exact(expansion, preset.exact, m),
+                     error_norm1(expansion, preset.exact, m)) for m in range(4)]
 
 
 def test_error_norm1_samples_only_the_nodes():
