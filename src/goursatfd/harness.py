@@ -219,6 +219,8 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
         uk = solve_correction(expansion, k)
         expansion.corrections.append(uk)
         expansion.wall_ms.append(1000.0 * (time.perf_counter() - start))
+    # the corrections' shared weights and corner response serve this solve only
+    expansion._kernel = None
     return expansion
 
 
@@ -238,7 +240,9 @@ def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
     """Derivative-augmented sup norm of the rank-m error field.
 
     max of the plain sup norm and, cell by cell, the Euclidean combination of
-    the sup norms of the two first derivatives (spectral, per cell).
+    the sup norms of the two first derivatives (spectral, per cell).  The
+    derivative amplifies rounding by about 2 P^2 / h, so values below about
+    eps (2 P^2 / h) sup|u|, eps = 2^-52, carry only one or two digits.
     """
     total = expansion.partial_sum(m).values
     samples = _ExactSamples(expansion, exact)
@@ -293,7 +297,10 @@ class _ExactSamples:
         return max(node_sup, _sup_abs(self.interp @ total @ self.interp.T - self.lattice))
 
     def norm1_delta(self, e: np.ndarray, node_sup: float) -> float:
-        """max of `node_sup` = sup|e| and the per-cell hypot of the sup norms of e_x and e_y."""
+        """max of `node_sup` = sup|e| and the per-cell hypot of the sup norms of e_x and e_y.
+
+        Roundoff bounds it below, as `error_norm1` says.
+        """
         d = self.diff @ e
         d /= self.grid.h1
         sup_x = np.abs(d, out=d).max(axis=(2, 3))

@@ -22,34 +22,41 @@ import numpy as np
 __all__ = ["Nonlinearity"]
 
 
-def _bell_columns(tail: np.ndarray):
-    """Columns j = 1..K of the partial Bell triangle of `tail` (K+1, ...).
+def _bell_columns(tail):
+    """Columns j = 1..K of the partial Bell triangle of `tail` (K+1 rows, t_0 never read).
 
     B[n, j], the tau^n coefficient of the j-th power of the tail, obeys
 
         B[n, 1] = t_n,   B[n, j] = sum_{i=1}^{n-j+1} t_i B[n-i, j-1].
 
-    It vanishes for n < j, so column j is yielded as rows n = j..K only,
-    and only the previous column is kept.
+    It vanishes for n < j, so column j is yielded as rows n = j..K only.
+    `tail` may be a list of rows; columns j >= 2 are built in place, a row
+    product at a time, in two alternating buffers and one scratch buffer.
     """
-    k = tail.shape[0] - 1
+    k = len(tail) - 1
     if k == 0:
         return
     bell = tail[1:]
     yield bell
+    shape = np.shape(tail[-1])
+    columns, scratch = np.empty((2, k - 1) + shape), np.empty((max(k - 2, 0),) + shape)
     for j in range(2, k + 1):
-        nxt = np.zeros((k + 1 - j,) + bell.shape[1:])
+        nxt = columns[j % 2, :k + 1 - j]
         for i in range(1, k + 2 - j):
-            nxt[i - 1:] += tail[i] * bell[: k + 2 - j - i]
+            prod = nxt if i == 1 else scratch[:k + 2 - j - i]
+            for r in range(k + 2 - j - i):
+                np.multiply(tail[i], bell[r], out=prod[r, ...])
+            if i > 1:
+                nxt[i - 1:] += prod
         yield nxt
         bell = nxt
 
 
-def compose_with_tail(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
+def compose_with_tail(taylor: np.ndarray, tail) -> np.ndarray:
     """Coefficients A_0..A_K of F(v(tau)) from Taylor rows of F at v_0 and the tail v - v_0.
 
     Both stacks are shaped (K+1, ...) and may carry trailing point axes;
-    `tail[0]` must be zero.  With a_j the Taylor rows and B the partial Bell
+    `tail` may also be a list of its rows, and `tail[0]` is never read.  With a_j the Taylor rows and B the partial Bell
     triangle of the tail, A_0 = a_0 and A_n = sum_{j=1}^{n} a_j B[n, j].
     """
     res = np.zeros_like(taylor)
@@ -59,8 +66,8 @@ def compose_with_tail(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
     return res
 
 
-def compose_last(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
-    """The last coefficient A_K of `compose_with_tail(taylor, tail)` alone.
+def compose_last(taylor: np.ndarray, tail) -> np.ndarray:
+    """The last coefficient A_K of `compose_with_tail(taylor, tail)` alone, bit for bit.
 
     It walks the same triangle but dots only its last row with the Taylor
     rows, A_K = sum_{j=1}^{K} a_j B[K, j] (A_0 = a_0).
@@ -68,8 +75,9 @@ def compose_last(taylor: np.ndarray, tail: np.ndarray) -> np.ndarray:
     if taylor.shape[0] == 1:
         return taylor[0].copy()
     res = np.zeros_like(taylor[0])
+    scratch = np.empty_like(res)
     for j, column in enumerate(_bell_columns(tail), 1):
-        res += taylor[j] * column[-1]
+        res += np.multiply(taylor[j], column[-1], out=scratch)
     return res
 
 

@@ -52,19 +52,18 @@ batched rhs A_k^T, a scale, and one product contracting (k, q) against
 [A_0 | ... | A_{K-1}].
 
 Wavefront batching.  A cell reads only its left and lower neighbours, so the
-cells of one anti-diagonal are independent.  The march solves each
-anti-diagonal in one batched call: it gathers the edge traces by fancy
-indexing, takes the coefficients and the sources of its cells, and applies
-the three terms above, with the series weights and the term count of that
-anti-diagonal's own coefficients.  Each solved wavefront is checked for
-non-finite values before the next one reads it.  Rank 0 freezes its
-coefficients with one evaluation of N per anti-diagonal.  A correction's
-Adomian source F^(k) reads only ranks 0..k-1, all complete before its march
-starts, so it is assembled once for the whole mesh, before the march: the
-corner weights once for all cells (N composed at order k), then the cell
-points in blocks of whole cells small enough for their temporaries to stay
-in cache (one coefficient of G per block); an anti-diagonal gathers its
-share and subtracts its own corner term.
+march solves each anti-diagonal in one batched call, with the term count of
+its own coefficients, and checks it for non-finite values before the next
+one reads it.  Rank 0 freezes its coefficients with one evaluation of N per
+anti-diagonal and applies all three terms.  The corrections solve on those
+same coefficients, so their series weights are taken once per solve.  A
+correction's Adomian source F^(k) reads only ranks 0..k-1, all complete, so
+before its march it is assembled in blocks of whole cells small enough to
+stay in cache (N composed at all corners at once, one coefficient of G per
+block), and the area term of each block is taken while it is in cache.  The
+corner term is linear in the corner value, so its area term is that value
+times a response built once per solve; an anti-diagonal adds its trace
+terms, its share of the area of F^(k) and its corner terms.
 """
 
 from __future__ import annotations
@@ -130,7 +129,8 @@ class FdExpansion:
     A cell's corner value at rank k is `corrections[k].values[i, j, 0, 0]`;
     `cell_coeffs` holds N at the rank-0 corner values.  `wall_ms[k]` is the
     time from the start of the solve to the completion of correction k, when
-    the expansion comes from `fd_solve`.
+    the expansion comes from `fd_solve`.  The corrections' shared weights and
+    corner response are kept between them, and `fd_solve` frees them.
     """
 
     problem: GoursatProblem
@@ -139,6 +139,8 @@ class FdExpansion:
     corrections: list = dc_field(default_factory=list)
     cell_coeffs: np.ndarray | None = None
     wall_ms: list = dc_field(default_factory=list, init=False)
+    _kernel: _CorrectionKernel | None = dc_field(default=None, init=False, repr=False,
+                                                   compare=False)
 
     @property
     def rank(self) -> int:
@@ -181,27 +183,67 @@ class _CellEngine:
         self._cols = np.ascontiguousarray(a.transpose(1, 0, 2))  # [t,k,q] = A_k[t,q]
         self._powers = self.sigma ** k[:, None]  # [k,u]
         self._left_powers = (self._powers * self.sigma).T.copy()  # [t,k] = sigma_t^(k+1)
+        self._operands = {}
 
     def moments(self, n: int):
-        """The kernel operands for n series terms, as views of one stack.
+        """The kernel operands for n series terms, taken from one stack.
 
         With A_k the moment matrices and sigma^k the node powers, returns
         rows (P, n*P) [p, (k,t)] = A_k[t,p], the transposes A_k^T (n, P, P),
         cols (P, n*P) [t, (k,q)] = A_k[t,q], powers (n, P) sigma^k[u] and
         left powers (P, n) sigma_t^(k+1).  The stack grows to the next power
         of two when a call needs more terms, so it is rebuilt only a few
-        times per order.
+        times per order, and the operands of each n are laid out once per
+        stack.
         """
-        if self._a_t.shape[0] < n:
-            self._grow(1 << (n - 1).bit_length())
-        p = self.sigma.size
-        return (self._rows[:, :n].reshape(p, n * p), self._a_t[:n],
+        if n not in self._operands:
+            if self._a_t.shape[0] < n:
+                self._grow(1 << (n - 1).bit_length())
+            p = self.sigma.size
+            self._operands[n] = (
+                self._rows[:, :n].reshape(p, n * p), self._a_t[:n],
                 self._cols[:, :n].reshape(p, n * p), self._powers[:n], self._left_powers[:, :n])
+        return self._operands[n]
 
 
 @lru_cache(maxsize=8)
 def _engine(p: int) -> _CellEngine:
     return _CellEngine(p)
+
+
+def _series_weights(zeta: np.ndarray, terms: int, area: float):
+    """Per-cell weights (n, K) of the bottom, left and area kernel terms below."""
+    k = np.arange(terms)
+    t1 = series_terms(zeta, terms)  # zeta^k / (k!)^2
+    return t1, t1 * (zeta[:, None] / (k + 1.0)), t1 * np.where(k % 2, -area, area)
+
+
+def _trace_terms(eng: _CellEngine, bottom_w: np.ndarray, left_w: np.ndarray,
+                 left: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+    """The bottom and left kernel terms (n, P, P) of cells with edge samples (n, P)."""
+    n, p = left.shape
+    terms = bottom_w.shape[1]
+    rows, _, _, powers, left_powers = eng.moments(terms)
+
+    # bottom term: d/dxi of the bottom trace against R on y = y0
+    bq = ((bottom @ eng.diff01.T) @ rows).reshape(n, terms, p)  # [n,k,t]
+    bq *= bottom_w[:, :, None]
+    u = np.matmul(bq.transpose(0, 2, 1), powers)  # [n,t,u]
+
+    # left term: -int dR/deta * left trace, dR/deta = c (x - x0) 0F1(2; z)
+    lq = (left @ rows).reshape(n, terms, p)  # [n,k,u]
+    lq *= left_w[:, :, None]  # zeta^(k+1) / (k! (k+1)!)
+    u -= np.matmul(left_powers, lq)
+    return u
+
+
+def _area_term(eng: _CellEngine, area_w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """The area term sum_k (-zeta)^k / (k!)^2 h1 h2 A_k rhs A_k^T of sources (n, P, P)."""
+    n, terms = area_w.shape
+    _, a_t, cols, _, _ = eng.moments(terms)
+    rq = np.matmul(rhs[:, None], a_t)  # [n,k,q,u]
+    rq *= area_w[:, :, None, None]
+    return np.matmul(cols, rq.reshape(n, terms * rhs.shape[-1], rhs.shape[-1]))
 
 
 def _solve_cells(eng: _CellEngine, c: np.ndarray, h1: float, h2: float,
@@ -213,28 +255,24 @@ def _solve_cells(eng: _CellEngine, c: np.ndarray, h1: float, h2: float,
     Returns the (n, P, P) solution tensors.
     """
     zeta = c * (h1 * h2)
-    n, p = left.shape
-    terms = series_length(float(np.max(np.abs(zeta))), p)
-    rows, a_t, cols, powers, left_powers = eng.moments(terms)
-    k = np.arange(terms)
-    t1 = series_terms(zeta, terms)  # zeta^k / (k!)^2
-
-    # bottom term: d/dxi of the bottom trace against R on y = y0
-    bq = ((bottom @ eng.diff01.T) @ rows).reshape(n, terms, p)  # [n,k,t]
-    bq *= t1[:, :, None]
-    u = np.matmul(bq.transpose(0, 2, 1), powers)  # [n,t,u]
-
-    # left term: -int dR/deta * left trace, dR/deta = c (x - x0) 0F1(2; z)
-    lq = (left @ rows).reshape(n, terms, p)  # [n,k,u]
-    lq *= (t1 * (zeta[:, None] / (k + 1.0)))[:, :, None]  # zeta^(k+1) / (k! (k+1)!)
-    u -= np.matmul(left_powers, lq)
-
-    # area term: sum_k (-zeta)^k / (k!)^2 A_k rhs A_k^T
-    rq = np.matmul(rhs[:, None], a_t)  # [n,k,q,u]
-    rq *= (t1 * np.where(k % 2, -h1 * h2, h1 * h2))[:, :, None, None]
-    u += np.matmul(cols, rq.reshape(n, terms * p, p))
+    bottom_w, left_w, area_w = _series_weights(
+        zeta, series_length(float(np.max(np.abs(zeta))), left.shape[1]), h1 * h2)
+    u = _trace_terms(eng, bottom_w, left_w, left, bottom)
+    u += _area_term(eng, area_w, rhs)
     u += left[:, None, :]
     return u
+
+
+def _refused(exc: KernelRangeError, grid: Grid, p: int, c: np.ndarray, ii, jj) -> KernelRangeError:
+    """`exc` naming the cell of largest |c| among cells (ii, jj) and a mesh that passes."""
+    n = int(np.argmax(np.abs(c)))
+    msg = f"cell ({ii[n]}, {jj[n]}): {exc}"
+    # refining both sides by sqrt(|zeta| / limit), and a hair more, suffices
+    scale = math.sqrt(abs(c[n]) * grid.h1 * grid.h2 / zeta_limit(p)) * (1.0 + 1.0e-12)
+    if math.isfinite(scale):
+        msg += (f"; refine the mesh to at least N1 = {math.ceil(grid.N1 * scale)}, "
+                f"N2 = {math.ceil(grid.N2 * scale)}")
+    return KernelRangeError(msg)
 
 
 def _corner_mismatch(left: np.ndarray, bottom: np.ndarray, corners: np.ndarray):
@@ -252,21 +290,26 @@ def _corner_mismatch(left: np.ndarray, bottom: np.ndarray, corners: np.ndarray):
                f"bottom[0]={bottom[n, 0]!r}, corner={corners[n]!r}")
 
 
+def _diagonal(n1: int, n2: int, d: int):
+    """Index arrays (ii, jj) of the cells on anti-diagonal d, i ascending."""
+    ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
+    return ii, d - ii
+
+
 def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
            wavefront) -> np.ndarray:
     """Solve every cell, one anti-diagonal per batched call.
 
     `left_edge` (N2, P) and `bottom_edge` (N1, P) carry the data on x = 0 and
-    y = 0.  wavefront(ii, jj, corners) returns the coefficients (n,) and the
-    source tensors (n, P, P) of cells (ii, jj), given their lower-left corner
-    values; it may read only cells of earlier anti-diagonals, all complete.
+    y = 0.  wavefront(d, ii, jj, left, bottom) returns the solution tensors
+    (n, P, P) of the cells (ii, jj) of anti-diagonal d, given their (n, P)
+    edge traces, whose first entries are the cells' corner values; it may
+    read only cells of earlier anti-diagonals, all complete.
     """
-    eng = _engine(p)
     n1, n2 = grid.N1, grid.N2
     values = np.full((n1, n2, p, p), np.nan)
     for d in range(n1 + n2 - 1):
-        ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
-        jj = d - ii
+        ii, jj = _diagonal(n1, n2, d)
         # index -1 reads a wrong cell only for cells on an axis; their traces
         # are replaced by the axis data
         left = values[ii - 1, jj, -1, :]
@@ -275,23 +318,10 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
             left[0] = left_edge[jj[0]]
         if jj[-1] == 0:
             bottom[-1] = bottom_edge[ii[-1]]
-        corners = left[:, 0]
-        bad = _corner_mismatch(left, bottom, corners)
+        bad = _corner_mismatch(left, bottom, left[:, 0])
         if bad:
             raise FdSolverError(f"cell ({ii[bad[0]]}, {jj[bad[0]]}): {bad[1]}")
-        c, rhs = wavefront(ii, jj, corners)
-        try:
-            out = _solve_cells(eng, c, grid.h1, grid.h2, left, bottom, rhs)
-        except KernelRangeError as exc:
-            n = int(np.argmax(np.abs(c)))
-            msg = f"cell ({ii[n]}, {jj[n]}): {exc}"
-            # refining both sides by sqrt(|zeta| / limit), and a hair more
-            # against rounding, brings this cell's zeta within the limit
-            scale = math.sqrt(abs(c[n]) * grid.h1 * grid.h2 / zeta_limit(p)) * (1.0 + 1.0e-12)
-            if math.isfinite(scale):
-                msg += (f"; refine the mesh to at least N1 = {math.ceil(n1 * scale)}, "
-                        f"N2 = {math.ceil(n2 * scale)}")
-            raise KernelRangeError(msg) from exc
+        out = wavefront(d, ii, jj, left, bottom)
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
             n = int(np.argmin(finite))
@@ -309,9 +339,15 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
     """
     nl = problem.nonlinearity
     xs, ys = grid.cell_nodes(unit_cheb_nodes(p))
+    eng = _engine(p)
 
-    def wavefront(ii, jj, corners):
-        return nl.eval(corners), _sample_cells(problem.f, xs, ys, ii, jj)
+    def wavefront(d, ii, jj, left, bottom):
+        c = nl.eval(left[:, 0])
+        rhs = _sample_cells(problem.f, xs, ys, ii, jj)
+        try:
+            return _solve_cells(eng, c, grid.h1, grid.h2, left, bottom, rhs)
+        except KernelRangeError as exc:
+            raise _refused(exc, grid, p, c, ii, jj) from exc
 
     values = _march(grid, p, _sample_axis(problem.phi, ys), _sample_axis(problem.psi, xs),
                     wavefront)
@@ -345,16 +381,17 @@ def _adomian_source(nl: Nonlinearity, here: list, weights: np.ndarray) -> np.nda
 
     the last term being the running part sum_{s<k} A_{k-1-s}(N; v) v_s as
     one coefficient, composed at the points for that coefficient alone.
+    The ranks are read as views: the composition never reads the tail's
+    row 0, so v itself serves as the tail v - v_0.
     """
     k = len(here)
     shape = here[0].shape
-    v = np.stack([h.reshape(weights.shape[1], -1) for h in here])
+    v = [h.reshape(weights.shape[1], -1) for h in here]
     g = nl.term_taylor_at(v[0], k - 1)
     f = np.multiply(weights[0][:, None], v[0])
     scratch = np.empty_like(f)
     for s in range(1, k):
         f += np.multiply(weights[s][:, None], v[s], out=scratch)
-    v[0] = 0.0  # v is now the tail v - v_0
     f -= compose_last(g, v)
     return f.reshape(shape)
 
@@ -366,28 +403,33 @@ def _adomian_source(nl: Nonlinearity, here: list, weights: np.ndarray) -> np.nda
 _SOURCE_BLOCK = 12288
 
 
+def _blocks(cells: int, p: int):
+    # `_SOURCE_BLOCK` points of the flat cells, rounded down to whole cells
+    step = max(1, _SOURCE_BLOCK // (p * p))
+    return [slice(start, start + step) for start in range(0, cells, step)]
+
+
+def _source_blocks(expansion: FdExpansion, k: int):
+    """(block, F^(k) on the block) for the blocks of whole cells, in flat (i, j) order."""
+    nl = expansion.problem.nonlinearity
+    n1, n2, p, _ = expansion.corrections[0].values.shape
+    prior = [u.values.reshape(n1 * n2, p, p) for u in expansion.corrections[:k]]
+    weights = _corner_weights(nl, [v[:, 0, 0] for v in prior])
+    for block in _blocks(n1 * n2, p):
+        yield block, _adomian_source(nl, [v[block] for v in prior], weights[:, block])
+
+
 def _correction_source(expansion: FdExpansion, k: int):
     """source(ii, jj, corners): the rank-k cell source on cells (ii, jj).
 
     The source is F^(k) - N'(u0_corner) * uk_corner * u0, with `corners` the
     cells' own rank-k corner values.  `ii, jj` are index arrays, or slices
-    for whole blocks of cells.  F^(k) reads only ranks 0..k-1, all complete,
-    so it is assembled here for every cell, a block of whole cells at a
-    time in flat (i, j) order; a call gathers it and subtracts the
-    corner term.
+    for whole blocks of cells.  F^(k) comes from the blocks the march's area
+    terms are taken of; a call gathers it and subtracts the corner term.
     """
-    nl = expansion.problem.nonlinearity
     u0 = expansion.corrections[0].values
-    n1, n2, p, _ = u0.shape
-    prior = [u.values.reshape(n1 * n2, p, p) for u in expansion.corrections[:k]]
-    weights = _corner_weights(nl, [v[:, 0, 0] for v in prior])
-    f = np.empty_like(prior[0])
-    step = max(1, _SOURCE_BLOCK // (p * p))
-    for start in range(0, n1 * n2, step):
-        block = slice(start, start + step)
-        f[block] = _adomian_source(nl, [v[block] for v in prior], weights[:, block])
-    f = f.reshape(u0.shape)
-    nprime = nl.deriv(u0[:, :, 0, 0])
+    f = np.concatenate([f for _, f in _source_blocks(expansion, k)]).reshape(u0.shape)
+    nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
 
     def source(ii, jj, corners):
         return f[ii, jj] - (nprime[ii, jj] * corners)[..., None, None] * u0[ii, jj]
@@ -395,22 +437,78 @@ def _correction_source(expansion: FdExpansion, k: int):
     return source
 
 
+class _CorrectionKernel:
+    """What the corrections of one expansion share, all solving on `cell_coeffs`.
+
+    `traces[d]` holds anti-diagonal d's bottom and left weights with its own
+    term count K, `area_w` (cells, max K) the area weights, zero past each
+    cell's K (`terms`), and `response` the area term of N'(u0_corner) u0,
+    which a cell's source carries times -uk_corner.
+    """
+
+    def __init__(self, expansion: FdExpansion):
+        grid, p = expansion.grid, expansion.order
+        self.coeffs = expansion.cell_coeffs
+        self.u0 = expansion.corrections[0].values
+        area = grid.h1 * grid.h2
+        zeta = self.coeffs * area
+        self.traces = []
+        self.terms = np.empty(zeta.shape, dtype=int)
+        for d in range(grid.N1 + grid.N2 - 1):
+            ii, jj = _diagonal(grid.N1, grid.N2, d)
+            try:
+                k = series_length(float(np.max(np.abs(zeta[ii, jj]))), p)
+            except KernelRangeError as exc:
+                raise _refused(exc, grid, p, self.coeffs[ii, jj], ii, jj) from exc
+            self.traces.append(_series_weights(zeta[ii, jj], k, area)[:2])
+            self.terms[ii, jj] = k
+        self.terms = self.terms.ravel()
+        self.area_w = _series_weights(zeta.ravel(), self.terms.max(), area)[2]
+        self.area_w[np.arange(self.area_w.shape[1]) >= self.terms[:, None]] = 0.0
+        u0 = self.u0.reshape(-1, p, p)
+        nprime = expansion.problem.nonlinearity.deriv(u0[:, 0, 0])
+        self.response = self.area((b, nprime[b, None, None] * u0[b]) for b in _blocks(len(u0), p))
+
+    def area(self, blocks) -> np.ndarray:
+        """The area terms, as one field, of (block, sources) pairs over the flat cells.
+
+        A block sums the largest K of its cells; its other cells' weights are
+        zero past their own K.
+        """
+        out = np.empty_like(self.u0).reshape(self.terms.size, -1, self.u0.shape[-1])
+        for block, rhs in blocks:
+            out[block] = _area_term(_engine(rhs.shape[-1]),
+                                    self.area_w[block, :self.terms[block].max()], rhs)
+        return out.reshape(self.u0.shape)
+
+
 def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     """The rank-k correction field, vanishing on both axes.
 
     Each cell solves u_xy + c_ij u = F^(k) - N'(u0_corner) * uk_corner * u0,
     where uk_corner is this correction's own lower-left corner value, already
-    known from the march.
+    known from the march.  Its series weights and corner response depend
+    only on `cell_coeffs` and u^(0); they are built at the first correction
+    and kept on the expansion for the next.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
     if len(expansion.corrections) != k:
         raise ValueError(f"expected corrections 0..{k - 1} complete, have {len(expansion.corrections)}")
     grid, p = expansion.grid, expansion.order
-    source = _correction_source(expansion, k)
+    kernel = expansion._kernel
+    if (kernel is None or kernel.coeffs is not expansion.cell_coeffs
+            or kernel.u0 is not expansion.corrections[0].values):
+        kernel = expansion._kernel = _CorrectionKernel(expansion)
+    area = kernel.area(_source_blocks(expansion, k))
+    eng = _engine(p)
 
-    def wavefront(ii, jj, corners):
-        return expansion.cell_coeffs[ii, jj], source(ii, jj, corners)
+    def wavefront(d, ii, jj, left, bottom):
+        u = _trace_terms(eng, *kernel.traces[d], left, bottom)
+        u += area[ii, jj]
+        u -= left[:, 0, None, None] * kernel.response[ii, jj]
+        u += left[:, None, :]
+        return u
 
     values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), wavefront)
     return PiecewiseField(grid, values)

@@ -13,6 +13,9 @@
   one scalar series through the production composition;
 - `correction_rhs`: the rank-k Adomian source F^(k) at one point of one
   cell, through the production assembly;
+- `solve_correction_per_wavefront`: a rank-k correction by the full cell
+  solve of each anti-diagonal on its gathered source, against which the
+  march's hoisted area term and series weights are checked;
 - `mu_recurrence`, `mu_explicit`, `mu_bound_check`: the two-index
   recurrence of the method's a-priori error bound, its closed form and the
   bound itself.
@@ -28,7 +31,13 @@ from typing import Callable
 import numpy as np
 
 from goursatfd import solver
-from goursatfd.field import FdSolverError, _sample_cells, cheb_nodes, unit_cc_weights
+from goursatfd.field import (
+    FdSolverError,
+    PiecewiseField,
+    _sample_cells,
+    cheb_nodes,
+    unit_cc_weights,
+)
 from goursatfd.kernels import KernelRangeError
 from goursatfd.series import Nonlinearity, compose_with_tail
 from goursatfd.solver import FdExpansion, _adomian_source, _corner_weights
@@ -307,6 +316,26 @@ def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
     frozen = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
     here = [np.array([expansion.corrections[s].evaluate_in_cell(i, j, x, y)]) for s in range(k)]
     return float(_adomian_source(nl, here, _corner_weights(nl, frozen))[0])
+
+
+def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseField:
+    """The rank-k correction by the full cell solve on every anti-diagonal.
+
+    Each anti-diagonal gathers the whole rank-k source of its cells, corner
+    term included, and solves them with `solver._solve_cells`, which takes
+    their series weights and area term afresh.  `solve_correction` must
+    agree with it to rounding.
+    """
+    grid, p = expansion.grid, expansion.order
+    source = solver._correction_source(expansion, k)
+    eng = solver._engine(p)
+
+    def wavefront(d, ii, jj, left, bottom):
+        return solver._solve_cells(eng, expansion.cell_coeffs[ii, jj], grid.h1, grid.h2,
+                                   left, bottom, source(ii, jj, left[:, 0]))
+
+    return PiecewiseField(grid, solver._march(grid, p, np.zeros((grid.N2, p)),
+                                              np.zeros((grid.N1, p)), wavefront))
 
 
 # ---------------------------------------------------------------------------

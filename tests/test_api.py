@@ -1,6 +1,7 @@
 """Every exported name resolves: a deleted helper cannot stay exported."""
 
 import importlib
+import inspect
 
 import pytest
 
@@ -27,7 +28,30 @@ def test_oracles_live_only_beside_the_tests():
 
     moved = [n for n, v in vars(oracles).items()
              if getattr(v, "__module__", None) == "oracles" and not n.startswith("_")]
-    assert len(moved) == 16
+    assert len(moved) == 17
     for name in ("goursatfd",) + tuple(f"goursatfd.{m}" for m in MODULES):
         module = importlib.import_module(name)
         assert not [n for n in moved if hasattr(module, n)], name
+
+
+@pytest.mark.parametrize("name,signature", [
+    ("fd_solve", "(problem: 'GoursatProblem', n1: 'int', n2: 'int', m: 'int', p: 'int') -> 'FdExpansion'"),
+    ("solve_basic", "(problem: 'GoursatProblem', grid: 'Grid', p: 'int') -> 'PiecewiseField'"),
+    ("solve_correction", "(expansion: 'FdExpansion', k: 'int') -> 'PiecewiseField'"),
+    ("convergence_study", "(spec: 'StudySpec') -> 'ErrorReport'"),
+])
+def test_solver_entry_points_take_no_new_knobs(name, signature):
+    assert str(inspect.signature(getattr(goursatfd, name))) == signature
+
+
+def test_package_exports_are_pinned():
+    assert goursatfd.__all__ == [
+        "__version__",
+        "Grid", "PiecewiseField", "cheb_nodes", "max_edge_jump",
+        "KernelRangeError", "Nonlinearity",
+        "GoursatProblem", "FdExpansion", "FdSolverError", "solve_basic", "solve_correction",
+        "residual_basic", "residual_correction",
+        "Preset", "StudySpec", "ErrorRow", "ErrorReport", "fd_solve", "error_vs_exact",
+        "error_norm1", "convergence_study", "liouville_problem",
+        "liouville_multiplier", "run_selftest",
+    ]

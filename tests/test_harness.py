@@ -19,7 +19,14 @@ from goursatfd.harness import (
 from goursatfd import harness, solver
 from goursatfd.kernels import series_terms
 from goursatfd.series import Nonlinearity, compose_last, compose_with_tail
-from goursatfd.solver import FdSolverError, GoursatProblem, _solve_cells, solve_basic
+from goursatfd.solver import (
+    FdSolverError,
+    GoursatProblem,
+    _area_term,
+    _solve_cells,
+    _trace_terms,
+    solve_basic,
+)
 from goursatfd.field import Grid, PiecewiseField
 from oracles import mu_bound_check, mu_explicit, mu_recurrence
 
@@ -390,11 +397,21 @@ def _cell_solve_of_negated_source(eng, c, h1, h2, left, bottom, rhs):
     return _solve_cells(eng, c, h1, h2, left, bottom, -rhs)
 
 
+def _negated_trace_terms(*args):
+    return -_trace_terms(*args)
+
+
+def _negated_area_term(*args):
+    return -_area_term(*args)
+
+
 @pytest.mark.parametrize("name,broken,check", [
     ("series_terms", _series_terms_without_z_term, "kernel series"),
     ("compose_with_tail", _composition_without_top_bell_term, "adomian composition"),
     ("compose_last", _last_coefficient_without_top_bell_term, "adomian composition"),
     ("_solve_cells", _cell_solve_of_negated_source, "benchmark problem"),
+    ("_trace_terms", _negated_trace_terms, "benchmark problem"),
+    ("_area_term", _negated_area_term, "benchmark problem"),
 ])
 def test_selftest_fails_when_a_production_piece_breaks(monkeypatch, name, broken, check):
     # the march looks these up as solver module globals, and so do the checks

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from goursatfd.series import Nonlinearity, compose_with_tail
+from goursatfd.series import Nonlinearity, compose_last, compose_with_tail
 from goursatfd.harness import MAX_RANK, liouville_multiplier
 from oracles import (
     PARTITION_ORDER_CAP,
@@ -297,3 +297,20 @@ def test_nonlinearity_validation():
     for hooks in ({"taylor_fn": _zero_rows}, {"term_taylor_fn": _zero_rows}):
         with pytest.raises(ValueError, match="both"):
             Nonlinearity([1.0], **hooks)
+
+
+@pytest.mark.parametrize("order", range(9))
+def test_compose_last_is_the_last_coefficient_bit_for_bit(order):
+    # one Bell walk serves both; the tail may be an array or a list of views,
+    # and its row 0 (here v_0 itself, not zero) is never read
+    rng = np.random.default_rng(order)
+    for nl in (liouville_multiplier(), Nonlinearity.from_series(rng.uniform(-1, 1, size=5))):
+        v = rng.uniform(-0.8, 0.8, size=(order + 1, 4))
+        taylor = nl.taylor_at(v[0], order)
+        full = compose_with_tail(taylor, v)
+        for tail in (v, list(v)):
+            assert compose_with_tail(taylor, tail).tobytes() == full.tobytes()
+            assert compose_last(taylor, tail).tobytes() == full[-1].tobytes()
+        for q in range(4):
+            ref = adomian_partition(nl, v[:, q])
+            assert abs(full[-1, q] - ref) <= 1e-12 * (1.0 + abs(ref)), q

@@ -3,23 +3,28 @@
 import math
 import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from goursatfd import solver
+from goursatfd.cli import load_problem_file
 from goursatfd.field import Grid, _sample_cells, cheb_nodes, max_edge_jump, unit_cheb_nodes
 from goursatfd.harness import fd_solve, liouville_problem
 from goursatfd.kernels import Z_MAX, KernelRangeError, series_length, zeta_limit
 from goursatfd.series import Nonlinearity
 from goursatfd.solver import (
+    FdExpansion,
     FdSolverError,
     GoursatProblem,
     _SOURCE_BLOCK,
     _CellEngine,
+    _CorrectionKernel,
     _adomian_source,
     _corner_weights,
     _correction_source,
+    _diagonal,
     _engine,
     _solve_cells,
     residual_basic,
@@ -33,6 +38,7 @@ from oracles import (
     hyp0f1,
     picard_cell_oracle,
     solve_cell_linear,
+    solve_correction_per_wavefront,
 )
 
 P = 12
@@ -617,3 +623,167 @@ def test_correction_memory_stays_within_four_fields():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * field_bytes, peak / field_bytes
+
+
+# the perfbench cli-poly problem of seed 1: N = nu0 + nu1 u + nu2 u^2 with a
+# manufactured u* = a sin(x + b y) + c x y on [0, 2]^2
+_CLI_POLY_SEED1 = """\
+X = 2
+Y = 2
+psi = (0.75591081235012836)*sin(x)
+phi = (0.75591081235012836)*sin((1.4504636963259352)*y)
+f = -(0.75591081235012836)*(1.4504636963259352)*sin(x + (1.4504636963259352)*y) \
++ (-0.21350423236821975) + ((1.4486494471372438) + (-0.11290112879370873)*\
+((0.75591081235012836)*sin(x + (1.4504636963259352)*y) + (-0.21350423236821975)*x*y) \
++ (-0.023002065308227293)*((0.75591081235012836)*sin(x + (1.4504636963259352)*y) \
++ (-0.21350423236821975)*x*y)**2)*((0.75591081235012836)*sin(x + (1.4504636963259352)*y) \
++ (-0.21350423236821975)*x*y)
+exact = ((0.75591081235012836)*sin(x + (1.4504636963259352)*y) + (-0.21350423236821975)*x*y)
+nu = 1.4486494471372438, -0.11290112879370873, -0.023002065308227293
+"""
+
+
+def _prefix(expansion, k):
+    """A copy of `expansion` holding corrections 0..k-1 only."""
+    return FdExpansion(expansion.problem, expansion.grid, expansion.order,
+                       expansion.corrections[:k], expansion.cell_coeffs)
+
+
+@pytest.mark.parametrize("case", ["liouville-40", "poly-blocks", "cli-poly-seed1"])
+def test_correction_matches_the_per_wavefront_cell_solve(case, tmp_path):
+    # the hoisted area term and series weights against the full cell solve of
+    # every anti-diagonal on its gathered source, rank by rank on the same
+    # prior ranks
+    if case == "liouville-40":
+        problem, (n1, n2), m = liouville_problem().problem, (40, 40), 7
+    elif case == "poly-blocks":
+        problem, (n1, n2), m = _poly_problem(), _block_mesh(P)[:2], 3
+    else:
+        path = tmp_path / "poly.problem"
+        path.write_text(_CLI_POLY_SEED1, encoding="utf-8")
+        problem, (n1, n2), m = load_problem_file(str(path)).problem, (40, 40), 4
+    expansion = fd_solve(problem, n1, n2, m, P)
+    u0 = solve_basic(problem, expansion.grid, P).values
+    assert expansion.corrections[0].values.tobytes() == u0.tobytes()
+    nl = problem.nonlinearity
+    assert expansion.cell_coeffs.tobytes() == nl.eval(u0[:, :, 0, 0]).tobytes()
+    for k in range(1, m + 1):
+        mine = expansion.corrections[k].values
+        ref = solve_correction_per_wavefront(_prefix(expansion, k), k).values
+        sup = np.max(np.abs(ref))
+        assert np.max(np.abs(mine - ref)) <= 1e-13 * sup, (k, np.max(np.abs(mine - ref)) / sup)
+        assert np.array_equal(mine[1:, :, 0, :], mine[:-1, :, -1, :])
+    # every anti-diagonal keeps its own term count; the area weights of a
+    # cell are zero past it, so a block sums no more terms per cell
+    kernel = _CorrectionKernel(expansion)
+    zeta = expansion.cell_coeffs * (expansion.grid.h1 * expansion.grid.h2)
+    terms = kernel.terms.reshape(n1, n2)
+    for d, (bottom_w, left_w) in enumerate(kernel.traces):
+        ii, jj = _diagonal(n1, n2, d)
+        k = series_length(float(np.max(np.abs(zeta[ii, jj]))), P)
+        assert bottom_w.shape == left_w.shape == (ii.size, k)
+        assert np.all(terms[ii, jj] == k)
+    past = np.arange(kernel.area_w.shape[1]) >= kernel.terms[:, None]
+    assert not np.any(kernel.area_w[past])
+    if case == "cli-poly-seed1":
+        assert len(set(kernel.terms.tolist())) > 1
+
+
+def test_correction_march_reads_only_hoisted_parts(monkeypatch):
+    # the series weights and the corner response are built once per solve,
+    # before any march; each rank applies the area term once per source block
+    n1, n2, per_block = _block_mesh(P)
+    blocks = math.ceil(n1 * n2 / per_block)
+    problem = liouville_problem().problem
+    expansion = fd_solve(problem, n1, n2, 0, P)
+    calls = Counter()
+    marching = [False]
+
+    def counted(name, fn):
+        def wrapped(*args, **kwargs):
+            calls[name, marching[0]] += 1
+            return fn(*args, **kwargs)
+        return wrapped
+
+    def flagged(*args):
+        marching[0] = True
+        try:
+            return march(*args)
+        finally:
+            marching[0] = False
+
+    march = solver._march
+    monkeypatch.setattr(solver, "_march", flagged)
+    for name in ("series_length", "series_terms", "_solve_cells", "_area_term",
+                 "_CorrectionKernel", "_source_blocks"):
+        monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    for k in range(1, 4):
+        calls.clear()
+        expansion.corrections.append(solve_correction(expansion, k))
+        assert not [key for key in calls if key[1]], (k, calls)
+        assert calls["_solve_cells", False] == 0
+        assert calls["_area_term", False] == (2 if k == 1 else 1) * blocks, k
+        assert calls["_CorrectionKernel", False] == (k == 1)
+        assert calls["_source_blocks", False] == 1
+        # the residual reads the source the march's blocks are built from
+        calls.clear()
+        res = residual_correction(expansion, k).max()
+        assert calls["_source_blocks", False] == 1
+        assert res <= 1e-8 * (1.0 + np.max(np.abs(expansion.corrections[k].values)))
+    # through fd_solve the shared parts are built once and freed on return
+    calls.clear()
+    solved = fd_solve(problem, n1, n2, 3, P)
+    assert calls["_CorrectionKernel", False] == 1
+    assert calls["_area_term", False] == 4 * blocks
+    assert calls["_area_term", True] == calls["_solve_cells", True] == n1 + n2 - 1
+    assert solved._kernel is None
+
+
+def test_non_finite_rank2_source_names_the_first_bad_cell():
+    # a NaN in G's first-derivative row at the largest u0 values reaches only the
+    # rank-2 source; the march reports the first cell, in march order, whose
+    # source carries it, as the per-wavefront cell solve does
+    problem = _poly_problem()
+    base = problem.nonlinearity
+    grid = Grid(problem.X, problem.Y, 6, 5)
+    u0 = solve_basic(problem, grid, 8).values
+    threshold = np.quantile(u0, 0.9)
+
+    def term_taylor(center, order):
+        rows = base.term_taylor_at(center, order)
+        if order == 1:
+            rows[1][center > threshold] = np.nan
+        return rows
+
+    nl = Nonlinearity(base.series_coeffs, taylor_fn=base.taylor_at, term_taylor_fn=term_taylor)
+    poisoned = GoursatProblem(problem.X, problem.Y, problem.psi, problem.phi, problem.f, nl)
+    expansion = fd_solve(poisoned, 6, 5, 1, 8)
+    bad = (u0 > threshold).any(axis=(2, 3))
+    first = min(zip(*np.nonzero(bad)), key=lambda ij: (ij[0] + ij[1], ij[0]))
+    with pytest.raises(FdSolverError, match=rf"cell \({first[0]}, {first[1]}\): non-finite") as mine:
+        solve_correction(expansion, 2)
+    with pytest.raises(FdSolverError) as ref:
+        solve_correction_per_wavefront(expansion, 2)
+    assert str(mine.value) == str(ref.value)
+
+
+def test_standalone_correction_refuses_an_out_of_range_coefficient():
+    # a hand-built expansion whose coefficient at cell (3, 2) is far beyond the
+    # kernel range: the correction names that cell and a mesh that passes
+    problem = _poly_problem()
+    grid = Grid(problem.X, problem.Y, 6, 5)
+    expansion = FdExpansion(problem, grid, P, [solve_basic(problem, grid, P)])
+    coeffs = problem.nonlinearity.eval(expansion.corrections[0].values[:, :, 0, 0])
+    expansion.cell_coeffs = coeffs
+    solve_correction(expansion, 1)
+    # new coefficients replace the weights the first call kept
+    coeffs = coeffs.copy()
+    coeffs[3, 2] = 1.0e4
+    expansion.cell_coeffs = coeffs
+    with pytest.raises(KernelRangeError, match=rf"cell \(3, 2\).*at P = {P}; refine") as info:
+        solve_correction(expansion, 1)
+    n1, n2 = (int(v) for v in re.search(r"N1 = (\d+), N2 = (\d+)", str(info.value)).groups())
+    zeta = lambda a, b: 1.0e4 * (problem.X / a) * (problem.Y / b)
+    assert zeta(n1, n2) <= zeta_limit(P) < zeta(n1 - 1, n2 - 1)
+    with pytest.raises(KernelRangeError):
+        solve_correction_per_wavefront(expansion, 1)
