@@ -1,69 +1,21 @@
 """Cell-marching solver for u_xy + N(u) u = f with data on the axes.
 
-Rank 0 ("basic problem"): on each mesh cell the multiplier N(u) is frozen at
-the cell's lower-left corner value, so the cell problem is linear with a
-constant coefficient c and is solved in closed form through the Riemann
-kernel R = 0F1(1; -c (xi - x)(eta - y)):
+Rank 0 freezes N at each cell's lower-left corner value and solves the
+constant-coefficient cell in closed form through the Riemann kernel; each
+rank k >= 1 solves a linear correction with an Adomian source on the same
+cells and coefficients.  README "Method" gives the cell formula, its moment
+expansion and the order of the work.  The code relies on three facts:
 
-    u(x, y) = u(x0, y) + int_{x0}^{x} R(xi, y0; x, y) du/dxi(xi, y0) dxi
-            - int_{y0}^{y} dR/deta(x0, eta; x, y) u(x0, eta) deta
-            + int_{x0}^{x} int_{y0}^{y} R(xi, eta; x, y) rhs(xi, eta) dxi deta.
-
-Higher ranks solve linear correction problems on the same cells; their
-sources combine Adomian polynomials of the multiplier evaluated at corner
-values (a piecewise constant field) with the Adomian polynomial A_{k-1} of
-the term G(u) = u N(u) at the running point, plus an explicit source
--N'(u0_corner) * uk_corner * u0(x, y) carrying the correction's own corner
-value, which the march has already produced.  G's Taylor row 0 is t N(t)
-with N(t) bit for bit as `Nonlinearity.eval` gives it, so the rank-1 source
-vanishes exactly where u0 is the cell's corner value.
-
-A cell's corner value is its own first node, values[i, j, 0, 0].  Every
-kernel term vanishes at sigma = 0, so the march stores the left trace
-there bit for bit: the rank-0 coefficient and every rank's frozen Adomian
-arguments read that one value.
-
-Moment expansion.  The integrals use Clenshaw-Curtis rules on the variable
-sub-intervals, with integrands interpolated barycentrically from the cell
-tensors.  In cell-local coordinates the sub-rule geometry is the same for
-every cell: with sigma the CGL nodes of [0, 1], the rule for [0, sigma_t]
-has weights WSUB[t, q] at nodes sigma_t * sigma_q, W[t, q, p] interpolates
-cell nodes to them, and the kernel argument is zeta = c h1 h2 times products
-of DXM[t, q] = sigma_t (sigma_q - 1) and sigma.  Expanding the entire series
-0F1(b; z) = sum_k z^k / ((b)_k k!) therefore splits every kernel integral
-into c-independent moment matrices
-
-    A_k[t, p] = sum_q WSUB[t, q] DXM[t, q]^k W[t, q, p]
-
-weighted by scalar series terms in zeta:
-
-    bottom   h1 sum_k zeta^k / (k!)^2 (A_k b')[t] sigma_u^k
-    left     -zeta sum_k zeta^k / (k! (k+1)!) sigma_t^(k+1) (A_k left)[u]
-    area     h1 h2 sum_k (-zeta)^k / (k!)^2 (A_k rhs A_k^T)[t, u]
-
-The term count K follows from the largest |zeta| in the batch, and a batch
-with |zeta| beyond `kernels.zeta_limit(P)` is refused.  The moment
-stack is built once per order P, growing on demand, and is laid out for
-plain matrix products: each term is one or two GEMMs on a batch of n cells
-(Goto & van de Geijn, ACM TOMS 34(3), 2008).  The traces are one
-(n, P) @ (P, K P) product against [A_k^T] side by side, a scale by the
-series weights and one batched product with the node powers; the area is a
-batched rhs A_k^T, a scale, and one product contracting (k, q) against
-[A_0 | ... | A_{K-1}].
-
-Wavefront batching.  A cell reads only its left and lower neighbours, so the
-march solves each anti-diagonal in one batched call, with the term count of
-its own coefficients, and checks it for non-finite values before the next
-one reads it.  Rank 0 freezes its coefficients with one evaluation of N per
-anti-diagonal and applies all three terms.  The corrections solve on those
-same coefficients, so their series weights are taken once per solve.  A
-correction's Adomian source F^(k) reads only ranks 0..k-1, all complete, so
-before its march it is assembled in blocks of whole cells small enough to
-stay in cache (N composed at all corners at once, one coefficient of G per
-block), and the area term of each block is taken while it is in cache.  The
-corner term is linear in the corner value, so its area term is that value
-times a response built once per solve; an anti-diagonal adds its trace
-terms, its share of the area of F^(k) and its corner terms.
+- A cell's corner value is its first node, values[i, j, 0, 0].  Every
+  kernel term vanishes at sigma = 0, so the march stores the left trace
+  there bit for bit; the rank-0 coefficient and every rank's frozen Adomian
+  arguments read that one value.
+- Row 0 of the Taylor rows of G(u) = u N(u) is t N(t), with N(t) bit for
+  bit as `Nonlinearity.eval` gives it, so the rank-1 source vanishes exactly
+  where u0 is the cell's corner value.
+- A cell reads only cells of earlier anti-diagonals, all complete and
+  finite, so each anti-diagonal is one batched call, and a correction's
+  source, which reads only lower ranks, is assembled before its march.
 """
 
 from __future__ import annotations
@@ -129,8 +81,9 @@ class FdExpansion:
     A cell's corner value at rank k is `corrections[k].values[i, j, 0, 0]`;
     `cell_coeffs` holds N at the rank-0 corner values.  `wall_ms[k]` is the
     time from the start of the solve to the completion of correction k, when
-    the expansion comes from `fd_solve`.  The corrections' shared weights and
-    corner response are kept between them, and `fd_solve` frees them.
+    the expansion comes from `fd_solve`.  The corrections' series weights
+    (from `_kernel_weights`, as rank 0's) and their corner response are kept
+    between them, and `fd_solve` frees them.
     """
 
     problem: GoursatProblem
@@ -163,7 +116,9 @@ class _CellEngine:
     sub-interval [0, sigma_t] uses nodes sigma_t * sigma_q, so the
     interpolation tensor W[t, q, p] (cell nodes -> sub-rule nodes), the
     offset matrix DXM[t, q] = sigma_t * (sigma_q - 1) and the moment matrices
-    built from them are mesh independent.
+    built from them are mesh independent.  The moment stack is built once,
+    with the term count of the largest |zeta| the kernel range accepts (at
+    most 32), so every batch's K reads a slice of it.
     """
 
     def __init__(self, p: int):
@@ -173,32 +128,24 @@ class _CellEngine:
         self.W = np.stack([bary_matrix(s * sigma, sigma) for s in sigma])
         self.DXM = sigma[:, None] * (sigma[None, :] - 1.0)
         self.WSUB = sigma[:, None] * unit_cc_weights(p)[None, :]  # [t,q] sub-rule weights / h
-        self._grow(1)
-
-    def _grow(self, n: int):
-        k = np.arange(n)
+        k = np.arange(series_length(zeta_limit(p), p))
         a = np.einsum("tq,ktq,tqp->ktp", self.WSUB, self.DXM ** k[:, None, None], self.W)
         self._rows = np.ascontiguousarray(a.transpose(2, 0, 1))  # [p,k,t] = A_k[t,p]
         self._a_t = np.ascontiguousarray(a.transpose(0, 2, 1))  # [k,p,u] = A_k[u,p]
         self._cols = np.ascontiguousarray(a.transpose(1, 0, 2))  # [t,k,q] = A_k[t,q]
-        self._powers = self.sigma ** k[:, None]  # [k,u]
-        self._left_powers = (self._powers * self.sigma).T.copy()  # [t,k] = sigma_t^(k+1)
+        self._powers = sigma ** k[:, None]  # [k,u]
+        self._left_powers = (self._powers * sigma).T.copy()  # [t,k] = sigma_t^(k+1)
         self._operands = {}
 
     def moments(self, n: int):
-        """The kernel operands for n series terms, taken from one stack.
+        """The kernel operands for n series terms, taken from the one stack.
 
         With A_k the moment matrices and sigma^k the node powers, returns
         rows (P, n*P) [p, (k,t)] = A_k[t,p], the transposes A_k^T (n, P, P),
         cols (P, n*P) [t, (k,q)] = A_k[t,q], powers (n, P) sigma^k[u] and
-        left powers (P, n) sigma_t^(k+1).  The stack grows to the next power
-        of two when a call needs more terms, so it is rebuilt only a few
-        times per order, and the operands of each n are laid out once per
-        stack.
+        left powers (P, n) sigma_t^(k+1), each laid out once per n.
         """
         if n not in self._operands:
-            if self._a_t.shape[0] < n:
-                self._grow(1 << (n - 1).bit_length())
             p = self.sigma.size
             self._operands[n] = (
                 self._rows[:, :n].reshape(p, n * p), self._a_t[:n],
@@ -211,8 +158,26 @@ def _engine(p: int) -> _CellEngine:
     return _CellEngine(p)
 
 
-def _series_weights(zeta: np.ndarray, terms: int, area: float):
-    """Per-cell weights (n, K) of the bottom, left and area kernel terms below."""
+def _kernel_weights(grid: Grid, p: int, c: np.ndarray, ii, jj):
+    """The bottom, left and area weights (n, K) of cells (ii, jj) with coefficients c.
+
+    K is the batch's own term count, from its largest |zeta| = |c| h1 h2.  A
+    batch beyond `zeta_limit(p)` raises KernelRangeError naming its cell of
+    largest |c| and, where one exists, a mesh that passes.
+    """
+    area = grid.h1 * grid.h2
+    zeta = c * area
+    try:
+        terms = series_length(float(np.max(np.abs(zeta))), p)
+    except KernelRangeError as exc:
+        n = int(np.argmax(np.abs(c)))
+        msg = f"cell ({ii[n]}, {jj[n]}): {exc}"
+        # refining both sides by sqrt(|zeta| / limit), and a hair more, suffices
+        scale = math.sqrt(abs(zeta[n]) / zeta_limit(p)) * (1.0 + 1.0e-12)
+        if math.isfinite(scale):
+            msg += (f"; refine the mesh to at least N1 = {math.ceil(grid.N1 * scale)}, "
+                    f"N2 = {math.ceil(grid.N2 * scale)}")
+        raise KernelRangeError(msg) from exc
     k = np.arange(terms)
     t1 = series_terms(zeta, terms)  # zeta^k / (k!)^2
     return t1, t1 * (zeta[:, None] / (k + 1.0)), t1 * np.where(k % 2, -area, area)
@@ -246,33 +211,19 @@ def _area_term(eng: _CellEngine, area_w: np.ndarray, rhs: np.ndarray) -> np.ndar
     return np.matmul(cols, rq.reshape(n, terms * rhs.shape[-1], rhs.shape[-1]))
 
 
-def _solve_cells(eng: _CellEngine, c: np.ndarray, h1: float, h2: float,
-                 left: np.ndarray, bottom: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+def _solve_cells(eng: _CellEngine, weights, left: np.ndarray, bottom: np.ndarray,
+                 rhs: np.ndarray) -> np.ndarray:
     """A batch of constant-coefficient cells via the Riemann representation.
 
-    `c` holds one coefficient per cell, `left`/`bottom` the (n, P) edge
-    samples and `rhs` the (n, P, P) source tensors on the cells' own nodes.
-    Returns the (n, P, P) solution tensors.
+    `weights` are the cells' `_kernel_weights`, `left`/`bottom` the (n, P)
+    edge samples and `rhs` the (n, P, P) source tensors on the cells' own
+    nodes.  Returns the (n, P, P) solution tensors.
     """
-    zeta = c * (h1 * h2)
-    bottom_w, left_w, area_w = _series_weights(
-        zeta, series_length(float(np.max(np.abs(zeta))), left.shape[1]), h1 * h2)
+    bottom_w, left_w, area_w = weights
     u = _trace_terms(eng, bottom_w, left_w, left, bottom)
     u += _area_term(eng, area_w, rhs)
     u += left[:, None, :]
     return u
-
-
-def _refused(exc: KernelRangeError, grid: Grid, p: int, c: np.ndarray, ii, jj) -> KernelRangeError:
-    """`exc` naming the cell of largest |c| among cells (ii, jj) and a mesh that passes."""
-    n = int(np.argmax(np.abs(c)))
-    msg = f"cell ({ii[n]}, {jj[n]}): {exc}"
-    # refining both sides by sqrt(|zeta| / limit), and a hair more, suffices
-    scale = math.sqrt(abs(c[n]) * grid.h1 * grid.h2 / zeta_limit(p)) * (1.0 + 1.0e-12)
-    if math.isfinite(scale):
-        msg += (f"; refine the mesh to at least N1 = {math.ceil(grid.N1 * scale)}, "
-                f"N2 = {math.ceil(grid.N2 * scale)}")
-    return KernelRangeError(msg)
 
 
 def _corner_mismatch(left: np.ndarray, bottom: np.ndarray, corners: np.ndarray):
@@ -344,10 +295,7 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
     def wavefront(d, ii, jj, left, bottom):
         c = nl.eval(left[:, 0])
         rhs = _sample_cells(problem.f, xs, ys, ii, jj)
-        try:
-            return _solve_cells(eng, c, grid.h1, grid.h2, left, bottom, rhs)
-        except KernelRangeError as exc:
-            raise _refused(exc, grid, p, c, ii, jj) from exc
+        return _solve_cells(eng, _kernel_weights(grid, p, c, ii, jj), left, bottom, rhs)
 
     values = _march(grid, p, _sample_axis(problem.phi, ys), _sample_axis(problem.psi, xs),
                     wavefront)
@@ -419,52 +367,36 @@ def _source_blocks(expansion: FdExpansion, k: int):
         yield block, _adomian_source(nl, [v[block] for v in prior], weights[:, block])
 
 
-def _correction_source(expansion: FdExpansion, k: int):
-    """source(ii, jj, corners): the rank-k cell source on cells (ii, jj).
-
-    The source is F^(k) - N'(u0_corner) * uk_corner * u0, with `corners` the
-    cells' own rank-k corner values.  `ii, jj` are index arrays, or slices
-    for whole blocks of cells.  F^(k) comes from the blocks the march's area
-    terms are taken of; a call gathers it and subtracts the corner term.
-    """
-    u0 = expansion.corrections[0].values
-    f = np.concatenate([f for _, f in _source_blocks(expansion, k)]).reshape(u0.shape)
-    nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
-
-    def source(ii, jj, corners):
-        return f[ii, jj] - (nprime[ii, jj] * corners)[..., None, None] * u0[ii, jj]
-
-    return source
+def _cell_coeffs(expansion: FdExpansion) -> np.ndarray:
+    if expansion.cell_coeffs is None:
+        raise ValueError("expansion.cell_coeffs is None: set it to N at the rank-0 corner values")
+    return expansion.cell_coeffs
 
 
 class _CorrectionKernel:
     """What the corrections of one expansion share, all solving on `cell_coeffs`.
 
-    `traces[d]` holds anti-diagonal d's bottom and left weights with its own
-    term count K, `area_w` (cells, max K) the area weights, zero past each
-    cell's K (`terms`), and `response` the area term of N'(u0_corner) u0,
-    which a cell's source carries times -uk_corner.
+    `traces[d]` holds anti-diagonal d's `_kernel_weights` for the bottom and
+    left terms, with its own term count K, `area_w` (cells, max K) its area
+    weights gathered per cell, zero past each cell's K (`terms`), and
+    `response` the area term of N'(u0_corner) u0, which a cell's source
+    carries times -uk_corner.
     """
 
     def __init__(self, expansion: FdExpansion):
         grid, p = expansion.grid, expansion.order
-        self.coeffs = expansion.cell_coeffs
+        self.coeffs = _cell_coeffs(expansion)
         self.u0 = expansion.corrections[0].values
-        area = grid.h1 * grid.h2
-        zeta = self.coeffs * area
-        self.traces = []
-        self.terms = np.empty(zeta.shape, dtype=int)
-        for d in range(grid.N1 + grid.N2 - 1):
-            ii, jj = _diagonal(grid.N1, grid.N2, d)
-            try:
-                k = series_length(float(np.max(np.abs(zeta[ii, jj]))), p)
-            except KernelRangeError as exc:
-                raise _refused(exc, grid, p, self.coeffs[ii, jj], ii, jj) from exc
-            self.traces.append(_series_weights(zeta[ii, jj], k, area)[:2])
-            self.terms[ii, jj] = k
+        diagonals = [_diagonal(grid.N1, grid.N2, d) for d in range(grid.N1 + grid.N2 - 1)]
+        weights = [_kernel_weights(grid, p, self.coeffs[ii, jj], ii, jj) for ii, jj in diagonals]
+        self.traces = [w[:2] for w in weights]
+        self.terms = np.empty(self.coeffs.shape, dtype=int)
+        area_w = np.zeros(self.coeffs.shape + (max(w[2].shape[1] for w in weights),))
+        for (ii, jj), (_, _, w) in zip(diagonals, weights):
+            self.terms[ii, jj] = w.shape[1]
+            area_w[ii, jj, :w.shape[1]] = w
         self.terms = self.terms.ravel()
-        self.area_w = _series_weights(zeta.ravel(), self.terms.max(), area)[2]
-        self.area_w[np.arange(self.area_w.shape[1]) >= self.terms[:, None]] = 0.0
+        self.area_w = area_w.reshape(self.terms.size, -1)
         u0 = self.u0.reshape(-1, p, p)
         nprime = expansion.problem.nonlinearity.deriv(u0[:, 0, 0])
         self.response = self.area((b, nprime[b, None, None] * u0[b]) for b in _blocks(len(u0), p))
@@ -519,7 +451,7 @@ def _interior_residual_sup(expansion: FdExpansion, values: np.ndarray, rest: np.
     grid = expansion.grid
     d01 = _engine(expansion.order).diff01
     res = (d01 @ values @ d01.T) / (grid.h1 * grid.h2)
-    res += expansion.cell_coeffs[:, :, None, None] * values + rest
+    res += _cell_coeffs(expansion)[:, :, None, None] * values + rest
     return np.max(np.abs(res[:, :, 1:-1, 1:-1]), axis=(2, 3))
 
 
@@ -538,8 +470,9 @@ def residual_correction(expansion: FdExpansion, k: int) -> np.ndarray:
     """
     if not 1 <= k <= expansion.rank:
         raise ValueError(f"have corrections 0..{expansion.rank}, got k={k}")
-    cells = slice(None)
-    rest = _correction_source(expansion, k)(cells, cells,
-                                            expansion.corrections[k].values[:, :, 0, 0])
-    return _interior_residual_sup(expansion, expansion.corrections[k].values,
-                                  np.negative(rest, out=rest))
+    u0, uk = expansion.corrections[0].values, expansion.corrections[k].values
+    # minus the source F^(k) - N'(u0_corner) * uk_corner * u0
+    nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
+    rest = (nprime * uk[:, :, 0, 0])[..., None, None] * u0
+    rest -= np.concatenate([f for _, f in _source_blocks(expansion, k)]).reshape(u0.shape)
+    return _interior_residual_sup(expansion, uk, rest)

@@ -5,14 +5,17 @@
   solve and the kernel identities are checked;
 - `integrate_1d`, `integrate_2d`: Clenshaw-Curtis quadrature of callables;
 - `solve_cell_linear`: one constant-coefficient cell through the production
-  batch solve `solver._solve_cells`, and `picard_cell_oracle`, the same
-  cell by Picard iteration on the integral form;
+  batch solve `solver._solve_cells` and its `solver._kernel_weights`, and
+  `picard_cell_oracle`, the same cell by Picard iteration on the integral
+  form;
 - `adomian_partition`: Adomian polynomials by enumeration of the defining
   partition sum, independent of the Bell-triangle composition;
 - `TruncatedSeries`, `series_compose_nonlinearity`: Adomian polynomials of
   one scalar series through the production composition;
 - `correction_rhs`: the rank-k Adomian source F^(k) at one point of one
   cell, through the production assembly;
+- `correction_source`: the whole rank-k cell source, corner term included,
+  gathered from the march's source blocks;
 - `solve_correction_per_wavefront`: a rank-k correction by the full cell
   solve of each anti-diagonal on its gathered source, against which the
   march's hoisted area term and series weights are checked;
@@ -33,6 +36,7 @@ import numpy as np
 from goursatfd import solver
 from goursatfd.field import (
     FdSolverError,
+    Grid,
     PiecewiseField,
     _sample_cells,
     cheb_nodes,
@@ -177,8 +181,10 @@ def solve_cell_linear(c: float, left_trace, bottom_trace, corner_value: float,
     """
     left, bottom, rhs_vals, h1, h2 = _cell_inputs(left_trace, bottom_trace, corner_value,
                                                   rhs, rect, p)
-    return solver._solve_cells(solver._engine(p), np.array([float(c)]), h1, h2,
-                               left[None], bottom[None], rhs_vals[None])[0]
+    zero = np.zeros(1, dtype=int)
+    weights = solver._kernel_weights(Grid(h1, h2, 1, 1), p, np.array([float(c)]), zero, zero)
+    return solver._solve_cells(solver._engine(p), weights, left[None], bottom[None],
+                               rhs_vals[None])[0]
 
 
 def picard_cell_oracle(c: float, left_trace, bottom_trace, corner_value: float,
@@ -318,21 +324,39 @@ def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
     return float(_adomian_source(nl, here, _corner_weights(nl, frozen))[0])
 
 
+def correction_source(expansion: FdExpansion, k: int):
+    """source(ii, jj, corners): the rank-k cell source on cells (ii, jj).
+
+    The source is F^(k) - N'(u0_corner) * uk_corner * u0, with `corners` the
+    cells' own rank-k corner values.  `ii, jj` are index arrays, or slices
+    for whole blocks of cells.  F^(k) comes from the blocks the march's area
+    terms are taken of; a call gathers it and subtracts the corner term.
+    """
+    u0 = expansion.corrections[0].values
+    f = np.concatenate([f for _, f in solver._source_blocks(expansion, k)]).reshape(u0.shape)
+    nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
+
+    def source(ii, jj, corners):
+        return f[ii, jj] - (nprime[ii, jj] * corners)[..., None, None] * u0[ii, jj]
+
+    return source
+
+
 def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseField:
     """The rank-k correction by the full cell solve on every anti-diagonal.
 
     Each anti-diagonal gathers the whole rank-k source of its cells, corner
-    term included, and solves them with `solver._solve_cells`, which takes
-    their series weights and area term afresh.  `solve_correction` must
-    agree with it to rounding.
+    term included, and solves them with `solver._solve_cells` on weights
+    that `solver._kernel_weights` takes afresh, with the area term of the
+    gathered source.  `solve_correction` must agree with it to rounding.
     """
     grid, p = expansion.grid, expansion.order
-    source = solver._correction_source(expansion, k)
+    source = correction_source(expansion, k)
     eng = solver._engine(p)
 
     def wavefront(d, ii, jj, left, bottom):
-        return solver._solve_cells(eng, expansion.cell_coeffs[ii, jj], grid.h1, grid.h2,
-                                   left, bottom, source(ii, jj, left[:, 0]))
+        weights = solver._kernel_weights(grid, p, expansion.cell_coeffs[ii, jj], ii, jj)
+        return solver._solve_cells(eng, weights, left, bottom, source(ii, jj, left[:, 0]))
 
     return PiecewiseField(grid, solver._march(grid, p, np.zeros((grid.N2, p)),
                                               np.zeros((grid.N1, p)), wavefront))

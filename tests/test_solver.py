@@ -23,9 +23,9 @@ from goursatfd.solver import (
     _CorrectionKernel,
     _adomian_source,
     _corner_weights,
-    _correction_source,
     _diagonal,
     _engine,
+    _kernel_weights,
     _solve_cells,
     residual_basic,
     residual_correction,
@@ -35,6 +35,7 @@ from goursatfd.solver import (
 from oracles import (
     adomian_partition,
     correction_rhs,
+    correction_source,
     hyp0f1,
     picard_cell_oracle,
     solve_cell_linear,
@@ -448,7 +449,7 @@ def test_rank1_source_vanishes_at_every_lower_left_node():
     preset = liouville_problem()
     expansion = fd_solve(preset.problem, 40, 40, 0, P)
     cells = slice(None)
-    rhs = _correction_source(expansion, 1)(cells, cells, np.zeros((40, 40)))
+    rhs = correction_source(expansion, 1)(cells, cells, np.zeros((40, 40)))
     assert np.count_nonzero(rhs[:, :, 0, 0]) == 0
 
 
@@ -460,20 +461,19 @@ def _random_cells(rng, n, p):
     return left, bottom, rng.standard_normal((n, p, p))
 
 
-@pytest.mark.parametrize("p", [12, 16])
-def test_engine_growth_keeps_the_kernel_layouts(p):
-    # the views an engine hands out after growing its stack twice must give
-    # the very same solve as a fresh engine's
-    grown = _CellEngine(p)
-    for n in (1, 9, 20):
-        grown.moments(n)
-    rng = np.random.default_rng(p)
-    c = rng.uniform(-2.5, 2.5, 6)
-    assert series_length(float(np.max(np.abs(c))) * 0.01, p) == 7
-    cells = _random_cells(rng, 6, p)
-    a = _solve_cells(grown, c, 0.1, 0.1, *cells)
-    b = _solve_cells(_CellEngine(p), c, 0.1, 0.1, *cells)
-    assert a.tobytes() == b.tobytes()
+@pytest.mark.parametrize("p", range(4, 25))
+def test_engine_stack_holds_every_accepted_term_count(monkeypatch, p):
+    # one stack per order, as deep as the largest |zeta| the range accepts;
+    # the operands of n terms are those of a stack built with exactly n
+    eng = _CellEngine(p)
+    terms = series_length(zeta_limit(p), p)
+    assert eng._a_t.shape[0] == terms <= 32
+    for n in range(1, terms + 1):
+        monkeypatch.setattr(solver, "series_length", lambda zmax, q, n=n: n)
+        exact = _CellEngine(p).moments(n)
+        mine = eng.moments(n)
+        assert [a.shape for a in mine] == [a.shape for a in exact], n
+        assert [a.tobytes() for a in mine] == [a.tobytes() for a in exact], n
 
 
 @pytest.mark.parametrize("batch", [[0, 1, 2, 3, 4], [4]])
@@ -490,7 +490,9 @@ def test_a_batch_does_not_mix_its_cells(batch):
     sources = [lambda x, y, s=s: np.cos(s * x - y) + s * x * y for s in batch]
     xs, ys = cheb_nodes(P, 0.0, h1)[None], cheb_nodes(P, 0.0, h2)[None]
     rhs = np.concatenate([_sample_cells(f, xs, ys)[0] for f in sources])
-    out = _solve_cells(_engine(P), coeffs, h1, h2, left, bottom, rhs)
+    cells = np.zeros(len(batch), dtype=int)
+    weights = _kernel_weights(Grid(h1, h2, 1, 1), P, coeffs, cells, cells)
+    out = _solve_cells(_engine(P), weights, left, bottom, rhs)
     for n, c in enumerate(coeffs):
         ref = solve_cell_linear(c, left[n], bottom[n], left[n, 0], sources[n],
                                 (0.0, h1, 0.0, h2), P)
@@ -561,7 +563,7 @@ def test_blocked_source_equals_per_wavefront_assembly(problem):
     prior = [c.values for c in expansion.corrections]
     nprime = nl.deriv(prior[0][:, :, 0, 0])
     for k in range(1, 4):
-        source = _correction_source(expansion, k)
+        source = correction_source(expansion, k)
         for d in range(n1 + n2 - 1):
             ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
             jj = d - ii
@@ -714,8 +716,8 @@ def test_correction_march_reads_only_hoisted_parts(monkeypatch):
 
     march = solver._march
     monkeypatch.setattr(solver, "_march", flagged)
-    for name in ("series_length", "series_terms", "_solve_cells", "_area_term",
-                 "_CorrectionKernel", "_source_blocks"):
+    for name in ("series_length", "series_terms", "_kernel_weights", "_solve_cells",
+                 "_area_term", "_CorrectionKernel", "_source_blocks"):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
     for k in range(1, 4):
         calls.clear()
@@ -736,6 +738,7 @@ def test_correction_march_reads_only_hoisted_parts(monkeypatch):
     assert calls["_CorrectionKernel", False] == 1
     assert calls["_area_term", False] == 4 * blocks
     assert calls["_area_term", True] == calls["_solve_cells", True] == n1 + n2 - 1
+    assert calls["_kernel_weights", True] == n1 + n2 - 1
     assert solved._kernel is None
 
 
@@ -787,3 +790,22 @@ def test_standalone_correction_refuses_an_out_of_range_coefficient():
     assert zeta(n1, n2) <= zeta_limit(P) < zeta(n1 - 1, n2 - 1)
     with pytest.raises(KernelRangeError):
         solve_correction_per_wavefront(expansion, 1)
+
+
+def test_expansion_without_cell_coeffs_names_them():
+    # a hand-built expansion that never set its frozen coefficients
+    problem = _poly_problem()
+    grid = Grid(problem.X, problem.Y, 3, 2)
+    expansion = FdExpansion(problem, grid, 8, [solve_basic(problem, grid, 8)])
+    with pytest.raises(ValueError, match="cell_coeffs is None"):
+        solve_correction(expansion, 1)
+    with pytest.raises(ValueError, match="cell_coeffs is None"):
+        residual_basic(expansion)
+    expansion.cell_coeffs = problem.nonlinearity.eval(expansion.corrections[0].values[:, :, 0, 0])
+    expansion.corrections.append(solve_correction(expansion, 1))
+    # cleared after the first correction kept its weights
+    expansion.cell_coeffs = None
+    with pytest.raises(ValueError, match="cell_coeffs is None"):
+        residual_correction(expansion, 1)
+    with pytest.raises(ValueError, match="cell_coeffs is None"):
+        solve_correction(expansion, 2)
