@@ -59,9 +59,11 @@ def series_length(zmax: float, p: int) -> int:
     K is the index of the first term zmax^K / (K!)^2 at or below 2^-54, so
     every term left out is under half an ulp of term 0 and the terms decrease
     from there; zmax = 0 needs one term.  Raises KernelRangeError when zmax
-    exceeds zeta_limit(p).
+    exceeds zeta_limit(p) or is NaN.
     """
     limit = zeta_limit(p)
+    if math.isnan(zmax):
+        raise KernelRangeError(f"|zeta| = {zmax} is not a number at P = {p}")
     if zmax > limit:
         raise KernelRangeError(f"|zeta| = {zmax:.4g} exceeds {limit:.4g} at P = {p}")
     n, term = 1, zmax

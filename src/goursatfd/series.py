@@ -4,12 +4,13 @@ Given a function F(u) and a finite expansion v(tau) = sum_s v_s tau^s, the
 Adomian polynomial A_n(F; v_0..v_n) is the n-th Taylor coefficient of
 F(v(tau)) at tau = 0.  The solver composes Taylor rows of F at v_0 with the
 tail v - v_0 through the partial Bell triangle (Comtet, Advanced
-Combinatorics, 1974, section 3.3): `compose_with_tail` keeps every
-coefficient, `compose_last` only the last.  The Adomian polynomials of a
-product are the Cauchy product of its factors' (Rach, J. Math. Anal. Appl.
-102, 1984), so sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient
-A_n(G; v); a correction source composes N at the cell corners and G at the
-cell points.
+Combinatorics, 1974, section 3.3), and `compose_last` keeps only the last
+coefficient: A_n is the last coefficient of the order-n composition, so
+one function serves every order.  The Adomian polynomials of a product are
+the Cauchy product of its factors' (Rach, J. Math. Anal. Appl. 102, 1984),
+so sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient A_n(G; v); a
+correction source composes N at the cell corners, once per order, and G at
+the cell points.
 """
 
 from __future__ import annotations
@@ -52,25 +53,14 @@ def _bell_columns(tail):
         bell = nxt
 
 
-def compose_with_tail(taylor: np.ndarray, tail) -> np.ndarray:
-    """Coefficients A_0..A_K of F(v(tau)) from Taylor rows of F at v_0 and the tail v - v_0.
+def compose_last(taylor: np.ndarray, tail) -> np.ndarray:
+    """The last coefficient A_K of F(v(tau)) from Taylor rows of F at v_0 and the tail v - v_0.
 
     Both stacks are shaped (K+1, ...) and may carry trailing point axes;
-    `tail` may also be a list of its rows, and `tail[0]` is never read.  With a_j the Taylor rows and B the partial Bell
-    triangle of the tail, A_0 = a_0 and A_n = sum_{j=1}^{n} a_j B[n, j].
-    """
-    res = np.zeros_like(taylor)
-    res[0] = taylor[0]
-    for j, column in enumerate(_bell_columns(tail), 1):
-        res[j:] += taylor[j] * column
-    return res
-
-
-def compose_last(taylor: np.ndarray, tail) -> np.ndarray:
-    """The last coefficient A_K of `compose_with_tail(taylor, tail)` alone, bit for bit.
-
-    It walks the same triangle but dots only its last row with the Taylor
-    rows, A_K = sum_{j=1}^{K} a_j B[K, j] (A_0 = a_0).
+    `tail` may also be a list of its rows, and `tail[0]` is never read.  With
+    a_j the Taylor rows and B the partial Bell triangle of the tail, the walk
+    dots only the triangle's last row with the Taylor rows,
+    A_K = sum_{j=1}^{K} a_j B[K, j] (A_0 = a_0).
     """
     if taylor.shape[0] == 1:
         return taylor[0].copy()

@@ -40,7 +40,7 @@ from .field import (
     unit_cheb_nodes,
 )
 from .kernels import KernelRangeError, series_length, series_terms, zeta_limit
-from .series import Nonlinearity, compose_last, compose_with_tail
+from .series import Nonlinearity, compose_last
 
 __all__ = [
     "GoursatProblem",
@@ -82,8 +82,9 @@ class FdExpansion:
     `cell_coeffs` holds N at the rank-0 corner values.  `wall_ms[k]` is the
     time from the start of the solve to the completion of correction k, when
     the expansion comes from `fd_solve`.  The corrections' series weights
-    (from `_kernel_weights`, as rank 0's) and their corner response are kept
-    between them, and `fd_solve` frees them.
+    (one `_kernel_weights` call over all cells, with one term count) and
+    their corner response are kept between them, with a copy of the
+    coefficients they were built on, and `fd_solve` frees them.
     """
 
     problem: GoursatProblem
@@ -116,9 +117,10 @@ class _CellEngine:
     sub-interval [0, sigma_t] uses nodes sigma_t * sigma_q, so the
     interpolation tensor W[t, q, p] (cell nodes -> sub-rule nodes), the
     offset matrix DXM[t, q] = sigma_t * (sigma_q - 1) and the moment matrices
-    built from them are mesh independent.  The moment stack is built once,
-    with the term count of the largest |zeta| the kernel range accepts (at
-    most 32), so every batch's K reads a slice of it.
+    built from them are mesh independent.  Each operand is one C-contiguous
+    stack with the term axis first, built with the term count of the largest
+    |zeta| the kernel range accepts (at most 32), so the operands of K terms
+    are its first K entries, and `(K P, P)` reshapes of them are views.
     """
 
     def __init__(self, p: int):
@@ -129,28 +131,11 @@ class _CellEngine:
         self.DXM = sigma[:, None] * (sigma[None, :] - 1.0)
         self.WSUB = sigma[:, None] * unit_cc_weights(p)[None, :]  # [t,q] sub-rule weights / h
         k = np.arange(series_length(zeta_limit(p), p))
-        a = np.einsum("tq,ktq,tqp->ktp", self.WSUB, self.DXM ** k[:, None, None], self.W)
-        self._rows = np.ascontiguousarray(a.transpose(2, 0, 1))  # [p,k,t] = A_k[t,p]
-        self._a_t = np.ascontiguousarray(a.transpose(0, 2, 1))  # [k,p,u] = A_k[u,p]
-        self._cols = np.ascontiguousarray(a.transpose(1, 0, 2))  # [t,k,q] = A_k[t,q]
-        self._powers = sigma ** k[:, None]  # [k,u]
-        self._left_powers = (self._powers * sigma).T.copy()  # [t,k] = sigma_t^(k+1)
-        self._operands = {}
-
-    def moments(self, n: int):
-        """The kernel operands for n series terms, taken from the one stack.
-
-        With A_k the moment matrices and sigma^k the node powers, returns
-        rows (P, n*P) [p, (k,t)] = A_k[t,p], the transposes A_k^T (n, P, P),
-        cols (P, n*P) [t, (k,q)] = A_k[t,q], powers (n, P) sigma^k[u] and
-        left powers (P, n) sigma_t^(k+1), each laid out once per n.
-        """
-        if n not in self._operands:
-            p = self.sigma.size
-            self._operands[n] = (
-                self._rows[:, :n].reshape(p, n * p), self._a_t[:n],
-                self._cols[:, :n].reshape(p, n * p), self._powers[:n], self._left_powers[:, :n])
-        return self._operands[n]
+        # [k,t,p] = A_k[t,p], and its transposes [k,p,t] = A_k[t,p]
+        self.a = np.einsum("tq,ktq,tqp->ktp", self.WSUB, self.DXM ** k[:, None, None], self.W)
+        self.a_t = np.ascontiguousarray(self.a.transpose(0, 2, 1))
+        self.powers = sigma ** k[:, None]  # [k,u] = sigma_u^k
+        self.left_powers = self.powers * sigma  # [k,t] = sigma_t^(k+1)
 
 
 @lru_cache(maxsize=8)
@@ -162,8 +147,9 @@ def _kernel_weights(grid: Grid, p: int, c: np.ndarray, ii, jj):
     """The bottom, left and area weights (n, K) of cells (ii, jj) with coefficients c.
 
     K is the batch's own term count, from its largest |zeta| = |c| h1 h2.  A
-    batch beyond `zeta_limit(p)` raises KernelRangeError naming its cell of
-    largest |c| and, where one exists, a mesh that passes.
+    batch beyond `zeta_limit(p)`, or with a NaN coefficient, raises
+    KernelRangeError naming its cell of largest |c| (a NaN counts as
+    largest) and, where one exists, a mesh that passes.
     """
     area = grid.h1 * grid.h2
     zeta = c * area
@@ -188,27 +174,29 @@ def _trace_terms(eng: _CellEngine, bottom_w: np.ndarray, left_w: np.ndarray,
     """The bottom and left kernel terms (n, P, P) of cells with edge samples (n, P)."""
     n, p = left.shape
     terms = bottom_w.shape[1]
-    rows, _, _, powers, left_powers = eng.moments(terms)
+    rows = eng.a[:terms].reshape(terms * p, p).T  # [p,(k,t)] = A_k[t,p]
 
     # bottom term: d/dxi of the bottom trace against R on y = y0
     bq = ((bottom @ eng.diff01.T) @ rows).reshape(n, terms, p)  # [n,k,t]
     bq *= bottom_w[:, :, None]
-    u = np.matmul(bq.transpose(0, 2, 1), powers)  # [n,t,u]
+    u = np.matmul(bq.transpose(0, 2, 1), eng.powers[:terms])  # [n,t,u]
 
     # left term: -int dR/deta * left trace, dR/deta = c (x - x0) 0F1(2; z)
     lq = (left @ rows).reshape(n, terms, p)  # [n,k,u]
     lq *= left_w[:, :, None]  # zeta^(k+1) / (k! (k+1)!)
-    u -= np.matmul(left_powers, lq)
+    u -= np.matmul(eng.left_powers[:terms].T, lq)
     return u
 
 
 def _area_term(eng: _CellEngine, area_w: np.ndarray, rhs: np.ndarray) -> np.ndarray:
     """The area term sum_k (-zeta)^k / (k!)^2 h1 h2 A_k rhs A_k^T of sources (n, P, P)."""
     n, terms = area_w.shape
-    _, a_t, cols, _, _ = eng.moments(terms)
+    p = rhs.shape[-1]
+    a_t = eng.a_t[:terms]
     rq = np.matmul(rhs[:, None], a_t)  # [n,k,q,u]
     rq *= area_w[:, :, None, None]
-    return np.matmul(cols, rq.reshape(n, terms * rhs.shape[-1], rhs.shape[-1]))
+    cols = a_t.reshape(terms * p, p).T  # [t,(k,q)] = A_k[t,q]
+    return np.matmul(cols, rq.reshape(n, terms * p, p))
 
 
 def _solve_cells(eng: _CellEngine, weights, left: np.ndarray, bottom: np.ndarray,
@@ -306,14 +294,16 @@ def _corner_weights(nl: Nonlinearity, frozen: list) -> np.ndarray:
     """Per-cell weights A^c_{k-1-s} - A^c_{k-s}, s = 0..k-1, of the rank-k source.
 
     `frozen[s]` holds the rank-s corner values of the cells, k = len(frozen);
-    A^c are the Adomian polynomials of N at those values, composed at order
-    k with the top slot k taken as zero.  Returns a (k, cells) array.
+    A^c are the Adomian polynomials of N at those values, orders 0..k, with
+    the top slot k taken as zero, each the last coefficient of its own
+    composition.  Returns a (k, cells) array.
     """
     k = len(frozen)
     tail = np.zeros((k + 1, frozen[0].size))
     for s in range(1, k):
         tail[s] = frozen[s].ravel()
-    a = compose_with_tail(nl.taylor_at(frozen[0].ravel(), k), tail)
+    taylor = nl.taylor_at(frozen[0].ravel(), k)
+    a = np.array([compose_last(taylor[:n + 1], tail[:n + 1]) for n in range(k + 1)])
     return a[k - 1::-1] - a[k:0:-1]
 
 
@@ -376,41 +366,29 @@ def _cell_coeffs(expansion: FdExpansion) -> np.ndarray:
 class _CorrectionKernel:
     """What the corrections of one expansion share, all solving on `cell_coeffs`.
 
-    `traces[d]` holds anti-diagonal d's `_kernel_weights` for the bottom and
-    left terms, with its own term count K, `area_w` (cells, max K) its area
-    weights gathered per cell, zero past each cell's K (`terms`), and
-    `response` the area term of N'(u0_corner) u0, which a cell's source
-    carries times -uk_corner.
+    `coeffs` is a copy of the coefficients the kernel was built on.
+    `bottom_w`, `left_w` and `area_w` are the `_kernel_weights` of every
+    cell, in flat (i, j) order, with one term count K from the largest
+    |zeta| of the mesh, and `response` is the area term of N'(u0_corner) u0,
+    which a cell's source carries times -uk_corner.
     """
 
     def __init__(self, expansion: FdExpansion):
         grid, p = expansion.grid, expansion.order
-        self.coeffs = _cell_coeffs(expansion)
+        self.coeffs = _cell_coeffs(expansion).copy()
         self.u0 = expansion.corrections[0].values
-        diagonals = [_diagonal(grid.N1, grid.N2, d) for d in range(grid.N1 + grid.N2 - 1)]
-        weights = [_kernel_weights(grid, p, self.coeffs[ii, jj], ii, jj) for ii, jj in diagonals]
-        self.traces = [w[:2] for w in weights]
-        self.terms = np.empty(self.coeffs.shape, dtype=int)
-        area_w = np.zeros(self.coeffs.shape + (max(w[2].shape[1] for w in weights),))
-        for (ii, jj), (_, _, w) in zip(diagonals, weights):
-            self.terms[ii, jj] = w.shape[1]
-            area_w[ii, jj, :w.shape[1]] = w
-        self.terms = self.terms.ravel()
-        self.area_w = area_w.reshape(self.terms.size, -1)
+        ii, jj = np.divmod(np.arange(self.coeffs.size), grid.N2)
+        self.bottom_w, self.left_w, self.area_w = _kernel_weights(
+            grid, p, self.coeffs.ravel(), ii, jj)
         u0 = self.u0.reshape(-1, p, p)
         nprime = expansion.problem.nonlinearity.deriv(u0[:, 0, 0])
         self.response = self.area((b, nprime[b, None, None] * u0[b]) for b in _blocks(len(u0), p))
 
     def area(self, blocks) -> np.ndarray:
-        """The area terms, as one field, of (block, sources) pairs over the flat cells.
-
-        A block sums the largest K of its cells; its other cells' weights are
-        zero past their own K.
-        """
-        out = np.empty_like(self.u0).reshape(self.terms.size, -1, self.u0.shape[-1])
+        """The area terms, as one field, of (block, sources) pairs over the flat cells."""
+        out = np.empty_like(self.u0).reshape(len(self.area_w), -1, self.u0.shape[-1])
         for block, rhs in blocks:
-            out[block] = _area_term(_engine(rhs.shape[-1]),
-                                    self.area_w[block, :self.terms[block].max()], rhs)
+            out[block] = _area_term(_engine(rhs.shape[-1]), self.area_w[block], rhs)
         return out.reshape(self.u0.shape)
 
 
@@ -421,7 +399,8 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     where uk_corner is this correction's own lower-left corner value, already
     known from the march.  Its series weights and corner response depend
     only on `cell_coeffs` and u^(0); they are built at the first correction
-    and kept on the expansion for the next.
+    and kept on the expansion for the next while the coefficients keep their
+    values and u^(0) its array.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
@@ -429,14 +408,15 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
         raise ValueError(f"expected corrections 0..{k - 1} complete, have {len(expansion.corrections)}")
     grid, p = expansion.grid, expansion.order
     kernel = expansion._kernel
-    if (kernel is None or kernel.coeffs is not expansion.cell_coeffs
-            or kernel.u0 is not expansion.corrections[0].values):
+    if (kernel is None or kernel.u0 is not expansion.corrections[0].values
+            or not np.array_equal(kernel.coeffs, _cell_coeffs(expansion))):
         kernel = expansion._kernel = _CorrectionKernel(expansion)
     area = kernel.area(_source_blocks(expansion, k))
     eng = _engine(p)
 
     def wavefront(d, ii, jj, left, bottom):
-        u = _trace_terms(eng, *kernel.traces[d], left, bottom)
+        cells = ii * grid.N2 + jj
+        u = _trace_terms(eng, kernel.bottom_w[cells], kernel.left_w[cells], left, bottom)
         u += area[ii, jj]
         u -= left[:, 0, None, None] * kernel.response[ii, jj]
         u += left[:, None, :]

@@ -10,8 +10,11 @@
   form;
 - `adomian_partition`: Adomian polynomials by enumeration of the defining
   partition sum, independent of the Bell-triangle composition;
+- `compose_with_tail`: every coefficient A_0..A_K of a composition from
+  one walk of the production Bell triangle, against which `compose_last`
+  is checked bit for bit;
 - `TruncatedSeries`, `series_compose_nonlinearity`: Adomian polynomials of
-  one scalar series through the production composition;
+  one scalar series through `compose_with_tail`;
 - `correction_rhs`: the rank-k Adomian source F^(k) at one point of one
   cell, through the production assembly;
 - `correction_source`: the whole rank-k cell source, corner term included,
@@ -43,7 +46,7 @@ from goursatfd.field import (
     unit_cc_weights,
 )
 from goursatfd.kernels import KernelRangeError
-from goursatfd.series import Nonlinearity, compose_with_tail
+from goursatfd.series import Nonlinearity, _bell_columns
 from goursatfd.solver import FdExpansion, _adomian_source, _corner_weights
 
 
@@ -269,6 +272,20 @@ def _partitions(n: int, max_part: int):
 
 # ---------------------------------------------------------------------------
 # Adomian polynomials of one scalar series
+
+
+def compose_with_tail(taylor: np.ndarray, tail) -> np.ndarray:
+    """Coefficients A_0..A_K of F(v(tau)) from Taylor rows of F at v_0 and the tail v - v_0.
+
+    Shaped and read as `compose_last`'s operands.  With a_j the Taylor rows
+    and B the partial Bell triangle of the tail, A_0 = a_0 and
+    A_n = sum_{j=1}^{n} a_j B[n, j].
+    """
+    res = np.zeros_like(taylor)
+    res[0] = taylor[0]
+    for j, column in enumerate(_bell_columns(tail), 1):
+        res[j:] += taylor[j] * column
+    return res
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ from goursatfd.harness import (
 )
 from goursatfd import harness, solver
 from goursatfd.kernels import series_terms
-from goursatfd.series import Nonlinearity, compose_last, compose_with_tail
+from goursatfd.series import Nonlinearity, compose_last
 from goursatfd.solver import (
     FdSolverError,
     GoursatProblem,
@@ -377,16 +377,8 @@ def _series_terms_without_z_term(z, n):
     return out
 
 
-def _composition_without_top_bell_term(taylor, tail):
-    # A_K loses its j = K term a_K * t_1^K
-    out = compose_with_tail(taylor, tail)
-    k = len(taylor) - 1
-    if k:
-        out[k] -= taylor[k] * tail[1] ** k
-    return out
-
-
 def _last_coefficient_without_top_bell_term(taylor, tail):
+    # A_K loses its j = K term a_K * t_1^K
     out = compose_last(taylor, tail)
     k = len(taylor) - 1
     if k:
@@ -413,7 +405,6 @@ def _negated_area_term(*args):
 
 @pytest.mark.parametrize("name,broken,check", [
     ("series_terms", _series_terms_without_z_term, "kernel series"),
-    ("compose_with_tail", _composition_without_top_bell_term, "adomian composition"),
     ("compose_last", _last_coefficient_without_top_bell_term, "adomian composition"),
     ("_kernel_weights", _negated_area_weights, "benchmark problem"),
     ("_solve_cells", _cell_solve_of_negated_source, "benchmark problem"),

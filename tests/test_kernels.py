@@ -77,6 +77,14 @@ def test_series_length_stops_below_half_an_ulp():
         assert terms[k] <= 2.0**-54 < min(terms[:k])
 
 
+def test_series_length_refuses_a_non_finite_zmax():
+    # NaN compares false with the limit and the term floor alike, so it
+    # would pass for one term
+    for z in (math.nan, math.inf):
+        with pytest.raises(KernelRangeError, match="at P = 12"):
+            series_length(z, 12)
+
+
 def test_riemann_normalization():
     rng = np.random.default_rng(3)
     for c in rng.uniform(-10, 10, size=10):

@@ -5,12 +5,13 @@ import math
 import numpy as np
 import pytest
 
-from goursatfd.series import Nonlinearity, compose_last, compose_with_tail
+from goursatfd.series import Nonlinearity, compose_last
 from goursatfd.harness import MAX_RANK, liouville_multiplier
 from oracles import (
     PARTITION_ORDER_CAP,
     TruncatedSeries,
     adomian_partition,
+    compose_with_tail,
     series_compose_nonlinearity,
 )
 

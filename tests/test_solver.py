@@ -463,17 +463,20 @@ def _random_cells(rng, n, p):
 
 @pytest.mark.parametrize("p", range(4, 25))
 def test_engine_stack_holds_every_accepted_term_count(monkeypatch, p):
-    # one stack per order, as deep as the largest |zeta| the range accepts;
-    # the operands of n terms are those of a stack built with exactly n
+    # one term-major stack per operand, as deep as the largest |zeta| the
+    # range accepts; the operands of n terms, reshaped as the kernel terms
+    # read them, are views of it and equal a stack built with exactly n
     eng = _CellEngine(p)
     terms = series_length(zeta_limit(p), p)
-    assert eng._a_t.shape[0] == terms <= 32
+    stacks = (eng.a, eng.a_t, eng.powers, eng.left_powers)
+    assert [a.shape[0] for a in stacks] == [terms] * 4 and terms <= 32
     for n in range(1, terms + 1):
         monkeypatch.setattr(solver, "series_length", lambda zmax, q, n=n: n)
-        exact = _CellEngine(p).moments(n)
-        mine = eng.moments(n)
-        assert [a.shape for a in mine] == [a.shape for a in exact], n
-        assert [a.tobytes() for a in mine] == [a.tobytes() for a in exact], n
+        exact = _CellEngine(p)
+        for mine, ref in zip(stacks, (exact.a, exact.a_t, exact.powers, exact.left_powers)):
+            prefix = mine[:n].reshape(-1, p).T
+            assert np.shares_memory(prefix, mine), n
+            assert mine[:n].shape == ref.shape and mine[:n].tobytes() == ref.tobytes(), n
 
 
 @pytest.mark.parametrize("batch", [[0, 1, 2, 3, 4], [4]])
@@ -675,20 +678,16 @@ def test_correction_matches_the_per_wavefront_cell_solve(case, tmp_path):
         sup = np.max(np.abs(ref))
         assert np.max(np.abs(mine - ref)) <= 1e-13 * sup, (k, np.max(np.abs(mine - ref)) / sup)
         assert np.array_equal(mine[1:, :, 0, :], mine[:-1, :, -1, :])
-    # every anti-diagonal keeps its own term count; the area weights of a
-    # cell are zero past it, so a block sums no more terms per cell
+    # every cell sums the term count of the mesh's largest |zeta|, also where
+    # the anti-diagonals alone would take fewer (seed 1 mixes K = 5 and 6)
     kernel = _CorrectionKernel(expansion)
-    zeta = expansion.cell_coeffs * (expansion.grid.h1 * expansion.grid.h2)
-    terms = kernel.terms.reshape(n1, n2)
-    for d, (bottom_w, left_w) in enumerate(kernel.traces):
-        ii, jj = _diagonal(n1, n2, d)
-        k = series_length(float(np.max(np.abs(zeta[ii, jj]))), P)
-        assert bottom_w.shape == left_w.shape == (ii.size, k)
-        assert np.all(terms[ii, jj] == k)
-    past = np.arange(kernel.area_w.shape[1]) >= kernel.terms[:, None]
-    assert not np.any(kernel.area_w[past])
+    zeta = np.abs(expansion.cell_coeffs) * (expansion.grid.h1 * expansion.grid.h2)
+    k = series_length(float(np.max(zeta)), P)
+    for w in (kernel.bottom_w, kernel.left_w, kernel.area_w):
+        assert w.shape == (n1 * n2, k)
     if case == "cli-poly-seed1":
-        assert len(set(kernel.terms.tolist())) > 1
+        diagonals = [_diagonal(n1, n2, d) for d in range(n1 + n2 - 1)]
+        assert {series_length(float(np.max(zeta[d])), P) for d in diagonals} == {k - 1, k}
 
 
 def test_correction_march_reads_only_hoisted_parts(monkeypatch):
@@ -770,17 +769,23 @@ def test_non_finite_rank2_source_names_the_first_bad_cell():
     assert str(mine.value) == str(ref.value)
 
 
-def test_standalone_correction_refuses_an_out_of_range_coefficient():
-    # a hand-built expansion whose coefficient at cell (3, 2) is far beyond the
-    # kernel range: the correction names that cell and a mesh that passes
+def _hand_built_expansion():
+    """A 6x5, P = 12 expansion of `_poly_problem` with u^(0) and its coefficients only."""
     problem = _poly_problem()
     grid = Grid(problem.X, problem.Y, 6, 5)
     expansion = FdExpansion(problem, grid, P, [solve_basic(problem, grid, P)])
-    coeffs = problem.nonlinearity.eval(expansion.corrections[0].values[:, :, 0, 0])
-    expansion.cell_coeffs = coeffs
+    expansion.cell_coeffs = problem.nonlinearity.eval(expansion.corrections[0].values[:, :, 0, 0])
+    return expansion
+
+
+def test_standalone_correction_refuses_an_out_of_range_coefficient():
+    # a hand-built expansion whose coefficient at cell (3, 2) is far beyond the
+    # kernel range: the correction names that cell and a mesh that passes
+    expansion = _hand_built_expansion()
+    problem = expansion.problem
     solve_correction(expansion, 1)
     # new coefficients replace the weights the first call kept
-    coeffs = coeffs.copy()
+    coeffs = expansion.cell_coeffs.copy()
     coeffs[3, 2] = 1.0e4
     expansion.cell_coeffs = coeffs
     with pytest.raises(KernelRangeError, match=rf"cell \(3, 2\).*at P = {P}; refine") as info:
@@ -790,6 +795,36 @@ def test_standalone_correction_refuses_an_out_of_range_coefficient():
     assert zeta(n1, n2) <= zeta_limit(P) < zeta(n1 - 1, n2 - 1)
     with pytest.raises(KernelRangeError):
         solve_correction_per_wavefront(expansion, 1)
+
+
+def test_correction_sees_an_in_place_edit_of_the_coefficients():
+    # the kept weights were built on the values the coefficients had then
+    expansion = _hand_built_expansion()
+    solve_correction(expansion, 1)
+    expansion.cell_coeffs[3, 2] = 1.0e4
+    with pytest.raises(KernelRangeError, match=r"cell \(3, 2\)"):
+        solve_correction(expansion, 1)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_correction_names_a_non_finite_coefficient(bad):
+    # one such coefficient sets the term count of every cell, so it is refused
+    expansion = _hand_built_expansion()
+    expansion.cell_coeffs[4, 1] = bad
+    with pytest.raises(KernelRangeError, match=r"cell \(4, 1\).*at P = 12$"):
+        solve_correction(expansion, 1)
+
+
+def test_suggested_mesh_brings_every_cell_within_the_range():
+    # the cell named is the mesh's largest |c|, not the first refused in march
+    # order, so the mesh it suggests passes for every cell
+    expansion = _hand_built_expansion()
+    problem, coeffs = expansion.problem, expansion.cell_coeffs
+    coeffs[1, 0], coeffs[3, 2] = 1.0e3, 1.0e4
+    with pytest.raises(KernelRangeError, match=r"cell \(3, 2\)") as info:
+        solve_correction(expansion, 1)
+    n1, n2 = (int(v) for v in re.search(r"N1 = (\d+), N2 = (\d+)", str(info.value)).groups())
+    assert np.max(np.abs(coeffs)) * (problem.X / n1) * (problem.Y / n2) <= zeta_limit(P)
 
 
 def test_expansion_without_cell_coeffs_names_them():
