@@ -25,14 +25,14 @@ from .harness import (
     ErrorRow,
     Preset,
     StudySpec,
-    _ExactSamples,
+    _rank_errors,
     convergence_study,
     fd_solve,
     run_selftest,
 )
 from .field import unit_cheb_nodes
 from .series import Nonlinearity
-from .solver import FdSolverError, GoursatProblem
+from .solver import FdSolverError, GoursatProblem, _blocks
 from .kernels import KernelRangeError
 
 __all__ = ["parse_config", "run", "main"]
@@ -344,6 +344,7 @@ def _emit(text: str, output: str | None):
         fh.write(text if text.endswith("\n") else text + "\n")
 
 
+# points per block of the solve writer, rounded down to whole cells
 _ROW_BLOCK = 4096
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
 # the least double >= 10**e, e in -6..17: a double is >= it exactly when >= 10**e;
@@ -367,7 +368,8 @@ _WORDS = np.frombuffer(np.dstack(np.meshgrid(_PAIRS, _PAIRS, indexing="ij")).tob
 
 
 def _format_e17(v: np.ndarray) -> np.ndarray:
-    """`"%.16e" % x` of each x of v, as zero-padded rows of a (len(v), 24) uint8 matrix.
+    """`"%.16e" % x` of each x of v, as the rows, padded on the left with zeros, of a
+    (len(v), 24) uint8 matrix.
 
     Where 1e-6 <= |x| < 1e17, with 10**e <= |x| < 10**(e + 1), the product of the
     doubles |x| and 10**(16 - e) is p + lo exactly (Dekker's TwoProduct), and
@@ -392,7 +394,8 @@ def _format_e17(v: np.ndarray) -> np.ndarray:
     words[1:5:2], words[2:5:2] = np.divmod(np.array(np.divmod(d, 10 ** 8)), 10 ** 4)
     # a row that Python formats may hold any index: clip it
     out = np.ascontiguousarray(_WORDS.take(words, mode="clip").T).view(np.uint8)
-    text = ["%.16e" % x for x in v[~fast].tolist()]
+    # right-aligned, so that every pad byte of a row is a leading one
+    text = [("%.16e" % x).rjust(24, "\0") for x in v[~fast].tolist()]
     out[~fast] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
     return out
 
@@ -402,25 +405,39 @@ def _format_repr(v: np.ndarray) -> np.ndarray:
     return np.array([repr(x) for x in v.tolist()], "S").view(np.uint8).reshape(len(v), -1)
 
 
-# the value formatter, the text before x, y and u and after u in a row, and
-# the bytes the first row drops; a JSON row is a sample of json.dumps(obj, indent=1)
-_ROWS = {"csv": (_format_e17, ("", ",", ",", "\n"), 0),
-         "json": (_format_repr, (',\n  {\n   "x": ', ',\n   "y": ', ',\n   "u": ', "\n  }"), 2)}
+def _format_e17_cut(v: np.ndarray) -> np.ndarray:
+    """`_format_e17` rows without the leading columns that are zero in every row."""
+    f = _format_e17(v)
+    return f[:, f.any(axis=0).argmax():]
+
+
+# the value formatter, the text before x, y and u and after u in a row, the
+# bytes the first row drops, and how a block of rows drops its zeros; a JSON
+# row is a sample of json.dumps(obj, indent=1).  Cut to its values' common
+# width, a CSV row keeps at most one zero per value (a sign's place), which
+# bytes.replace skips fastest, where the left-aligned JSON rows keep several,
+# which a mask drops faster
+_ROWS = {"csv": (_format_e17_cut, ("", ",", ",", "\n"), 0,
+                 lambda m: m.tobytes().replace(b"\0", b"")),
+         "json": (_format_repr, (',\n  {\n   "x": ', ',\n   "y": ', ',\n   "u": ', "\n  }"), 2,
+                  lambda m: m[m != 0].tobytes())}
 
 
 def _run_solve(cfg: argparse.Namespace) -> int:
     preset = _resolve_problem(cfg.problem)
     expansion = fd_solve(preset.problem, cfg.n1, cfg.n2, cfg.rank, cfg.cheb_order)
-    total = expansion.partial_sum(cfg.rank).values
-    xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(cfg.cheb_order))
     delta = norm1 = None
     if preset.exact is not None:
-        samples = _ExactSamples(expansion, preset.exact)
-        delta, norm1 = samples.errors(total, samples.nodes)
+        delta, norm1 = _rank_errors(expansion, preset.exact, [cfg.rank])[0]
         print("delta=%.16e\nnorm1_delta=%.16e" % (delta, norm1))
-    value, text, drop = _ROWS[cfg.format]
+    p = cfg.cheb_order
+    cells = expansion.partial_sum(cfg.rank).values.reshape(-1, p, p)
+    xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(p))
+    value, text, drop, squeeze = _ROWS[cfg.format]
     lit = [np.frombuffer(t.encode(), np.uint8) for t in text]
-    xb, yb = value(xs.ravel()), value(ys.ravel())  # the N1*P and N2*P nodes, once each
+    # the N1*P and N2*P nodes, once each, as rows (N1, P, 1, w) and (N2, 1, P, w)
+    xb = value(xs.ravel()).reshape(len(xs), p, 1, -1)
+    yb = value(ys.ravel()).reshape(len(ys), 1, p, -1)
     with _open_output(cfg.output) as fh:
         if cfg.format == "csv":
             if delta is not None:
@@ -430,17 +447,17 @@ def _run_solve(cfg: argparse.Namespace) -> int:
             # the text of json.dumps(obj, indent=1), written piece by piece
             fh.write('{\n "delta": %s,\n "norm1_delta": %s,\n "samples": [\n'
                      % (json.dumps(delta), json.dumps(norm1)))
-        # one row per cell tensor node, cell-major; a block of rows is a zero-padded
-        # byte matrix whose zeros are dropped, and the field's text is never held
-        for start in range(0, total.size, _ROW_BLOCK):
-            block = total.ravel()[start:start + _ROW_BLOCK]
-            i, j, a, b = np.unravel_index(np.arange(start, start + len(block)), total.shape)
-            parts = (lit[0], xb.take(i * cfg.cheb_order + a, axis=0), lit[1],
-                     yb.take(j * cfg.cheb_order + b, axis=0), lit[2], value(block), lit[3])
-            m = np.concatenate([np.broadcast_to(c, (len(block), c.shape[-1])) for c in parts], 1)
-            if not start:
-                m[0, :drop] = 0
-            fh.write(m[m != 0].tobytes().decode("ascii"))
+        # one row per cell tensor node, cell-major, in blocks of whole cells; a block
+        # is a zero-padded byte array (cells, P, P, row), and the field's text is never held
+        for block in _blocks(len(cells), p, _ROW_BLOCK):
+            ii, jj = np.divmod(np.arange(len(cells))[block], len(ys))
+            u = cells[block]
+            parts = (lit[0], xb[ii], lit[1], yb[jj], lit[2],
+                     value(u.ravel()).reshape(u.shape + (-1,)), lit[3])
+            m = np.concatenate([np.broadcast_to(c, u.shape + c.shape[-1:]) for c in parts], -1)
+            if not block.start:
+                m[0, 0, 0, :drop] = 0
+            fh.write(squeeze(m).decode("ascii"))
         if cfg.format == "json":
             fh.write("\n ]\n}\n")
     return 0

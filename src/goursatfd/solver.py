@@ -341,9 +341,9 @@ def _adomian_source(nl: Nonlinearity, here: list, weights: np.ndarray) -> np.nda
 _SOURCE_BLOCK = 12288
 
 
-def _blocks(cells: int, p: int):
-    # `_SOURCE_BLOCK` points of the flat cells, rounded down to whole cells
-    step = max(1, _SOURCE_BLOCK // (p * p))
+def _blocks(cells: int, p: int, points: int):
+    # slices of `points` points of the flat cells, rounded down to whole cells
+    step = max(1, points // (p * p))
     return [slice(start, start + step) for start in range(0, cells, step)]
 
 
@@ -353,7 +353,7 @@ def _source_blocks(expansion: FdExpansion, k: int):
     n1, n2, p, _ = expansion.corrections[0].values.shape
     prior = [u.values.reshape(n1 * n2, p, p) for u in expansion.corrections[:k]]
     weights = _corner_weights(nl, [v[:, 0, 0] for v in prior])
-    for block in _blocks(n1 * n2, p):
+    for block in _blocks(n1 * n2, p, _SOURCE_BLOCK):
         yield block, _adomian_source(nl, [v[block] for v in prior], weights[:, block])
 
 
@@ -382,7 +382,8 @@ class _CorrectionKernel:
             grid, p, self.coeffs.ravel(), ii, jj)
         u0 = self.u0.reshape(-1, p, p)
         nprime = expansion.problem.nonlinearity.deriv(u0[:, 0, 0])
-        self.response = self.area((b, nprime[b, None, None] * u0[b]) for b in _blocks(len(u0), p))
+        self.response = self.area((b, nprime[b, None, None] * u0[b])
+                                  for b in _blocks(len(u0), p, _SOURCE_BLOCK))
 
     def area(self, blocks) -> np.ndarray:
         """The area terms, as one field, of (block, sources) pairs over the flat cells."""

@@ -22,6 +22,9 @@
 - `solve_correction_per_wavefront`: a rank-k correction by the full cell
   solve of each anti-diagonal on its gathered source, against which the
   march's hoisted area term and series weights are checked;
+- `_ExactSamples`: an exact solution sampled on the whole mesh at once, and
+  `delta` and `norm1_delta` of a whole partial-sum field from it, against
+  which the blocked error pass of the harness is checked bit for bit;
 - `mu_recurrence`, `mu_explicit`, `mu_bound_check`: the two-index
   recurrence of the method's a-priori error bound, its closed form and the
   bound itself.
@@ -42,8 +45,11 @@ from goursatfd.field import (
     Grid,
     PiecewiseField,
     _sample_cells,
+    bary_matrix,
+    cheb_diff_matrix,
     cheb_nodes,
     unit_cc_weights,
+    unit_cheb_nodes,
 )
 from goursatfd.kernels import KernelRangeError
 from goursatfd.series import Nonlinearity, _bell_columns
@@ -377,6 +383,38 @@ def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseF
 
     return PiecewiseField(grid, solver._march(grid, p, np.zeros((grid.N2, p)),
                                               np.zeros((grid.N1, p)), wavefront))
+
+
+# ---------------------------------------------------------------------------
+# error metrics on the whole mesh
+
+
+class _ExactSamples:
+    """An exact solution sampled once on the whole mesh: on every cell's tensor
+    nodes and on a uniform 5 x 5 lattice per cell (`harness._LATTICE`).
+
+    Every sample set and error field spans the whole mesh, and each sup is
+    one reduction over it.
+    """
+
+    def __init__(self, expansion: FdExpansion, exact, lattice):
+        grid, p = expansion.grid, expansion.order
+        s = unit_cheb_nodes(p)
+        self.grid = grid
+        self.nodes = PiecewiseField.sample(grid, p, exact).values
+        self.lattice = _sample_cells(exact, *grid.cell_nodes(lattice))
+        self.diff = cheb_diff_matrix(s)
+        self.interp = bary_matrix(lattice, s)
+
+    def errors(self, total: np.ndarray) -> tuple:
+        """(delta, norm1_delta) of the whole field `total`."""
+        e = total - self.nodes
+        node_sup = float(np.max(np.abs(e)))
+        delta = max(node_sup, float(np.max(np.abs(self.interp @ total @ self.interp.T
+                                                  - self.lattice))))
+        sup_x = np.abs(self.diff @ e / self.grid.h1).max(axis=(2, 3))
+        sup_y = np.abs(e @ self.diff.T / self.grid.h2).max(axis=(2, 3))
+        return delta, max(node_sup, float(np.max(np.hypot(sup_x, sup_y))))
 
 
 # ---------------------------------------------------------------------------

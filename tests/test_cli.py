@@ -403,6 +403,8 @@ def _assert_formats_as_percent_e17(v):
     with np.errstate(all="raise"):
         got = cli._format_e17(v)
     assert got.shape == (v.size, 24)
+    # right-aligned: a row's zeros all come before its first character
+    assert np.all(np.diff((got != 0).view(np.int8), axis=1) >= 0)
     got = np.concatenate([got, np.full((v.size, 1), ord("\n"), np.uint8)], axis=1)
     got = got[got != 0].tobytes().decode("ascii")
     expect = "".join("%.16e\n" % x for x in v.tolist())

@@ -1,6 +1,10 @@
 """Solve driver, error metrics, convergence studies, and recurrence diagnostics."""
 
+import importlib
 import math
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,8 +32,9 @@ from goursatfd.solver import (
     _trace_terms,
     solve_basic,
 )
-from goursatfd.field import Grid, PiecewiseField
-from oracles import mu_bound_check, mu_explicit, mu_recurrence
+from goursatfd.cli import load_problem_file
+from goursatfd.field import Grid, PiecewiseField, unit_cheb_nodes
+from oracles import _ExactSamples, mu_bound_check, mu_explicit, mu_recurrence
 
 
 def test_mu_collapsed_recurrence():
@@ -198,22 +203,107 @@ def test_convergence_study_samples_exact_once_per_mesh():
 
 def test_rank_errors_take_one_node_sup_per_rank(monkeypatch):
     # `delta` and `norm1_delta` share the node sup: one pass over the node
-    # error and one over the lattice error per rank
+    # error and one over the lattice error per rank and block
     preset = liouville_problem()
     expansion = fd_solve(preset.problem, 4, 3, 3, 8)
-    shapes = []
+    passes = []
     sup_abs = harness._sup_abs
 
-    def counted(e):
-        shapes.append(e.shape[2:])
-        return sup_abs(e)
+    def counted(e, ii, jj):
+        passes.append((e.shape[1:], list(zip(ii.tolist(), jj.tolist()))))
+        return sup_abs(e, ii, jj)
 
     monkeypatch.setattr(harness, "_sup_abs", counted)
+    monkeypatch.setattr(harness, "_ERROR_BLOCK", 5 * 8 * 8)
     rows = _rank_errors(expansion, preset.exact, [0, 1, 2, 3])
-    assert shapes == [(8, 8), (5, 5)] * 4
+    cells = [(i, j) for i in range(4) for j in range(3)]
+    assert passes == [pass_ for block in (cells[:5], cells[5:10], cells[10:])
+                      for pass_ in [((8, 8), block), ((5, 5), block)] * 4]
     monkeypatch.undo()
     assert rows == [(error_vs_exact(expansion, preset.exact, m),
                      error_norm1(expansion, preset.exact, m)) for m in range(4)]
+
+
+def _cli_poly_problem(seed, tmp_path):
+    """The problem file and exact solution of the benchmark's cli-poly workload."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    path = tmp_path / f"poly{seed}.problem"
+    path.write_text(workloads.poly_problem_text(workloads.poly_params(seed)), encoding="utf-8")
+    preset = load_problem_file(str(path))
+    return preset.problem, preset.exact
+
+
+@pytest.mark.parametrize("case", ["liouville-40", "liouville-7x5", "liouville-33x29",
+                                  "cli-poly-seed1", "cli-poly-seed2"])
+def test_rank_errors_equal_the_whole_mesh_oracle(case, monkeypatch, tmp_path):
+    # blocks of one cell, of seven cells (a block boundary inside a row, a
+    # partial last block) and the default, against one whole-mesh sampling
+    if case.startswith("cli-poly"):
+        problem, exact = _cli_poly_problem(int(case[-1]), tmp_path)
+        n1, n2, m, p = 40, 40, 4, 12
+    else:
+        preset = liouville_problem()
+        problem, exact = preset.problem, preset.exact
+        n1, n2, m, p = {"liouville-40": (40, 40, 7, 12), "liouville-7x5": (7, 5, 3, 8),
+                        "liouville-33x29": (33, 29, 4, 12)}[case]
+    expansion = fd_solve(problem, n1, n2, m, p)
+    samples = _ExactSamples(expansion, exact, harness._LATTICE)
+    expect = [samples.errors(expansion.partial_sum(k).values) for k in range(m + 1)]
+    for cells in (1, 7, None):
+        if cells:
+            monkeypatch.setattr(harness, "_ERROR_BLOCK", cells * p * p)
+        assert _rank_errors(expansion, exact, range(m + 1)) == expect, cells
+
+
+def _nan_at(x0, y0):
+    # x*y, and NaN at the one point (x0, y0)
+    return lambda x, y: np.where((x == x0) & (y == y0), np.nan, x * y)
+
+
+def test_non_finite_sample_in_a_later_block_names_its_cell(monkeypatch):
+    # blocks of two cells: cell (2, 1) is flat cell 7, in the fourth block
+    monkeypatch.setattr(harness, "_ERROR_BLOCK", 2 * 8 * 8)
+    expansion = fd_solve(_product_problem(), 4, 3, 1, 8)
+    grid = expansion.grid
+    xs, ys = grid.cell_nodes(unit_cheb_nodes(8))
+    at_node = _nan_at(xs[2, 3], ys[1, 4])
+    for metric in (error_vs_exact, error_norm1):
+        with pytest.raises(FdSolverError, match=r"cell \(2, 1\).*not finite"):
+            metric(expansion, at_node, 1)
+    # an interior lattice point, on no node: only `delta` reads it
+    xl, yl = grid.cell_nodes(harness._LATTICE)
+    points = []
+
+    def at_lattice(x, y):
+        points.append(np.size(x))
+        return _nan_at(xl[2, 1], yl[1, 3])(x, y)
+
+    with pytest.raises(FdSolverError, match=r"cell \(2, 1\).*not finite"):
+        error_vs_exact(expansion, at_lattice, 1)
+    points.clear()
+    assert error_norm1(expansion, at_lattice, 1) <= 1e-10
+    assert sum(points) == 4 * 3 * 8 * 8
+
+
+def test_error_metrics_hold_no_whole_mesh_field():
+    # the samples, partial sums and errors of a block of cells at a time: at
+    # 80 x 80 cells and P = 16 the traced peak stays below a quarter of one
+    # field (13.1 MB), where whole-mesh samples and errors took 26.7 MB
+    preset = liouville_problem()
+    expansion = fd_solve(preset.problem, 80, 80, 0, 16)
+    field_bytes = expansion.corrections[0].values.nbytes
+    for metric in (error_vs_exact, error_norm1):
+        tracemalloc.start()
+        try:
+            metric(expansion, preset.exact, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < field_bytes / 4, (metric.__name__, peak / field_bytes)
 
 
 def test_error_norm1_samples_only_the_nodes():
