@@ -431,7 +431,7 @@ def _run_solve(cfg: argparse.Namespace) -> int:
         delta, norm1 = _rank_errors(expansion, preset.exact, [cfg.rank])[0]
         print("delta=%.16e\nnorm1_delta=%.16e" % (delta, norm1))
     p = cfg.cheb_order
-    cells = expansion.partial_sum(cfg.rank).values.reshape(-1, p, p)
+    fields = [u.values.reshape(-1, p, p) for u in expansion.corrections[:cfg.rank + 1]]
     xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(p))
     value, text, drop, squeeze = _ROWS[cfg.format]
     lit = [np.frombuffer(t.encode(), np.uint8) for t in text]
@@ -448,10 +448,13 @@ def _run_solve(cfg: argparse.Namespace) -> int:
             fh.write('{\n "delta": %s,\n "norm1_delta": %s,\n "samples": [\n'
                      % (json.dumps(delta), json.dumps(norm1)))
         # one row per cell tensor node, cell-major, in blocks of whole cells; a block
-        # is a zero-padded byte array (cells, P, P, row), and the field's text is never held
-        for block in _blocks(len(cells), p, _ROW_BLOCK):
-            ii, jj = np.divmod(np.arange(len(cells))[block], len(ys))
-            u = cells[block]
+        # is a zero-padded byte array (cells, P, P, row), and the field's text is never
+        # held.  A block sums its own corrections, in the order `partial_sum` adds them
+        for block in _blocks(len(fields[0]), p, _ROW_BLOCK):
+            ii, jj = np.divmod(np.arange(len(fields[0]))[block], len(ys))
+            u = fields[0][block]
+            for f in fields[1:]:
+                u = u + f[block]
             parts = (lit[0], xb[ii], lit[1], yb[jj], lit[2],
                      value(u.ravel()).reshape(u.shape + (-1,)), lit[3])
             m = np.concatenate([np.broadcast_to(c, u.shape + c.shape[-1:]) for c in parts], -1)

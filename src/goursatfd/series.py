@@ -2,15 +2,18 @@
 
 Given a function F(u) and a finite expansion v(tau) = sum_s v_s tau^s, the
 Adomian polynomial A_n(F; v_0..v_n) is the n-th Taylor coefficient of
-F(v(tau)) at tau = 0.  The solver composes Taylor rows of F at v_0 with the
-tail v - v_0 through the partial Bell triangle (Comtet, Advanced
-Combinatorics, 1974, section 3.3), and `compose_last` keeps only the last
-coefficient: A_n is the last coefficient of the order-n composition, so
-one function serves every order.  The Adomian polynomials of a product are
-the Cauchy product of its factors' (Rach, J. Math. Anal. Appl. 102, 1984),
-so sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient A_n(G; v); a
-correction source composes N at the cell corners, once per order, and G at
-the cell points.
+F(v(tau)) at tau = 0.  `compose_last` composes Taylor rows of F at v_0 with
+the tail v - v_0 through the partial Bell triangle (Comtet, Advanced
+Combinatorics, 1974, section 3.3) and keeps only the last coefficient: A_n
+is the last coefficient of the order-n composition, so one function serves
+every order.  The Adomian polynomials of a product are the Cauchy product
+of its factors' (Rach, J. Math. Anal. Appl. 102, 1984), so
+sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient A_n(G; v),
+`Nonlinearity.term_adomian`.  A correction source composes N at the cell
+corners, once per order, and takes that one coefficient of G at the cell
+points: by the Bell walk for a polynomial multiplier, and by the preset's
+own hook otherwise (for the benchmark's G = 1 - e^(2u), the recurrence of
+the exponential of a power series, about n^2 / 2 row updates).
 """
 
 from __future__ import annotations
@@ -78,29 +81,30 @@ class Nonlinearity:
     `eval` and `deriv` are defined through `taylor_at`, so the three views can
     never disagree.
 
-    `term_taylor_at` gives the Taylor rows g_j of G, with the invariant that
-    row 0 is t * N(t), N(t) bit for bit as `eval` gives it: a rank-1
-    correction source then vanishes exactly where u0 is its cell's corner
-    value.  By default both are polynomials, N's coefficients and G's
-    [0, nu_0, nu_1, ...], recentered exactly by binomial re-expansion; G's
-    row 0 is then that product by construction.  A preset replaces both
+    `term_adomian(v, n)` gives what the solver reads of G: the one Adomian
+    coefficient A_n(G; v).  A_0 is v_0 N(v_0), N(v_0) bit for bit as `eval`
+    gives it, for every multiplier: a rank-1 correction source then vanishes
+    exactly where u0 is its cell's corner value.  By default N's rows are
+    its coefficients, recentered exactly by binomial re-expansion, and
+    A_n(G) composes the rows of G, [0, nu_0, nu_1, ...], recentered the same
+    way.  A preset replaces both
     with analytic hooks `taylor_fn(center, order)`, whose row 0 must not
-    depend on `order`, and `term_taylor_fn(center, order)`, which must keep
-    the invariant; it gives both or neither.
+    depend on `order`, and `term_adomian_fn(v, n)` for n >= 1; it gives both
+    or neither.
     """
 
     def __init__(self, series_coeffs, taylor_fn: Callable | None = None,
-                 term_taylor_fn: Callable | None = None):
+                 term_adomian_fn: Callable | None = None):
         nu = np.atleast_1d(np.asarray(series_coeffs, dtype=float))
         if nu.ndim != 1 or nu.size == 0:
             raise ValueError("need at least the constant coefficient nu_0")
         if not np.all(np.isfinite(nu)):
             raise ValueError("multiplier coefficients must be finite")
-        if (taylor_fn is None) != (term_taylor_fn is None):
-            raise ValueError("give both taylor_fn and term_taylor_fn, or neither")
+        if (taylor_fn is None) != (term_adomian_fn is None):
+            raise ValueError("give both taylor_fn and term_adomian_fn, or neither")
         self.series_coeffs = nu
         self._taylor_fn = taylor_fn
-        self._term_taylor_fn = term_taylor_fn
+        self._term_adomian_fn = term_adomian_fn
 
     @classmethod
     def from_series(cls, nu) -> "Nonlinearity":
@@ -118,19 +122,25 @@ class Nonlinearity:
             out = self._taylor_fn(center, order)
         else:
             out = _recenter_poly(self.series_coeffs, center, order)
-        return _checked_rows(out, center, order)
+        return _checked(out, (order + 1,) + np.shape(center))
 
-    def term_taylor_at(self, center, order: int):
-        """Taylor coefficients g_0..g_order of G(u) = u N(u) around `center`.
+    def term_adomian(self, v, n: int):
+        """A_n(G; v_0..v_n), the tau^n coefficient of G(v(tau)), v(tau) = sum_s v_s tau^s.
 
-        Shaped like `taylor_at`; row 0 is center * N(center).
+        `v` is a stack or a list of rows of one shape, at least n + 1 of
+        them; rows past n are not read.  The result has the rows' shape.
         """
-        _check_order(order)
-        if self._term_taylor_fn is not None:
-            out = self._term_taylor_fn(center, order)
+        if not 0 <= n < len(v):
+            raise ValueError(f"order must be in 0..{len(v) - 1} for {len(v)} rows, got {n}")
+        if n == 0:
+            return v[0] * self.eval(v[0])
+        if self._term_adomian_fn is not None:
+            out = self._term_adomian_fn(v, n)
         else:
-            out = _recenter_poly(np.concatenate(([0.0], self.series_coeffs)), center, order)
-        return _checked_rows(out, center, order)
+            # the walk never reads the tail's row 0, so v serves as the tail v - v_0
+            g = _recenter_poly(np.concatenate(([0.0], self.series_coeffs)), v[0], n)
+            out = compose_last(g, v[:n + 1])
+        return _checked(out, np.shape(v[0]))
 
     def eval(self, u):
         """N(u); safe at removable singularities of closed forms."""
@@ -146,11 +156,10 @@ def _check_order(order: int):
         raise ValueError(f"order must be non-negative, got {order}")
 
 
-def _checked_rows(out, center, order: int) -> np.ndarray:
+def _checked(out, expect: tuple) -> np.ndarray:
     out = np.asarray(out, dtype=float)
-    expect = (order + 1,) + np.shape(center)
     if out.shape != expect:
-        raise ValueError(f"Taylor rows must have shape {expect}, got {out.shape}")
+        raise ValueError(f"a hook's result must have shape {expect}, got {out.shape}")
     return out
 
 

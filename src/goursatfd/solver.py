@@ -10,9 +10,9 @@ expansion and the order of the work.  The code relies on three facts:
   kernel term vanishes at sigma = 0, so the march stores the left trace
   there bit for bit; the rank-0 coefficient and every rank's frozen Adomian
   arguments read that one value.
-- Row 0 of the Taylor rows of G(u) = u N(u) is t N(t), with N(t) bit for
-  bit as `Nonlinearity.eval` gives it, so the rank-1 source vanishes exactly
-  where u0 is the cell's corner value.
+- The Adomian coefficient A_0 of G(u) = u N(u) is v_0 N(v_0), with N bit
+  for bit as `Nonlinearity.eval` gives it, so the rank-1 source vanishes
+  exactly where u0 is the cell's corner value.
 - A cell reads only cells of earlier anti-diagonals, all complete and
   finite, so each anti-diagonal is one batched call, and a correction's
   source, which reads only lower ranks, is assembled before its march.
@@ -318,19 +318,15 @@ def _adomian_source(nl: Nonlinearity, here: list, weights: np.ndarray) -> np.nda
         F^(k) = sum_{s<k} (A^c_{k-1-s} - A^c_{k-s}) v_s - A_{k-1}(G; v),
 
     the last term being the running part sum_{s<k} A_{k-1-s}(N; v) v_s as
-    one coefficient, composed at the points for that coefficient alone.
-    The ranks are read as views: the composition never reads the tail's
-    row 0, so v itself serves as the tail v - v_0.
+    one coefficient, `Nonlinearity.term_adomian`, computed at the points
+    for that coefficient alone.  The corner part is one contraction over
+    the ranks.
     """
     k = len(here)
     shape = here[0].shape
     v = [h.reshape(weights.shape[1], -1) for h in here]
-    g = nl.term_taylor_at(v[0], k - 1)
-    f = np.multiply(weights[0][:, None], v[0])
-    scratch = np.empty_like(f)
-    for s in range(1, k):
-        f += np.multiply(weights[s][:, None], v[s], out=scratch)
-    f -= compose_last(g, v)
+    f = np.einsum("kc,kcp->cp", weights, v)
+    f -= nl.term_adomian(v, k - 1)
     return f.reshape(shape)
 
 

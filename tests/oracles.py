@@ -10,6 +10,9 @@
   form;
 - `adomian_partition`: Adomian polynomials by enumeration of the defining
   partition sum, independent of the Bell-triangle composition;
+- `liouville_term_taylor`: the closed-form Taylor rows of the benchmark's
+  G(u) = u N(u) = 1 - e^(2u), which the Bell walk composed into A_n(G)
+  before the exponential recurrence replaced it;
 - `compose_with_tail`: every coefficient A_0..A_K of a composition from
   one walk of the production Bell triangle, against which `compose_last`
   is checked bit for bit;
@@ -51,6 +54,7 @@ from goursatfd.field import (
     unit_cc_weights,
     unit_cheb_nodes,
 )
+from goursatfd.harness import liouville_multiplier
 from goursatfd.kernels import KernelRangeError
 from goursatfd.series import Nonlinearity, _bell_columns
 from goursatfd.solver import FdExpansion, _adomian_source, _corner_weights
@@ -274,6 +278,20 @@ def _partitions(n: int, max_part: int):
     for first in range(min(n, max_part), 0, -1):
         for rest in _partitions(n - first, first):
             yield (first,) + rest
+
+
+def liouville_term_taylor(center, order: int) -> np.ndarray:
+    """Taylor rows g_0..g_order of G(u) = 1 - e^(2u) around `center`.
+
+    g_j = -e^(2t) 2^j / j! for j >= 1, and g_0 = t N(t) with N(t) as the
+    liouville multiplier evaluates it, shaped as `Nonlinearity.taylor_at`.
+    """
+    t = np.asarray(center, dtype=float)
+    out = np.empty((order + 1,) + t.shape)
+    out[0] = t * liouville_multiplier().eval(t)
+    for j in range(1, order + 1):
+        out[j] = -np.exp(2.0 * t) * (2.0**j / factorial(j))
+    return out
 
 
 # ---------------------------------------------------------------------------

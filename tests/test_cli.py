@@ -379,6 +379,26 @@ def test_solve_csv_holds_less_than_its_text(tmp_path):
     assert peak < size, (peak, size)
 
 
+@pytest.mark.parametrize("rank", [0, 2])
+def test_solve_writes_without_a_copy_of_the_partial_sum(monkeypatch, rank):
+    # with the solve done beforehand, `solve` holds only blocks: the error
+    # pass's and the writer's, each summing its own corrections, and never
+    # the rank-m partial sum as one field (at 40 x 40, P = 16 a field is 3.3 MB
+    # and the traced peak 1.7-1.9 MB; a whole partial sum put it at 4.5 MB)
+    expansion = fd_solve(liouville_problem().problem, 40, 40, rank, 16)
+    monkeypatch.setattr(cli, "fd_solve", lambda *args: expansion)
+    argv = ["solve", "--problem", "liouville", "--n1", "40", "--n2", "40", "--rank", str(rank),
+            "--cheb-order", "16", "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    field = expansion.corrections[0].values.nbytes
+    assert peak < 0.75 * field, (peak, field)
+
+
 def test_solve_prints_the_errors_of_the_rank_errors_running_sum(capsys):
     # the CLI reads both errors from the one partial sum it writes; the study
     # path adds the same corrections in the same order, so they agree bit for bit

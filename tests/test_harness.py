@@ -493,6 +493,20 @@ def _negated_area_term(*args):
     return -_area_term(*args)
 
 
+def test_selftest_checks_the_benchmark_term_recurrence(monkeypatch):
+    # the march composes liouville's G by its exponential recurrence, not by
+    # the Bell walk the polynomial checks reach: a recurrence with one wrong
+    # product from order 3 on must fail the composition check
+    recurrence = harness._liouville_term_adomian
+
+    def broken(v, n):
+        return recurrence(v, n) + (2.0 * v[1] * v[n - 1] if n >= 3 else 0.0)
+
+    monkeypatch.setattr(harness, "_liouville_term_adomian", broken)
+    passed, failed, lines = run_selftest(verbose=False)
+    assert any(line.startswith("FAIL adomian composition") for line in lines), lines
+
+
 @pytest.mark.parametrize("name,broken,check", [
     ("series_terms", _series_terms_without_z_term, "kernel series"),
     ("compose_last", _last_coefficient_without_top_bell_term, "adomian composition"),

@@ -12,6 +12,7 @@ from oracles import (
     TruncatedSeries,
     adomian_partition,
     compose_with_tail,
+    liouville_term_taylor,
     series_compose_nonlinearity,
 )
 
@@ -210,7 +211,7 @@ def test_liouville_taylor_rows_match_mpmath_near_zero():
 
 
 def test_liouville_term_rows_match_the_closed_form():
-    # G(u) = u N(u) = 1 - exp(2u): g_0 = 1 - e^(2t), g_j = -e^(2t) 2^j / j!
+    # the oracle rows of G(u) = u N(u) = 1 - exp(2u): g_0 = 1 - e^(2t), g_j = -e^(2t) 2^j / j!
     mpmath = pytest.importorskip("mpmath")
     t = LIOUVILLE_CENTERS
     with mpmath.workdps(40):
@@ -218,35 +219,78 @@ def test_liouville_term_rows_match_the_closed_form():
                                + (1 if j == 0 else 0)) for c in t] for j in range(MAX_RANK + 1)])
     nl = liouville_multiplier()
     for order in range(MAX_RANK + 1):
-        rows = nl.term_taylor_at(t, order)
+        rows = liouville_term_taylor(t, order)
         assert rows.shape == (order + 1, t.size)
         assert np.all(np.abs(rows - ref[: order + 1]) <= 1e-15 * np.abs(ref[: order + 1])), order
-        # row 0 is t N(t) with N(t) bit for bit as eval gives it
         assert np.array_equal(rows[0], t * nl.eval(t))
-        assert np.array_equal(rows[0], nl.term_taylor_at(t, 0)[0])
+
+
+# centers on both sides of N's removable singularity and on both branches of
+# its rows (the backward recurrence inside (-5, 3.5), the forward division
+# outside), with the point axes of a batch of cells as the solver passes
+# them: (cells, P * P)
+TERM_CENTERS = np.array([-6.0, -4.5, -2.0, -0.2, 0.1, 0.9, 3.2, 3.75])
+
+
+def _term_stack(rng, order):
+    v = rng.uniform(-0.6, 0.6, size=(order + 1, TERM_CENTERS.size, 4))
+    v[0] = TERM_CENTERS[:, None] + 0.01 * v[0]
+    return v
+
+
+@pytest.mark.parametrize("order", range(1, 11))
+def test_liouville_term_adomian_matches_the_partition_sum(order):
+    # A_n(G; v) with G = u N is sum_s A_(n-s)(N; v) v_s (Rach's product rule):
+    # the partition sum of N joined by the Cauchy product, independent of the
+    # exponential recurrence the preset runs
+    rng = np.random.default_rng(100 + order)
+    nl = liouville_multiplier()
+    v = _term_stack(rng, order)
+    mine = nl.term_adomian(v, order)
+    assert mine.shape == v[0].shape
+    for idx in np.ndindex(v[0].shape):
+        col = v[(slice(None),) + idx]
+        ref = sum(adomian_partition(nl, col[: order - s + 1]) * col[s] for s in range(order + 1))
+        assert abs(mine[idx] - ref) <= 1e-12 * (1.0 + abs(ref)), (idx, mine[idx], ref)
+
+
+def test_term_adomian_low_orders_are_the_closed_forms_bit_for_bit():
+    # A_0(G) = v_0 N(v_0) for every multiplier; for liouville A_1(G) is
+    # g_1 v_1 = -2 e^(2 v_0) v_1, the value the composition of G's rows gave
+    rng = np.random.default_rng(31)
+    v = _term_stack(rng, 3)
+    for nl in (liouville_multiplier(), Nonlinearity.from_series(rng.uniform(-1, 1, size=5))):
+        assert nl.term_adomian(v, 0).tobytes() == (v[0] * nl.eval(v[0])).tobytes()
+    nl = liouville_multiplier()
+    old = compose_last(liouville_term_taylor(v[0], 1), v[:2])
+    assert nl.term_adomian(v, 1).tobytes() == old.tobytes()
+    # a list of rows serves as well as a stack, and rows past n are not read
+    assert nl.term_adomian(list(v[:3]), 2).tobytes() == nl.term_adomian(v, 2).tobytes()
 
 
 def test_liouville_rows_keep_their_center_shape():
     nl = liouville_multiplier()
     for center in (-0.7, np.array(-0.7), np.full((2, 3), -0.7), np.array([-6.0, -1.0, 4.0])):
         for order in (0, 3):
-            for rows in (nl.taylor_at(center, order), nl.term_taylor_at(center, order)):
-                assert rows.shape == (order + 1,) + np.shape(center)
+            v = np.stack([np.full(np.shape(center), 0.1)] * (order + 1))
+            v[0] = center
+            for rows in (nl.taylor_at(center, order), nl.term_adomian(v, order)[None]):
+                assert rows.shape[1:] == np.shape(center)
                 assert np.all(np.isfinite(rows))
 
 
 def test_polynomial_term_rows_recenter_the_shifted_coefficients():
-    # G = u N is the polynomial [0, nu_0, nu_1, ...], recentered exactly
+    # G = u N is the polynomial [0, nu_0, nu_1, ...]: A_n(G) is A_n of that
+    # polynomial's own rows, recentered exactly
     rng = np.random.default_rng(29)
     for _ in range(20):
         nu = rng.uniform(-1, 1, size=rng.integers(1, 7))
         nl = Nonlinearity.from_series(nu)
         term = Nonlinearity.from_series(np.concatenate(([0.0], nu)))
-        t = rng.uniform(-2, 2, size=(3, 4))
-        for order in range(6):
-            rows = nl.term_taylor_at(t, order)
-            assert np.array_equal(rows, term.taylor_at(t, order))
-            assert np.array_equal(rows[0], t * nl.eval(t))
+        v = rng.uniform(-2, 2, size=(6, 3, 4))
+        for order in range(1, 6):
+            ref = compose_last(term.taylor_at(v[0], order), v[: order + 1])
+            assert np.array_equal(nl.term_adomian(v, order), ref)
 
 
 def test_liouville_series_coefficients():
@@ -273,20 +317,29 @@ def _zero_rows(center, order):
     return np.zeros((order + 1,) + np.shape(center))
 
 
+def _zero_term(v, n):
+    return np.zeros(np.shape(v[0]))
+
+
 def test_taylor_fn_shape_is_validated():
     bad = Nonlinearity([1.0], taylor_fn=lambda c, n: np.zeros(n),  # one row short
-                       term_taylor_fn=_zero_rows)
+                       term_adomian_fn=_zero_term)
     with pytest.raises(ValueError):
         bad.taylor_at(0.0, 3)
 
 
-def test_term_taylor_fn_shape_is_validated():
+def test_term_adomian_fn_shape_is_validated():
+    v = np.zeros((4, 5))
     bad = Nonlinearity([1.0], taylor_fn=_zero_rows,
-                       term_taylor_fn=lambda c, n: np.zeros(n))  # one row short
-    with pytest.raises(ValueError):
-        bad.term_taylor_at(0.0, 3)
-    with pytest.raises(ValueError):
-        liouville_multiplier().term_taylor_at(0.0, -1)
+                       term_adomian_fn=lambda v, n: np.zeros(n))  # rows, not one coefficient
+    with pytest.raises(ValueError, match="shape"):
+        bad.term_adomian(v, 3)
+    # the order is checked before the hook is called, and n = 0 never calls it
+    nl = liouville_multiplier()
+    for n in (-1, 4):
+        with pytest.raises(ValueError):
+            nl.term_adomian(v, n)
+    assert bad.term_adomian(v, 0).shape == (5,)
 
 
 def test_nonlinearity_validation():
@@ -294,8 +347,8 @@ def test_nonlinearity_validation():
         Nonlinearity([])
     with pytest.raises(ValueError):
         Nonlinearity([1.0, np.inf])
-    # the analytic hooks come in pairs: N's rows alone cannot give G's
-    for hooks in ({"taylor_fn": _zero_rows}, {"term_taylor_fn": _zero_rows}):
+    # the analytic hooks come in pairs: N's rows alone cannot give G's coefficient
+    for hooks in ({"taylor_fn": _zero_rows}, {"term_adomian_fn": _zero_term}):
         with pytest.raises(ValueError, match="both"):
             Nonlinearity([1.0], **hooks)
 

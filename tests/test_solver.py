@@ -554,18 +554,19 @@ def _poly_problem():
     )
 
 
-@pytest.mark.parametrize("problem", [liouville_problem().problem, _poly_problem()],
+@pytest.mark.parametrize("problem,rank", [(liouville_problem().problem, 7), (_poly_problem(), 3)],
                          ids=["liouville", "poly"])
-def test_blocked_source_equals_per_wavefront_assembly(problem):
+def test_blocked_source_equals_per_wavefront_assembly(problem, rank):
     # the whole-mesh source, assembled in blocks of whole cells, must equal
-    # the Adomian source of each anti-diagonal's gathered cells bit for bit
+    # the Adomian source of each anti-diagonal's gathered cells bit for bit;
+    # liouville through the deep benchmark's rank 7, every order of its recurrence
     n1, n2, per_block = _block_mesh(P)
     assert n1 * n2 > 2 * per_block and n1 * n2 % per_block and per_block % n2
-    expansion = fd_solve(problem, n1, n2, 3, P)
+    expansion = fd_solve(problem, n1, n2, rank, P)
     nl = problem.nonlinearity
     prior = [c.values for c in expansion.corrections]
     nprime = nl.deriv(prior[0][:, :, 0, 0])
-    for k in range(1, 4):
+    for k in range(1, rank + 1):
         source = correction_source(expansion, k)
         for d in range(n1 + n2 - 1):
             ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
@@ -598,22 +599,25 @@ def test_source_is_assembled_once_per_block(monkeypatch):
 @pytest.mark.parametrize("problem", [liouville_problem().problem, _poly_problem()],
                          ids=["liouville", "poly"])
 def test_correction_reads_taylor_rows_of_n_only_at_corners(monkeypatch, problem):
-    # the running part of the source composes G = u N at the cell points;
-    # rows of N are taken only at the N1 * N2 corner values, never per node
+    # the running part of the source is one coefficient of G = u N at the cell
+    # points; rows of N are taken only at the N1 * N2 corner values.  The one
+    # per-node read is N itself (order 0), for A_0(G) = u0 N(u0) at rank 1
     n1, n2, _ = _block_mesh(P)
     expansion = fd_solve(problem, n1, n2, 0, P)
-    sizes = []
+    calls = []
     taylor_at = Nonlinearity.taylor_at
 
     def counted(self, center, order):
-        sizes.append(np.size(center))
+        calls.append((np.size(center), order))
         return taylor_at(self, center, order)
 
     monkeypatch.setattr(Nonlinearity, "taylor_at", counted)
     for k in range(1, 4):
-        sizes.clear()
+        calls.clear()
         expansion.corrections.append(solve_correction(expansion, k))
-        assert sizes and max(sizes) <= n1 * n2, (k, max(sizes))
+        per_node = [order for size, order in calls if size > n1 * n2]
+        assert len(calls) > len(per_node), k
+        assert per_node == ([0] * len(per_node) if k == 1 else []), (k, per_node)
 
 
 def test_correction_memory_stays_within_four_fields():
@@ -742,22 +746,22 @@ def test_correction_march_reads_only_hoisted_parts(monkeypatch):
 
 
 def test_non_finite_rank2_source_names_the_first_bad_cell():
-    # a NaN in G's first-derivative row at the largest u0 values reaches only the
-    # rank-2 source; the march reports the first cell, in march order, whose
-    # source carries it, as the per-wavefront cell solve does
+    # a NaN in A_1(G) at the largest u0 values reaches only the rank-2 source;
+    # the march reports the first cell, in march order, whose source carries
+    # it, as the per-wavefront cell solve does
     problem = _poly_problem()
     base = problem.nonlinearity
     grid = Grid(problem.X, problem.Y, 6, 5)
     u0 = solve_basic(problem, grid, 8).values
     threshold = np.quantile(u0, 0.9)
 
-    def term_taylor(center, order):
-        rows = base.term_taylor_at(center, order)
-        if order == 1:
-            rows[1][center > threshold] = np.nan
-        return rows
+    def term_adomian(v, n):
+        out = base.term_adomian(v, n)
+        if n == 1:
+            out[v[0] > threshold] = np.nan
+        return out
 
-    nl = Nonlinearity(base.series_coeffs, taylor_fn=base.taylor_at, term_taylor_fn=term_taylor)
+    nl = Nonlinearity(base.series_coeffs, taylor_fn=base.taylor_at, term_adomian_fn=term_adomian)
     poisoned = GoursatProblem(problem.X, problem.Y, problem.psi, problem.phi, problem.f, nl)
     expansion = fd_solve(poisoned, 6, 5, 1, 8)
     bad = (u0 > threshold).any(axis=(2, 3))
