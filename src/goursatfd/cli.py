@@ -271,9 +271,16 @@ def load_problem_file(path: str) -> Preset:
         nu = [float(v) for v in entries["nu"].split(",") if v.strip()]
     except ValueError as exc:
         raise ConfigError(f"key `nu` expects comma-separated floats in {path}") from exc
-    psi = compile_expression(entries["psi"], ("x",))
-    phi = compile_expression(entries["phi"], ("y",))
-    f = compile_expression(entries["f"], ("x", "y"))
+    compiled = {}
+    for key, variables in (("psi", ("x",)), ("phi", ("y",)), ("f", ("x", "y")),
+                           ("exact", ("x", "y"))):
+        if key in entries:
+            try:
+                compiled[key] = compile_expression(entries[key], variables)
+            except RecursionError as exc:
+                # the parser and the grammar check recurse once per nesting level
+                raise ConfigError(f"key `{key}` in {path}: expression nested too deeply") from exc
+    psi, phi, f = compiled["psi"], compiled["phi"], compiled["f"]
     for key, fn in (("psi", psi), ("phi", phi)):
         try:
             # the corner check below reads both at 0; a negative base to a
@@ -281,9 +288,6 @@ def load_problem_file(path: str) -> Preset:
             float(fn(0.0))
         except (ArithmeticError, TypeError) as exc:
             raise ConfigError(f"key `{key}` in {path} fails at 0: {exc}") from exc
-    exact = None
-    if "exact" in entries:
-        exact = compile_expression(entries["exact"], ("x", "y"))
     try:
         problem = GoursatProblem(X=X, Y=Y, psi=psi, phi=phi, f=f,
                                  nonlinearity=Nonlinearity.from_series(nu))
@@ -292,7 +296,7 @@ def load_problem_file(path: str) -> Preset:
         # message names the keys
         raise ConfigError(f"problem file {path}: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
-    return Preset(name, problem, exact)
+    return Preset(name, problem, compiled.get("exact"))
 
 
 def _resolve_problem(spec: str) -> Preset:

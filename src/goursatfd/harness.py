@@ -237,8 +237,6 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
         uk = solve_correction(expansion, k)
         expansion.corrections.append(uk)
         expansion.wall_ms.append(1000.0 * (time.perf_counter() - start))
-    # the corrections' shared weights and corner response serve this solve only
-    expansion._kernel = None
     return expansion
 
 

@@ -79,12 +79,10 @@ class FdExpansion:
     """Corrections u^(0)..u^(m) and the rank-0 frozen coefficients.
 
     A cell's corner value at rank k is `corrections[k].values[i, j, 0, 0]`;
-    `cell_coeffs` holds N at the rank-0 corner values.  `wall_ms[k]` is the
-    time from the start of the solve to the completion of correction k, when
-    the expansion comes from `fd_solve`.  The corrections' series weights
-    (one `_kernel_weights` call over all cells, with one term count) and
-    their corner response are kept between them, with a copy of the
-    coefficients they were built on, and `fd_solve` frees them.
+    `cell_coeffs` holds N at the rank-0 corner values, on which every
+    correction solves.  `wall_ms[k]` is the time from the start of the solve
+    to the completion of correction k, when the expansion comes from
+    `fd_solve`.  Nothing else is kept between ranks.
     """
 
     problem: GoursatProblem
@@ -93,8 +91,6 @@ class FdExpansion:
     corrections: list = dc_field(default_factory=list)
     cell_coeffs: np.ndarray | None = None
     wall_ms: list = dc_field(default_factory=list, init=False)
-    _kernel: _CorrectionKernel | None = dc_field(default=None, init=False, repr=False,
-                                                   compare=False)
 
     @property
     def rank(self) -> int:
@@ -236,16 +232,17 @@ def _diagonal(n1: int, n2: int, d: int):
 
 
 def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
-           wavefront) -> np.ndarray:
-    """Solve every cell, one anti-diagonal per batched call.
+           cells) -> np.ndarray:
+    """Solve every cell, one anti-diagonal per `_solve_cells` call.
 
     `left_edge` (N2, P) and `bottom_edge` (N1, P) carry the data on x = 0 and
-    y = 0.  wavefront(d, ii, jj, left, bottom) returns the solution tensors
-    (n, P, P) of the cells (ii, jj) of anti-diagonal d, given their (n, P)
-    edge traces, whose first entries are the cells' corner values; it may
+    y = 0.  cells(ii, jj, left) returns the `_kernel_weights` and the (n, P, P)
+    sources of the cells (ii, jj) of one anti-diagonal, given their (n, P)
+    left traces, whose first entries are the cells' corner values; it may
     read only cells of earlier anti-diagonals, all complete.
     """
     n1, n2 = grid.N1, grid.N2
+    eng = _engine(p)
     values = np.full((n1, n2, p, p), np.nan)
     for d in range(n1 + n2 - 1):
         ii, jj = _diagonal(n1, n2, d)
@@ -260,7 +257,8 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
         bad = _corner_mismatch(left, bottom, left[:, 0])
         if bad:
             raise FdSolverError(f"cell ({ii[bad[0]]}, {jj[bad[0]]}): {bad[1]}")
-        out = wavefront(d, ii, jj, left, bottom)
+        weights, rhs = cells(ii, jj, left)
+        out = _solve_cells(eng, weights, left, bottom, rhs)
         finite = np.isfinite(out).all(axis=(1, 2))
         if not finite.all():
             n = int(np.argmin(finite))
@@ -278,15 +276,12 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
     """
     nl = problem.nonlinearity
     xs, ys = grid.cell_nodes(unit_cheb_nodes(p))
-    eng = _engine(p)
 
-    def wavefront(d, ii, jj, left, bottom):
-        c = nl.eval(left[:, 0])
-        rhs = _sample_cells(problem.f, xs, ys, ii, jj)
-        return _solve_cells(eng, _kernel_weights(grid, p, c, ii, jj), left, bottom, rhs)
+    def cells(ii, jj, left):
+        weights = _kernel_weights(grid, p, nl.eval(left[:, 0]), ii, jj)
+        return weights, _sample_cells(problem.f, xs, ys, ii, jj)
 
-    values = _march(grid, p, _sample_axis(problem.phi, ys), _sample_axis(problem.psi, xs),
-                    wavefront)
+    values = _march(grid, p, _sample_axis(problem.phi, ys), _sample_axis(problem.psi, xs), cells)
     return PiecewiseField(grid, values)
 
 
@@ -343,14 +338,16 @@ def _blocks(cells: int, p: int, points: int):
     return [slice(start, start + step) for start in range(0, cells, step)]
 
 
-def _source_blocks(expansion: FdExpansion, k: int):
-    """(block, F^(k) on the block) for the blocks of whole cells, in flat (i, j) order."""
+def _source_field(expansion: FdExpansion, k: int) -> np.ndarray:
+    """F^(k) on the whole mesh, as one field, assembled in blocks of whole cells."""
     nl = expansion.problem.nonlinearity
     n1, n2, p, _ = expansion.corrections[0].values.shape
     prior = [u.values.reshape(n1 * n2, p, p) for u in expansion.corrections[:k]]
     weights = _corner_weights(nl, [v[:, 0, 0] for v in prior])
+    out = np.empty_like(prior[0])
     for block in _blocks(n1 * n2, p, _SOURCE_BLOCK):
-        yield block, _adomian_source(nl, [v[block] for v in prior], weights[:, block])
+        out[block] = _adomian_source(nl, [v[block] for v in prior], weights[:, block])
+    return out.reshape(n1, n2, p, p)
 
 
 def _cell_coeffs(expansion: FdExpansion) -> np.ndarray:
@@ -359,67 +356,34 @@ def _cell_coeffs(expansion: FdExpansion) -> np.ndarray:
     return expansion.cell_coeffs
 
 
-class _CorrectionKernel:
-    """What the corrections of one expansion share, all solving on `cell_coeffs`.
-
-    `coeffs` is a copy of the coefficients the kernel was built on.
-    `bottom_w`, `left_w` and `area_w` are the `_kernel_weights` of every
-    cell, in flat (i, j) order, with one term count K from the largest
-    |zeta| of the mesh, and `response` is the area term of N'(u0_corner) u0,
-    which a cell's source carries times -uk_corner.
-    """
-
-    def __init__(self, expansion: FdExpansion):
-        grid, p = expansion.grid, expansion.order
-        self.coeffs = _cell_coeffs(expansion).copy()
-        self.u0 = expansion.corrections[0].values
-        ii, jj = np.divmod(np.arange(self.coeffs.size), grid.N2)
-        self.bottom_w, self.left_w, self.area_w = _kernel_weights(
-            grid, p, self.coeffs.ravel(), ii, jj)
-        u0 = self.u0.reshape(-1, p, p)
-        nprime = expansion.problem.nonlinearity.deriv(u0[:, 0, 0])
-        self.response = self.area((b, nprime[b, None, None] * u0[b])
-                                  for b in _blocks(len(u0), p, _SOURCE_BLOCK))
-
-    def area(self, blocks) -> np.ndarray:
-        """The area terms, as one field, of (block, sources) pairs over the flat cells."""
-        out = np.empty_like(self.u0).reshape(len(self.area_w), -1, self.u0.shape[-1])
-        for block, rhs in blocks:
-            out[block] = _area_term(_engine(rhs.shape[-1]), self.area_w[block], rhs)
-        return out.reshape(self.u0.shape)
-
-
 def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     """The rank-k correction field, vanishing on both axes.
 
     Each cell solves u_xy + c_ij u = F^(k) - N'(u0_corner) * uk_corner * u0,
     where uk_corner is this correction's own lower-left corner value, already
-    known from the march.  Its series weights and corner response depend
-    only on `cell_coeffs` and u^(0); they are built at the first correction
-    and kept on the expansion for the next while the coefficients keep their
-    values and u^(0) its array.
+    known from the march.  Before the march it takes the series weights of
+    every cell on `cell_coeffs`, with the term count of the mesh's largest
+    |zeta|, N' at the u^(0) corners and F^(k) on the whole mesh; each
+    anti-diagonal then gathers its cells' sources and solves them as rank 0
+    does.  Nothing is kept on the expansion.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
     if len(expansion.corrections) != k:
         raise ValueError(f"expected corrections 0..{k - 1} complete, have {len(expansion.corrections)}")
     grid, p = expansion.grid, expansion.order
-    kernel = expansion._kernel
-    if (kernel is None or kernel.u0 is not expansion.corrections[0].values
-            or not np.array_equal(kernel.coeffs, _cell_coeffs(expansion))):
-        kernel = expansion._kernel = _CorrectionKernel(expansion)
-    area = kernel.area(_source_blocks(expansion, k))
-    eng = _engine(p)
+    u0 = expansion.corrections[0].values
+    flat_ii, flat_jj = np.divmod(np.arange(grid.N1 * grid.N2), grid.N2)
+    weights = _kernel_weights(grid, p, _cell_coeffs(expansion).ravel(), flat_ii, flat_jj)
+    nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
+    source = _source_field(expansion, k)
 
-    def wavefront(d, ii, jj, left, bottom):
-        cells = ii * grid.N2 + jj
-        u = _trace_terms(eng, kernel.bottom_w[cells], kernel.left_w[cells], left, bottom)
-        u += area[ii, jj]
-        u -= left[:, 0, None, None] * kernel.response[ii, jj]
-        u += left[:, None, :]
-        return u
+    def cells(ii, jj, left):
+        rhs = source[ii, jj]
+        rhs -= (nprime[ii, jj] * left[:, 0])[:, None, None] * u0[ii, jj]
+        return [w[ii * grid.N2 + jj] for w in weights], rhs
 
-    values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), wavefront)
+    values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), cells)
     return PiecewiseField(grid, values)
 
 
@@ -451,5 +415,5 @@ def residual_correction(expansion: FdExpansion, k: int) -> np.ndarray:
     # minus the source F^(k) - N'(u0_corner) * uk_corner * u0
     nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
     rest = (nprime * uk[:, :, 0, 0])[..., None, None] * u0
-    rest -= np.concatenate([f for _, f in _source_blocks(expansion, k)]).reshape(u0.shape)
+    rest -= _source_field(expansion, k)
     return _interior_residual_sup(expansion, uk, rest)

@@ -21,10 +21,10 @@
 - `correction_rhs`: the rank-k Adomian source F^(k) at one point of one
   cell, through the production assembly;
 - `correction_source`: the whole rank-k cell source, corner term included,
-  gathered from the march's source blocks;
-- `solve_correction_per_wavefront`: a rank-k correction by the full cell
-  solve of each anti-diagonal on its gathered source, against which the
-  march's hoisted area term and series weights are checked;
+  gathered from the march's whole-mesh F^(k);
+- `solve_correction_per_wavefront`: a rank-k correction whose anti-diagonals
+  take their own series weights, and so their own term counts, against
+  which the march's mesh-wide weights are checked;
 - `_ExactSamples`: an exact solution sampled on the whole mesh at once, and
   `delta` and `norm1_delta` of a whole partial-sum field from it, against
   which the blocked error pass of the harness is checked bit for bit;
@@ -370,11 +370,11 @@ def correction_source(expansion: FdExpansion, k: int):
 
     The source is F^(k) - N'(u0_corner) * uk_corner * u0, with `corners` the
     cells' own rank-k corner values.  `ii, jj` are index arrays, or slices
-    for whole blocks of cells.  F^(k) comes from the blocks the march's area
-    terms are taken of; a call gathers it and subtracts the corner term.
+    for whole blocks of cells.  F^(k) is the march's own whole-mesh
+    `solver._source_field`; a call gathers it and subtracts the corner term.
     """
     u0 = expansion.corrections[0].values
-    f = np.concatenate([f for _, f in solver._source_blocks(expansion, k)]).reshape(u0.shape)
+    f = solver._source_field(expansion, k)
     nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
 
     def source(ii, jj, corners):
@@ -384,23 +384,23 @@ def correction_source(expansion: FdExpansion, k: int):
 
 
 def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseField:
-    """The rank-k correction by the full cell solve on every anti-diagonal.
+    """The rank-k correction with each anti-diagonal's own series weights.
 
     Each anti-diagonal gathers the whole rank-k source of its cells, corner
-    term included, and solves them with `solver._solve_cells` on weights
-    that `solver._kernel_weights` takes afresh, with the area term of the
-    gathered source.  `solve_correction` must agree with it to rounding.
+    term included, through `correction_source`, and takes weights afresh
+    from `solver._kernel_weights` on its own cells, so with the term count
+    of its own largest |zeta|, where `solve_correction` uses the mesh's.
+    The two must agree to rounding.
     """
     grid, p = expansion.grid, expansion.order
     source = correction_source(expansion, k)
-    eng = solver._engine(p)
 
-    def wavefront(d, ii, jj, left, bottom):
+    def cells(ii, jj, left):
         weights = solver._kernel_weights(grid, p, expansion.cell_coeffs[ii, jj], ii, jj)
-        return solver._solve_cells(eng, weights, left, bottom, source(ii, jj, left[:, 0]))
+        return weights, source(ii, jj, left[:, 0])
 
     return PiecewiseField(grid, solver._march(grid, p, np.zeros((grid.N2, p)),
-                                              np.zeros((grid.N1, p)), wavefront))
+                                              np.zeros((grid.N1, p)), cells))
 
 
 # ---------------------------------------------------------------------------

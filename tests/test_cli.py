@@ -714,6 +714,23 @@ def test_load_time_arithmetic_error_names_key(tmp_path, capsys):
     assert "`phi`" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, term", [("psi", "0*x"), ("f", "0*x*y")])
+@pytest.mark.parametrize("terms", [2000, 20000])
+def test_deeply_nested_expression_is_a_config_error(tmp_path, capsys, key, term, terms):
+    # a long sum nests one level per term: the grammar check overflows the
+    # recursion limit at 2000 terms, and the parser itself at 20000
+    lines = {"X": "1", "Y": "1", "psi": "0*x", "phi": "0*y", "f": "1", "nu": "1.0"}
+    lines[key] = "+".join([term] * terms)
+    spec = tmp_path / "deep.prob"
+    spec.write_text("".join(f"{k} = {v}\n" for k, v in lines.items()))
+    message = f"key `{key}` in {spec}: expression nested too deeply"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_problem_file(str(spec))
+    assert main(["solve", "--problem", str(spec), "--n1", "2", "--cheb-order", "6"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("edit, key", [
     ("X = nan", "extent X "),
     ("Y = inf", "extent Y "),

@@ -20,7 +20,6 @@ from goursatfd.solver import (
     GoursatProblem,
     _SOURCE_BLOCK,
     _CellEngine,
-    _CorrectionKernel,
     _adomian_source,
     _corner_weights,
     _diagonal,
@@ -659,10 +658,9 @@ def _prefix(expansion, k):
 
 
 @pytest.mark.parametrize("case", ["liouville-40", "poly-blocks", "cli-poly-seed1"])
-def test_correction_matches_the_per_wavefront_cell_solve(case, tmp_path):
-    # the hoisted area term and series weights against the full cell solve of
-    # every anti-diagonal on its gathered source, rank by rank on the same
-    # prior ranks
+def test_correction_matches_the_per_wavefront_cell_solve(case, tmp_path, monkeypatch):
+    # the mesh-wide series weights against each anti-diagonal's own, on the
+    # same gathered sources, rank by rank on the same prior ranks
     if case == "liouville-40":
         problem, (n1, n2), m = liouville_problem().problem, (40, 40), 7
     elif case == "poly-blocks":
@@ -684,21 +682,27 @@ def test_correction_matches_the_per_wavefront_cell_solve(case, tmp_path):
         assert np.array_equal(mine[1:, :, 0, :], mine[:-1, :, -1, :])
     # every cell sums the term count of the mesh's largest |zeta|, also where
     # the anti-diagonals alone would take fewer (seed 1 mixes K = 5 and 6)
-    kernel = _CorrectionKernel(expansion)
     zeta = np.abs(expansion.cell_coeffs) * (expansion.grid.h1 * expansion.grid.h2)
     k = series_length(float(np.max(zeta)), P)
-    for w in (kernel.bottom_w, kernel.left_w, kernel.area_w):
-        assert w.shape == (n1 * n2, k)
+    shapes = []
+
+    def spy(eng, weights, left, bottom, rhs):
+        shapes.append({w.shape for w in weights})
+        return solve_cells(eng, weights, left, bottom, rhs)
+
+    solve_cells = solver._solve_cells
+    monkeypatch.setattr(solver, "_solve_cells", spy)
+    solve_correction(_prefix(expansion, 1), 1)
+    diagonals = [_diagonal(n1, n2, d) for d in range(n1 + n2 - 1)]
+    assert shapes == [{(len(ii), k)} for ii, _ in diagonals]
     if case == "cli-poly-seed1":
-        diagonals = [_diagonal(n1, n2, d) for d in range(n1 + n2 - 1)]
         assert {series_length(float(np.max(zeta[d])), P) for d in diagonals} == {k - 1, k}
 
 
-def test_correction_march_reads_only_hoisted_parts(monkeypatch):
-    # the series weights and the corner response are built once per solve,
-    # before any march; each rank applies the area term once per source block
-    n1, n2, per_block = _block_mesh(P)
-    blocks = math.ceil(n1 * n2 / per_block)
+def test_correction_hoists_weights_and_source_out_of_the_march(monkeypatch):
+    # per correction the series weights and the source are built once, before
+    # the march; the march makes one cell solve per anti-diagonal, as at rank 0
+    n1, n2, _ = _block_mesh(P)
     problem = liouville_problem().problem
     expansion = fd_solve(problem, n1, n2, 0, P)
     calls = Counter()
@@ -720,29 +724,49 @@ def test_correction_march_reads_only_hoisted_parts(monkeypatch):
     march = solver._march
     monkeypatch.setattr(solver, "_march", flagged)
     for name in ("series_length", "series_terms", "_kernel_weights", "_solve_cells",
-                 "_area_term", "_CorrectionKernel", "_source_blocks"):
+                 "_area_term", "_source_field"):
         monkeypatch.setattr(solver, name, counted(name, getattr(solver, name)))
+    diagonals = n1 + n2 - 1
     for k in range(1, 4):
         calls.clear()
         expansion.corrections.append(solve_correction(expansion, k))
-        assert not [key for key in calls if key[1]], (k, calls)
-        assert calls["_solve_cells", False] == 0
-        assert calls["_area_term", False] == (2 if k == 1 else 1) * blocks, k
-        assert calls["_CorrectionKernel", False] == (k == 1)
-        assert calls["_source_blocks", False] == 1
-        # the residual reads the source the march's blocks are built from
+        assert calls == Counter({
+            ("series_length", False): 1, ("series_terms", False): 1,
+            ("_kernel_weights", False): 1, ("_source_field", False): 1,
+            ("_solve_cells", True): diagonals, ("_area_term", True): diagonals}), k
+        # the residual reads the source the march reads
         calls.clear()
         res = residual_correction(expansion, k).max()
-        assert calls["_source_blocks", False] == 1
+        assert calls == Counter({("_source_field", False): 1}), k
         assert res <= 1e-8 * (1.0 + np.max(np.abs(expansion.corrections[k].values)))
-    # through fd_solve the shared parts are built once and freed on return
+    # through fd_solve, rank 0 takes its weights per anti-diagonal inside the march
     calls.clear()
-    solved = fd_solve(problem, n1, n2, 3, P)
-    assert calls["_CorrectionKernel", False] == 1
-    assert calls["_area_term", False] == 4 * blocks
-    assert calls["_area_term", True] == calls["_solve_cells", True] == n1 + n2 - 1
-    assert calls["_kernel_weights", True] == n1 + n2 - 1
-    assert solved._kernel is None
+    fd_solve(problem, n1, n2, 3, P)
+    assert calls["_kernel_weights", True] == diagonals
+    assert calls["_kernel_weights", False] == calls["_source_field", False] == 3
+    assert calls["_solve_cells", True] == 4 * diagonals
+    assert calls["_solve_cells", False] == 0
+
+
+def test_standalone_correction_keeps_only_its_field():
+    # after the call, traced memory has grown by the returned field alone, and
+    # the expansion's attributes are the ones it had
+    expansion = fd_solve(liouville_problem().problem, 40, 40, 0, P)
+    before = dict(vars(expansion))
+    coeffs = expansion.cell_coeffs.copy()
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        uk = solve_correction(expansion, 1)
+        grown = tracemalloc.get_traced_memory()[0] - start
+    finally:
+        tracemalloc.stop()
+    field_bytes = uk.values.nbytes
+    assert field_bytes <= grown <= 1.01 * field_bytes, grown / field_bytes
+    assert vars(expansion).keys() == before.keys()
+    assert all(vars(expansion)[key] is value for key, value in before.items())
+    assert np.array_equal(expansion.cell_coeffs, coeffs)
+    assert len(expansion.corrections) == 1
 
 
 def test_non_finite_rank2_source_names_the_first_bad_cell():
@@ -788,7 +812,7 @@ def test_standalone_correction_refuses_an_out_of_range_coefficient():
     expansion = _hand_built_expansion()
     problem = expansion.problem
     solve_correction(expansion, 1)
-    # new coefficients replace the weights the first call kept
+    # a later call solves on the coefficients the expansion holds then
     coeffs = expansion.cell_coeffs.copy()
     coeffs[3, 2] = 1.0e4
     expansion.cell_coeffs = coeffs
@@ -802,7 +826,7 @@ def test_standalone_correction_refuses_an_out_of_range_coefficient():
 
 
 def test_correction_sees_an_in_place_edit_of_the_coefficients():
-    # the kept weights were built on the values the coefficients had then
+    # every call takes its weights from the coefficients' current values
     expansion = _hand_built_expansion()
     solve_correction(expansion, 1)
     expansion.cell_coeffs[3, 2] = 1.0e4
@@ -842,9 +866,75 @@ def test_expansion_without_cell_coeffs_names_them():
         residual_basic(expansion)
     expansion.cell_coeffs = problem.nonlinearity.eval(expansion.corrections[0].values[:, :, 0, 0])
     expansion.corrections.append(solve_correction(expansion, 1))
-    # cleared after the first correction kept its weights
+    # cleared after a first correction was solved on them
     expansion.cell_coeffs = None
     with pytest.raises(ValueError, match="cell_coeffs is None"):
         residual_correction(expansion, 1)
     with pytest.raises(ValueError, match="cell_coeffs is None"):
         solve_correction(expansion, 2)
+
+
+# metamorphic relations: the solver against itself on a transformed problem,
+# with no exact solution; each compares every rank within 1e-13 of its sup
+
+_META_MESH, _META_RANK = (13, 9), 5
+
+
+def _meta_problem(nu=(0.3, -0.2, 0.1), a=1.0, b=1.0, psi=None, phi=None, f=None):
+    """An asymmetric problem on [0, 2] x [0, 1.5], in x = a x', y = b y'.
+
+    The map turns u_xy + N(u) u = f into u_x'y' + ab N(u) u = ab f on
+    [0, 2 / a] x [0, 1.5 / b], with psi and phi read at a x' and b y'.
+    """
+    psi = psi or (lambda x: 0.5 + 0.4 * np.sin(1.3 * x))
+    phi = phi or (lambda y: 0.5 + 0.3 * y - 0.2 * y * y)
+    f = f or (lambda x, y: 1.0 + x * y * y - 0.5 * x)
+    return GoursatProblem(X=2.0 / a, Y=1.5 / b, psi=lambda x: psi(a * x), phi=lambda y: phi(b * y),
+                          f=lambda x, y: a * b * f(a * x, b * y),
+                          nonlinearity=Nonlinearity.from_series([a * b * v for v in nu]))
+
+
+def _assert_ranks_match(mine, ref):
+    for k, (u, v) in enumerate(zip(mine, ref)):
+        sup = np.max(np.abs(v))
+        assert np.max(np.abs(u - v)) <= 1e-13 * sup, (k, np.max(np.abs(u - v)) / sup)
+
+
+def test_axis_swap_transposes_every_rank():
+    # (X, Y, psi, phi, f(x, y)) on N1 x N2 cells against (Y, X, phi, psi,
+    # f(y, x)) on N2 x N1: the bottom-trace term meets the left-trace term
+    n1, n2 = _META_MESH
+    problem = _meta_problem()
+    swapped = GoursatProblem(problem.Y, problem.X, problem.phi, problem.psi,
+                             lambda x, y: problem.f(y, x), problem.nonlinearity)
+    mine = fd_solve(problem, n1, n2, _META_RANK, P).corrections
+    ref = fd_solve(swapped, n2, n1, _META_RANK, P).corrections
+    _assert_ranks_match([u.values for u in mine], [v.values.transpose(1, 0, 3, 2) for v in ref])
+
+
+@pytest.mark.parametrize("a, b", [(2.0, 0.5), (1.3, 0.7)])
+def test_domain_scaling_leaves_every_rank_unchanged(a, b):
+    # zeta = c h1 h2 is invariant, so the cells see the same kernel; a != b
+    # shows a swapped h1 / h2, and 1.3 x 0.7 is not exact in binary
+    n1, n2 = _META_MESH
+    mine = fd_solve(_meta_problem(a=a, b=b), n1, n2, _META_RANK, P).corrections
+    ref = fd_solve(_meta_problem(), n1, n2, _META_RANK, P).corrections
+    _assert_ranks_match([u.values for u in mine], [v.values for v in ref])
+
+
+def test_constant_multiplier_superposes_and_has_no_corrections():
+    # for N = 0.7 the equation is linear: rank 0 superposes, and every
+    # Adomian term cancels, so each correction is exactly zero
+    n1, n2 = _META_MESH
+    one = dict(psi=lambda x: 0.5 + 0.4 * np.sin(1.3 * x), phi=lambda y: 0.5 + 0.3 * y,
+               f=lambda x, y: 1.0 + x * y * y)
+    two = dict(psi=lambda x: -0.2 + x * x, phi=lambda y: -0.2 - 0.7 * y * y * y,
+               f=lambda x, y: np.cos(x - 2.0 * y))
+    both = {key: (lambda g, h: lambda *v: g(*v) + h(*v))(one[key], two[key]) for key in one}
+    solves = [fd_solve(_meta_problem(nu=(0.7,), **data), n1, n2, _META_RANK, P)
+              for data in (one, two, both)]
+    total = solves[0].corrections[0].values + solves[1].corrections[0].values
+    _assert_ranks_match([solves[2].corrections[0].values], [total])
+    for n, expansion in enumerate(solves):
+        for k, uk in enumerate(expansion.corrections[1:], 1):
+            assert not np.any(uk.values), (n, k)
