@@ -105,8 +105,7 @@ def test_bench_record_alternates_the_pairs_and_summarises_each_side(tmp_path, mo
     assert runs[6][1][1] == "cli-poly"
     data = json.loads((change / "BENCH_7.json").read_text())
     assert data["runs"] == 3
-    assert data["sides"]["change"] == {"tree": str(change), "commit": None,
-                                       "src_lines": {"total": 3, "code": 1}}
+    assert data["sides"]["change"] == {"commit": None, "src_lines": {"total": 3, "code": 1}}
     deep, poly = data["workloads"]["deep-p12"], data["workloads"]["cli-poly"]
     # runs 1..3 of each tree, then 4..6 for the second workload
     assert deep["change"]["op_s"] == [2.0, 1.5, 2.5]

@@ -88,8 +88,8 @@ def record(trees: dict, workloads, runs: int, seconds: float) -> dict:
     sides = list(trees)
     out = {"command": f"perfbench/run.py --workload W --seconds {seconds} --trace 0",
            "runs": runs,
-           "sides": {side: {"tree": str(tree), "commit": _commit(tree),
-                            "src_lines": _src_lines(tree)} for side, tree in trees.items()},
+           "sides": {side: {"commit": _commit(tree), "src_lines": _src_lines(tree)}
+                     for side, tree in trees.items()},
            "workloads": {}}
     for workload in workloads:
         results = {side: [] for side in sides}
