@@ -2,18 +2,18 @@
 
 Given a function F(u) and a finite expansion v(tau) = sum_s v_s tau^s, the
 Adomian polynomial A_n(F; v_0..v_n) is the n-th Taylor coefficient of
-F(v(tau)) at tau = 0.  `compose_last` composes Taylor rows of F at v_0 with
-the tail v - v_0 through the partial Bell triangle (Comtet, Advanced
-Combinatorics, 1974, section 3.3) and keeps only the last coefficient: A_n
-is the last coefficient of the order-n composition, so one function serves
-every order.  The Adomian polynomials of a product are the Cauchy product
-of its factors' (Rach, J. Math. Anal. Appl. 102, 1984), so
-sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient A_n(G; v),
+F(v(tau)) at tau = 0.  `compose` gives every order 0..K at once from the
+Taylor rows of F at v_0 and the tail v - v_0, by Horner's rule on truncated
+series (Knuth, TAOCP vol. 2, section 4.7; Brent & Kung, J. ACM 25(4), 1978)
+in about K^3 / 6 row products.  The Adomian polynomials of a product are
+the Cauchy product of its factors' (Rach, J. Math. Anal. Appl. 102, 1984),
+so sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient A_n(G; v),
 `Nonlinearity.term_adomian`.  A correction source composes N at the cell
-corners, once per order, and takes that one coefficient of G at the cell
-points: by the Bell walk for a polynomial multiplier, and by the preset's
-own hook otherwise (for the benchmark's G = 1 - e^(2u), the recurrence of
-the exponential of a power series, about n^2 / 2 row updates).
+corners, once per rank, and takes that one coefficient of G at the cell
+points: for a polynomial multiplier by composing G's rows to order n - 1
+and taking Horner's last step for order n alone, and by the preset's own
+hook otherwise (for the benchmark's G = 1 - e^(2u), the recurrence of the
+exponential of a power series, about n^2 / 2 row updates).
 """
 
 from __future__ import annotations
@@ -26,52 +26,28 @@ import numpy as np
 __all__ = ["Nonlinearity"]
 
 
-def _bell_columns(tail):
-    """Columns j = 1..K of the partial Bell triangle of `tail` (K+1 rows, t_0 never read).
+def compose(taylor: np.ndarray, tail) -> np.ndarray:
+    """A_0..A_K of F(v(tau)) from Taylor rows a_0..a_d of F at v_0 and the tail w = v - v_0.
 
-    B[n, j], the tau^n coefficient of the j-th power of the tail, obeys
-
-        B[n, 1] = t_n,   B[n, j] = sum_{i=1}^{n-j+1} t_i B[n-i, j-1].
-
-    It vanishes for n < j, so column j is yielded as rows n = j..K only.
-    `tail` may be a list of rows; columns j >= 2 are built in place, a row
-    product at a time, in two alternating buffers and one scratch buffer.
+    `tail` holds K + 1 rows of one shape, as a stack or a list, and its row 0
+    is never read; `taylor` holds d + 1 rows of that shape.  By Horner's rule
+    on truncated series, F = a_0 + w (a_1 + w (a_2 + ... + w a_d)), inner
+    series first; below a_j only orders up to K - j are needed, so every
+    order together costs about K^3 / 6 row products, and a polynomial of
+    degree d < K stops at a_d.  Each step h <- a_j + w h overwrites the
+    orders of h top first, in place: order n reads only orders below it.
     """
-    k = len(tail) - 1
-    if k == 0:
-        return
-    bell = tail[1:]
-    yield bell
-    shape = np.shape(tail[-1])
-    columns, scratch = np.empty((2, k - 1) + shape), np.empty((max(k - 2, 0),) + shape)
-    for j in range(2, k + 1):
-        nxt = columns[j % 2, :k + 1 - j]
-        for i in range(1, k + 2 - j):
-            prod = nxt if i == 1 else scratch[:k + 2 - j - i]
-            for r in range(k + 2 - j - i):
-                np.multiply(tail[i], bell[r], out=prod[r, ...])
-            if i > 1:
-                nxt[i - 1:] += prod
-        yield nxt
-        bell = nxt
-
-
-def compose_last(taylor: np.ndarray, tail) -> np.ndarray:
-    """The last coefficient A_K of F(v(tau)) from Taylor rows of F at v_0 and the tail v - v_0.
-
-    Both stacks are shaped (K+1, ...) and may carry trailing point axes;
-    `tail` may also be a list of its rows, and `tail[0]` is never read.  With
-    a_j the Taylor rows and B the partial Bell triangle of the tail, the walk
-    dots only the triangle's last row with the Taylor rows,
-    A_K = sum_{j=1}^{K} a_j B[K, j] (A_0 = a_0).
-    """
-    if taylor.shape[0] == 1:
-        return taylor[0].copy()
-    res = np.zeros_like(taylor[0])
-    scratch = np.empty_like(res)
-    for j, column in enumerate(_bell_columns(tail), 1):
-        res += np.multiply(taylor[j], column[-1], out=scratch)
-    return res
+    k, d = len(tail) - 1, len(taylor) - 1
+    out = np.zeros((k + 1,) + np.shape(taylor[0]))
+    scratch = np.empty_like(out[0])
+    for j in range(d - 1, -1, -1):
+        # order 0 of the inner series is a_(j+1) itself, read from its row
+        for n in range(k - j, 0, -1):
+            np.multiply(tail[n], taylor[j + 1], out=out[n, ...])
+            for i in range(1, n):
+                out[n] += np.multiply(tail[i], out[n - i], out=scratch)
+    out[0] = taylor[0]
+    return out
 
 
 class Nonlinearity:
@@ -86,8 +62,9 @@ class Nonlinearity:
     gives it, for every multiplier: a rank-1 correction source then vanishes
     exactly where u0 is its cell's corner value.  By default N's rows are
     its coefficients, recentered exactly by binomial re-expansion, and
-    A_n(G) composes the rows of G, [0, nu_0, nu_1, ...], recentered the same
-    way.  A preset replaces both
+    A_n(G) composes the rows 1..min(n, deg) of G, [0, nu_0, nu_1, ...],
+    recentered the same way, so a polynomial's degree ends the composition.
+    A preset replaces both
     with analytic hooks `taylor_fn(center, order)`, whose row 0 must not
     depend on `order`, and `term_adomian_fn(v, n)` for n >= 1; it gives both
     or neither.
@@ -137,9 +114,15 @@ class Nonlinearity:
         if self._term_adomian_fn is not None:
             out = self._term_adomian_fn(v, n)
         else:
-            # the walk never reads the tail's row 0, so v serves as the tail v - v_0
-            g = _recenter_poly(np.concatenate(([0.0], self.series_coeffs)), v[0], n)
-            out = compose_last(g, v[:n + 1])
+            # G = u N has degree len(nu); compose its rows 1..min(n, deg) to order
+            # n - 1 (v serves as the tail, its row 0 unread), then take Horner's
+            # last step A_n = sum_i v_i C_(n-i) alone, in place over C's rows
+            deg = len(self.series_coeffs)
+            g = _recenter_poly(np.concatenate(([0.0], self.series_coeffs)), v[0], min(n, deg))
+            c = compose(g[1:], v[:n])
+            out = np.multiply(v[1], c[n - 1], out=c[n - 1, ...])
+            for i in range(2, n + 1):
+                out += np.multiply(v[i], c[n - i], out=c[n - i, ...])
         return _checked(out, np.shape(v[0]))
 
     def eval(self, u):

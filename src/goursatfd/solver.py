@@ -40,7 +40,7 @@ from .field import (
     unit_cheb_nodes,
 )
 from .kernels import KernelRangeError, series_length, series_terms, zeta_limit
-from .series import Nonlinearity, compose_last
+from .series import Nonlinearity, compose
 
 __all__ = [
     "GoursatProblem",
@@ -290,15 +290,13 @@ def _corner_weights(nl: Nonlinearity, frozen: list) -> np.ndarray:
 
     `frozen[s]` holds the rank-s corner values of the cells, k = len(frozen);
     A^c are the Adomian polynomials of N at those values, orders 0..k, with
-    the top slot k taken as zero, each the last coefficient of its own
-    composition.  Returns a (k, cells) array.
+    the top slot k taken at v_k = 0, all from one composition.  Returns a
+    (k, cells) array.
     """
-    k = len(frozen)
-    tail = np.zeros((k + 1, frozen[0].size))
-    for s in range(1, k):
-        tail[s] = frozen[s].ravel()
-    taylor = nl.taylor_at(frozen[0].ravel(), k)
-    a = np.array([compose_last(taylor[:n + 1], tail[:n + 1]) for n in range(k + 1)])
+    corners = [np.ravel(c) for c in frozen]
+    k = len(corners)
+    # the tail's row 0 is never read, and the top slot reads v_k = 0
+    a = compose(nl.taylor_at(corners[0], k), corners + [np.zeros_like(corners[0])])
     return a[k - 1::-1] - a[k:0:-1]
 
 
@@ -307,8 +305,8 @@ def _adomian_source(nl: Nonlinearity, here: list, weights: np.ndarray) -> np.nda
 
     `here[s]` holds the rank-s values at points of the cells (the cell
     shape followed by point axes) and `weights` the cells' (k, cells)
-    `_corner_weights`.  With A^c the corner Adomian polynomials of N (the
-    top slot k taken as zero) and G = u N,
+    `_corner_weights`.  With A^c the corner Adomian polynomials of N, all
+    from one composition per rank (the top slot k at v_k = 0), and G = u N,
 
         F^(k) = sum_{s<k} (A^c_{k-1-s} - A^c_{k-s}) v_s - A_{k-1}(G; v),
 

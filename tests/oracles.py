@@ -9,15 +9,20 @@
   `picard_cell_oracle`, the same cell by Picard iteration on the integral
   form;
 - `adomian_partition`: Adomian polynomials by enumeration of the defining
-  partition sum, independent of the Bell-triangle composition;
+  partition sum, independent of every composition;
 - `liouville_term_taylor`: the closed-form Taylor rows of the benchmark's
-  G(u) = u N(u) = 1 - e^(2u), which the Bell walk composed into A_n(G)
+  G(u) = u N(u) = 1 - e^(2u), which a composition turned into A_n(G)
   before the exponential recurrence replaced it;
-- `compose_with_tail`: every coefficient A_0..A_K of a composition from
-  one walk of the production Bell triangle, against which `compose_last`
-  is checked bit for bit;
+- `compose_with_tail`: every coefficient A_0..A_K of a composition by the
+  partial Bell triangle, plain loops that import nothing from `series`,
+  against which the production Horner composition `series.compose` is
+  checked;
 - `TruncatedSeries`, `series_compose_nonlinearity`: Adomian polynomials of
   one scalar series through `compose_with_tail`;
+- `sine_gordon_problem`: the sine-Gordon kink 4 arctan(exp(x + y - 2)) on
+  [0, 2]^2, a second exact solution, with N(u) = -sin(u) / u through the
+  hooks `taylor_fn` (a backward recurrence) and `term_adomian_fn` (the
+  paired sin/cos recurrence), checked against mpmath and the partition sum;
 - `correction_rhs`: the rank-k Adomian source F^(k) at one point of one
   cell, through the production assembly;
 - `correction_source`: the whole rank-k cell source, corner term included,
@@ -54,9 +59,9 @@ from goursatfd.field import (
     unit_cc_weights,
     unit_cheb_nodes,
 )
-from goursatfd.harness import liouville_multiplier
+from goursatfd.harness import Preset, liouville_multiplier
 from goursatfd.kernels import KernelRangeError
-from goursatfd.series import Nonlinearity, _bell_columns
+from goursatfd.series import Nonlinearity
 from goursatfd.solver import FdExpansion, _adomian_source, _corner_weights
 
 
@@ -298,18 +303,27 @@ def liouville_term_taylor(center, order: int) -> np.ndarray:
 # Adomian polynomials of one scalar series
 
 
-def compose_with_tail(taylor: np.ndarray, tail) -> np.ndarray:
-    """Coefficients A_0..A_K of F(v(tau)) from Taylor rows of F at v_0 and the tail v - v_0.
+def compose_with_tail(taylor, tail) -> np.ndarray:
+    """Coefficients A_0..A_K of F(v(tau)) by the partial Bell triangle of the tail v - v_0.
 
-    Shaped and read as `compose_last`'s operands.  With a_j the Taylor rows
-    and B the partial Bell triangle of the tail, A_0 = a_0 and
-    A_n = sum_{j=1}^{n} a_j B[n, j].
+    Shaped and read as `series.compose`'s operands: K + 1 tail rows (row 0
+    never read) and the Taylor rows a_0..a_d of F at v_0, d <= K.  B[n, j],
+    the tau^n coefficient of the j-th power of the tail, follows from
+    B[n, 1] = t_n and B[n, j] = sum_{i=1}^{n-j+1} t_i B[n-i, j-1] (Comtet,
+    Advanced Combinatorics, 1974, section 3.3); A_0 = a_0 and
+    A_n = sum_{j=1}^{min(n, d)} a_j B[n, j].  Plain loops over the whole
+    triangle, sharing no code with the Horner composition it checks.
     """
-    res = np.zeros_like(taylor)
-    res[0] = taylor[0]
-    for j, column in enumerate(_bell_columns(tail), 1):
-        res[j:] += taylor[j] * column
-    return res
+    k, d = len(tail) - 1, len(taylor) - 1
+    out = np.zeros((k + 1,) + np.shape(taylor[0]))
+    out[0] = taylor[0]
+    bell = {}
+    for n in range(1, k + 1):
+        bell[n, 1] = np.asarray(tail[n], dtype=float)
+        for j in range(2, n + 1):
+            bell[n, j] = sum(tail[i] * bell[n - i, j - 1] for i in range(1, n - j + 2))
+        out[n] = sum(taylor[j] * bell[n, j] for j in range(1, min(n, d) + 1))
+    return out
 
 
 @dataclass(frozen=True)
@@ -341,6 +355,71 @@ def series_compose_nonlinearity(nl: Nonlinearity, v: TruncatedSeries) -> Truncat
     tail = v.coeffs.copy()
     tail[0] = 0.0
     return TruncatedSeries(compose_with_tail(taylor, tail))
+
+
+# ---------------------------------------------------------------------------
+# the sine-Gordon kink: a second exact solution, of the equation in the title
+
+# the backward recurrence of N's rows starts this many orders above the top row
+SINE_GORDON_START = 44
+
+
+def _sine_gordon_taylor(center, order: int) -> np.ndarray:
+    """Taylor rows a_0..a_order of N(u) = -sin(u) / u around `center`.
+
+    G = u N = -sin u has the rows g_j = -sin(t + j pi / 2) / j!, and
+    g_j = t a_j + a_(j-1), so the backward recurrence a_(j-1) = g_j - t a_j,
+    started from zero `SINE_GORDON_START` orders above `order`, gives every
+    row without a division: row 0 is -sin(t) / t, and -1 at t = 0.
+    """
+    t = np.asarray(center, dtype=float)
+    cycle = (np.sin(t), np.cos(t), -np.sin(t), -np.cos(t))  # sin(t + j pi / 2)
+    out = np.empty((order + 1,) + t.shape)
+    a = np.zeros(t.shape)
+    for j in range(order + SINE_GORDON_START, 0, -1):
+        a = -cycle[j % 4] / factorial(j) - t * a
+        if j <= order + 1:
+            out[j - 1] = a
+    return out
+
+
+def _sine_gordon_term_adomian(v, n: int) -> np.ndarray:
+    """A_n(G; v), n >= 1, of G = -sin u: -S_n.
+
+    S_j and C_j, the Taylor coefficients of sin and cos of v(tau), follow
+    from S_0 = sin v_0, C_0 = cos v_0 and the paired recurrence
+    j S_j = sum_{i=1}^{j} i v_i C_(j-i), j C_j = -sum_{i=1}^{j} i v_i S_(j-i)
+    (Griewank & Walther, Evaluating Derivatives, 2nd ed., SIAM 2008, ch. 13).
+    """
+    sin, cos = [np.sin(v[0])], [np.cos(v[0])]
+    for j in range(1, n + 1):
+        sin.append(sum(i * v[i] * cos[j - i] for i in range(1, j + 1)) / j)
+        cos.append(-sum(i * v[i] * sin[j - i] for i in range(1, j + 1)) / j)
+    return -sin[n]
+
+
+def _kink(x, y):
+    # theta = x + y - 2 lies in [-2, 2] on the square, so u in [0.537, 5.746]
+    return 4.0 * np.arctan(np.exp(np.add(x, y) - 2.0))
+
+
+def sine_gordon_problem() -> Preset:
+    """The sine-Gordon kink u = 4 arctan(exp(x + y - 2)) on [0, 2]^2.
+
+    In characteristic variables u_xy = sin u has the kinks
+    4 arctan(exp(a x + y / a + theta_0)) (Drazin & Johnson, Solitons: an
+    Introduction, CUP 1989); here a = 1 and theta_0 = -2, written as
+    u_xy + N(u) u = 0 with N(u) = -sin(u) / u and G = u N = -sin u.  N's
+    global coefficients are those of its Maclaurin series, through u^29.
+    """
+    nu = [0.0 if j % 2 else -(-1.0) ** (j // 2) / factorial(j + 1) for j in range(30)]
+    problem = solver.GoursatProblem(
+        X=2.0, Y=2.0, psi=lambda x: _kink(x, 0.0), phi=lambda y: _kink(0.0, y),
+        f=lambda x, y: 0.0,
+        nonlinearity=Nonlinearity(nu, taylor_fn=_sine_gordon_taylor,
+                                  term_adomian_fn=_sine_gordon_term_adomian),
+    )
+    return Preset("sine-gordon", problem, _kink)
 
 
 # ---------------------------------------------------------------------------

@@ -38,6 +38,7 @@ from oracles import (
     riemann_d1,
     riemann_d2,
     series_compose_nonlinearity,
+    sine_gordon_problem,
     solve_cell_linear,
 )
 
@@ -272,3 +273,42 @@ def test_criterion_9_kernel_suite():
     assert hyp0f1(1.0, 1.0) == pytest.approx(2.2795853023360673, rel=1e-13)
     assert hyp0f1(1.0, -1.0) == pytest.approx(0.22389077914123567, rel=1e-13)
     print("\nACCEPTANCE criterion 9: PASS (kernel oracles)")
+
+
+@pytest.fixture(scope="module")
+def kink():
+    """The sine-Gordon kink at N = 20 and 40, P = 12, ranks 0..7."""
+    preset = sine_gordon_problem()
+    runs = {}
+    for n in (20, 40):
+        expansion = fd_solve(preset.problem, n, n, 7, 12)
+        runs[n] = (expansion, [error_vs_exact(expansion, preset.exact, m) for m in range(8)])
+    return runs
+
+
+def test_sine_gordon_kink_converges_in_h_and_m(kink):
+    # a second exact solution, of the equation in the paper's title, gated
+    # against the exact kink only: at every rank the finer mesh is closer,
+    # and at each mesh every rank is closer than the one before; the
+    # deepest rank is at least 1e6 below rank 0 on both meshes
+    coarse, fine = kink[20][1], kink[40][1]
+    for m in range(8):
+        assert fine[m] < coarse[m], (m, coarse[m], fine[m])
+    for deltas in (coarse, fine):
+        assert all(b < a for a, b in zip(deltas, deltas[1:])), deltas
+        assert deltas[7] <= 1e-6 * deltas[0], deltas
+    print("\nACCEPTANCE sine-Gordon kink: PASS (delta falls with h and m, "
+          f"{fine[7]:.2e} at N = 40, m = 7)")
+
+
+def test_sine_gordon_kink_residuals_and_rank_series(kink):
+    # the frozen-coefficient and correction equations hold at the interior
+    # nodes, and the rank series does not diverge: each correction's sup is
+    # below half the one before
+    for expansion, _ in kink.values():
+        assert residual_basic(expansion).max() <= 1e-8
+        for k in range(1, 8):
+            assert residual_correction(expansion, k).max() <= 1e-8, k
+        sups = [np.max(np.abs(c.values)) for c in expansion.corrections]
+        for k in range(1, 8):
+            assert sups[k] <= 0.5 * sups[k - 1], (k, sups)

@@ -28,7 +28,7 @@ def test_oracles_live_only_beside_the_tests():
 
     moved = [n for n, v in vars(oracles).items()
              if getattr(v, "__module__", None) == "oracles" and not n.startswith("_")]
-    assert len(moved) == 20
+    assert len(moved) == 21
     for name in ("goursatfd",) + tuple(f"goursatfd.{m}" for m in MODULES):
         module = importlib.import_module(name)
         assert not [n for n in moved if hasattr(module, n)], name

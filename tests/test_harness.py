@@ -22,7 +22,7 @@ from goursatfd.harness import (
 )
 from goursatfd import harness, solver
 from goursatfd.kernels import series_terms
-from goursatfd.series import Nonlinearity, compose_last
+from goursatfd.series import Nonlinearity, compose
 from goursatfd.solver import (
     FdSolverError,
     GoursatProblem,
@@ -467,13 +467,11 @@ def _series_terms_without_z_term(z, n):
     return out
 
 
-def _last_coefficient_without_top_bell_term(taylor, tail):
-    # A_K loses its j = K term a_K * t_1^K
-    out = compose_last(taylor, tail)
-    k = len(taylor) - 1
-    if k:
-        out -= taylor[k] * tail[1] ** k
-    return out
+def _compose_without_top_horner_term(taylor, tail):
+    # Horner's rule loses its innermost term, the last Taylor row a_d
+    rows = np.array(taylor, dtype=float)
+    rows[-1] = 0.0
+    return compose(rows, tail)
 
 
 def _cell_solve_of_negated_source(eng, weights, left, bottom, rhs):
@@ -495,7 +493,7 @@ def _negated_area_term(*args):
 
 def test_selftest_checks_the_benchmark_term_recurrence(monkeypatch):
     # the march composes liouville's G by its exponential recurrence, not by
-    # the Bell walk the polynomial checks reach: a recurrence with one wrong
+    # the Horner composition the polynomial checks reach: a recurrence with one wrong
     # product from order 3 on must fail the composition check
     recurrence = harness._liouville_term_adomian
 
@@ -509,7 +507,7 @@ def test_selftest_checks_the_benchmark_term_recurrence(monkeypatch):
 
 @pytest.mark.parametrize("name,broken,check", [
     ("series_terms", _series_terms_without_z_term, "kernel series"),
-    ("compose_last", _last_coefficient_without_top_bell_term, "adomian composition"),
+    ("compose", _compose_without_top_horner_term, "adomian composition"),
     ("_kernel_weights", _negated_area_weights, "benchmark problem"),
     ("_solve_cells", _cell_solve_of_negated_source, "benchmark problem"),
     ("_trace_terms", _negated_trace_terms, "benchmark problem"),

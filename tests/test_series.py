@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from goursatfd.series import Nonlinearity, compose_last
+from goursatfd.series import Nonlinearity, compose
 from goursatfd.harness import MAX_RANK, liouville_multiplier
 from oracles import (
     PARTITION_ORDER_CAP,
@@ -14,6 +14,7 @@ from oracles import (
     compose_with_tail,
     liouville_term_taylor,
     series_compose_nonlinearity,
+    sine_gordon_problem,
 )
 
 
@@ -262,7 +263,7 @@ def test_term_adomian_low_orders_are_the_closed_forms_bit_for_bit():
     for nl in (liouville_multiplier(), Nonlinearity.from_series(rng.uniform(-1, 1, size=5))):
         assert nl.term_adomian(v, 0).tobytes() == (v[0] * nl.eval(v[0])).tobytes()
     nl = liouville_multiplier()
-    old = compose_last(liouville_term_taylor(v[0], 1), v[:2])
+    old = liouville_term_taylor(v[0], 1)[1] * v[1]
     assert nl.term_adomian(v, 1).tobytes() == old.tobytes()
     # a list of rows serves as well as a stack, and rows past n are not read
     assert nl.term_adomian(list(v[:3]), 2).tobytes() == nl.term_adomian(v, 2).tobytes()
@@ -281,16 +282,74 @@ def test_liouville_rows_keep_their_center_shape():
 
 def test_polynomial_term_rows_recenter_the_shifted_coefficients():
     # G = u N is the polynomial [0, nu_0, nu_1, ...]: A_n(G) is A_n of that
-    # polynomial's own rows, recentered exactly
+    # polynomial's own rows, recentered exactly, at orders below, at and above
+    # G's degree, where the composition stops at G's last row
     rng = np.random.default_rng(29)
     for _ in range(20):
         nu = rng.uniform(-1, 1, size=rng.integers(1, 7))
         nl = Nonlinearity.from_series(nu)
         term = Nonlinearity.from_series(np.concatenate(([0.0], nu)))
-        v = rng.uniform(-2, 2, size=(6, 3, 4))
-        for order in range(1, 6):
-            ref = compose_last(term.taylor_at(v[0], order), v[: order + 1])
-            assert np.array_equal(nl.term_adomian(v, order), ref)
+        v = rng.uniform(-2, 2, size=(9, 3, 4))
+        for order in range(1, 9):
+            ref = compose_with_tail(term.taylor_at(v[0], order), v[: order + 1])[order]
+            assert np.all(np.abs(nl.term_adomian(v, order) - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+
+
+# the sine-Gordon kink's range of u, about 0.54 to 5.75, a little widened,
+# and N's removable singularity at 0
+SINE_GORDON_CENTERS = np.concatenate([np.linspace(0.52, 5.76, 14), [0.0, 1e-9, np.pi]])
+
+
+def test_sine_gordon_taylor_rows_match_mpmath():
+    # N(u) = -sin(u) / u = -int_0^1 cos(u x) dx, so the j-th row at t is
+    # -int_0^1 x^j cos(t x + j pi / 2) dx / j!
+    #   = -sum_m t^m cos((j + m) pi / 2) / (m! (j + m + 1)) / j!,
+    # summed by mpmath at 40 digits; the backward recurrence multiplies the
+    # rounding of each step by t per order down, up to about e^t ulps of
+    # row 0 (1.2e-15 here)
+    mpmath = pytest.importorskip("mpmath")
+    t = SINE_GORDON_CENTERS
+    ref = np.empty((MAX_RANK + 1, t.size))
+    with mpmath.workdps(40):
+        for i, c in enumerate(t):
+            for j in range(MAX_RANK + 1):
+                total, term, m = mpmath.mpf(0), mpmath.mpf(1), 0  # term = t^m / m!
+                while m < 10 or abs(term) > mpmath.mpf(10) ** -35:
+                    total += term * (1, 0, -1, 0)[(j + m) % 4] / (j + m + 1)
+                    m += 1
+                    term *= mpmath.mpf(c) / m
+                ref[j, i] = float(-total / mpmath.factorial(j))
+    nl = sine_gordon_problem().problem.nonlinearity
+    top = nl.taylor_at(t, MAX_RANK)
+    scale = np.array([1.0 / math.factorial(j) for j in range(MAX_RANK + 1)])[:, None]
+    assert np.all(np.abs(top - ref) <= 4e-15 * scale)
+    # row j does not depend on the order asked for, and row 0 is -1 at 0
+    for order in range(MAX_RANK):
+        assert nl.taylor_at(t, order).tobytes() == top[: order + 1].tobytes(), order
+    assert float(nl.eval(0.0)) == -1.0
+    # the global coefficients are the rows at 0
+    assert np.array_equal(nl.taylor_at(0.0, 29), nl.series_coeffs)
+
+
+def test_sine_gordon_term_adomian_matches_mpmath_and_the_partition_sum():
+    # A_n(G) of G = -sin u: the tau^n coefficient of -sin(v(tau)) by mpmath's
+    # Taylor expansion at 50 digits, and sum_s A_(n-s)(N; v) v_s by the
+    # partition sum of N's rows (Rach's product rule)
+    mpmath = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(43)
+    nl = sine_gordon_problem().problem.nonlinearity
+    for n in range(1, PARTITION_ORDER_CAP + 1):
+        v = rng.uniform(-0.3, 0.3, size=(n + 1, 6))
+        v[0] = np.linspace(0.52, 5.76, 6)
+        mine = nl.term_adomian(v, n)
+        for q in range(6):
+            col = v[:, q]
+            with mpmath.workdps(50):
+                coeffs = [mpmath.mpf(float(c)) for c in col[::-1]]
+                ref = float(mpmath.taylor(lambda tau: -mpmath.sin(mpmath.polyval(coeffs, tau)), 0, n)[n])
+            part = sum(adomian_partition(nl, col[: n - s + 1]) * col[s] for s in range(n + 1))
+            assert abs(mine[q] - ref) <= 1e-15 * (1.0 + abs(ref)), (n, q)
+            assert abs(mine[q] - part) <= 1e-14 * (1.0 + abs(part)), (n, q)
 
 
 def test_liouville_series_coefficients():
@@ -353,18 +412,33 @@ def test_nonlinearity_validation():
             Nonlinearity([1.0], **hooks)
 
 
-@pytest.mark.parametrize("order", range(9))
-def test_compose_last_is_the_last_coefficient_bit_for_bit(order):
-    # one Bell walk serves both; the tail may be an array or a list of views,
-    # and its row 0 (here v_0 itself, not zero) is never read
+@pytest.mark.parametrize("order", range(17))
+def test_compose_matches_the_bell_oracle_and_the_partition_sum(order):
+    # every coefficient of one Horner composition against the Bell triangle,
+    # and through the partition sum's cap against it too: scalar rows and
+    # (cells, points) rows; a list tail, whose row 0 (here v_0 itself, not
+    # zero) is never read, gives the same bits
     rng = np.random.default_rng(order)
-    for nl in (liouville_multiplier(), Nonlinearity.from_series(rng.uniform(-1, 1, size=5))):
-        v = rng.uniform(-0.8, 0.8, size=(order + 1, 4))
-        taylor = nl.taylor_at(v[0], order)
-        full = compose_with_tail(taylor, v)
-        for tail in (v, list(v)):
-            assert compose_with_tail(taylor, tail).tobytes() == full.tobytes()
-            assert compose_last(taylor, tail).tobytes() == full[-1].tobytes()
-        for q in range(4):
-            ref = adomian_partition(nl, v[:, q])
-            assert abs(full[-1, q] - ref) <= 1e-12 * (1.0 + abs(ref)), q
+    poly = Nonlinearity.from_series(rng.uniform(-1, 1, size=4))  # degree 3
+    for nl in (liouville_multiplier(), poly):
+        for shape in ((), (3, 4)):
+            v = rng.uniform(-0.5, 0.5, size=(order + 1,) + shape)
+            v[0] -= 0.7
+            taylor = nl.taylor_at(v[0], order)
+            mine = compose(taylor, v)
+            ref = compose_with_tail(taylor, v)
+            assert mine.shape == v.shape
+            assert np.all(np.abs(mine - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+            assert compose(taylor, list(v)).tobytes() == mine.tobytes()
+            if order <= PARTITION_ORDER_CAP:
+                for idx in np.ndindex(shape):
+                    col = v[(slice(None),) + idx]
+                    for n in range(order + 1):
+                        part = adomian_partition(nl, col[: n + 1])
+                        assert abs(mine[(n,) + idx] - part) <= 1e-13 * (1.0 + abs(part))
+            if nl is poly and order > 3:
+                # the rows a_0..a_3 alone: the loop starts at the last row it is given
+                short = compose(taylor[:4], v)
+                assert np.all(np.abs(short - ref) <= 1e-13 * (1.0 + np.abs(ref)))
+                assert np.all(np.abs(compose_with_tail(taylor[:4], v) - ref)
+                              <= 1e-13 * (1.0 + np.abs(ref)))

@@ -333,6 +333,26 @@ def test_correction_rhs_matches_partition_sum_assembly():
                 assert mine == pytest.approx(val, rel=1e-10, abs=1e-13), (k, i, j)
 
 
+@pytest.mark.parametrize("nl", [liouville_problem().problem.nonlinearity,
+                                Nonlinearity.from_series([0.8, -0.5, 0.3, 0.2])],
+                         ids=["liouville", "cubic"])
+def test_corner_weights_match_the_partition_sum(nl):
+    # weight s of rank k is A^c_(k-1-s) - A^c_(k-s), each A^c_n the partition
+    # sum at the corner values v_0..v_n, the top slot A^c_k taken at v_k = 0
+    # (not zero itself: it is N's composition with the lower ranks' corners)
+    rng = np.random.default_rng(41)
+    frozen = [rng.uniform(-2.0, -0.6, size=5)] + [rng.uniform(-0.3, 0.3, size=5) for _ in range(6)]
+    for k in range(1, 8):
+        mine = _corner_weights(nl, frozen[:k])
+        assert mine.shape == (k, 5)
+        for q in range(5):
+            corners = [float(f[q]) for f in frozen[:k]] + [0.0]
+            a = [adomian_partition(nl, corners[: n + 1]) for n in range(k + 1)]
+            tol = 1e-13 * (1.0 + max(abs(x) for x in a))
+            for s in range(k):
+                assert abs(mine[s, q] - (a[k - 1 - s] - a[k - s])) <= tol, (k, s, q)
+
+
 def test_residual_basic_manufactured():
     # zero problem: zero residual; u = x*y from f = 1 and no multiplier: exact
     expansion = fd_solve(zero_problem(), 2, 2, 0, 8)
