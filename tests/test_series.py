@@ -414,10 +414,10 @@ def test_nonlinearity_validation():
 
 @pytest.mark.parametrize("order", range(17))
 def test_compose_matches_the_bell_oracle_and_the_partition_sum(order):
-    # every coefficient of one Horner composition against the Bell triangle,
-    # and through the partition sum's cap against it too: scalar rows and
-    # (cells, points) rows; a list tail, whose row 0 (here v_0 itself, not
-    # zero) is never read, gives the same bits
+    # every coefficient of one Horner composition against the Bell triangle
+    # and, up to the partition sum's order cap, against the partition sum:
+    # scalar rows and (cells, points) rows; a list tail, whose row 0 (here
+    # v_0 itself, not zero) is never read, gives the same bits
     rng = np.random.default_rng(order)
     poly = Nonlinearity.from_series(rng.uniform(-1, 1, size=4))  # degree 3
     for nl in (liouville_multiplier(), poly):
