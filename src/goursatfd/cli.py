@@ -496,7 +496,8 @@ def run(config: argparse.Namespace) -> int:
             return _run_solve(config)
         if config.mode == "study":
             return _run_study(config)
-        passed, failed, _ = run_selftest()
+        _, failed, lines = run_selftest()
+        print("\n".join(lines))
         return 0 if failed == 0 else 1
     except ConfigError:
         raise

@@ -55,7 +55,6 @@ P_RANGE = (4, 24)
 # ---------------------------------------------------------------------------
 # built-in problem
 
-_NU_TERMS = 60
 # the Taylor rows of N come from a backward recurrence, started this many
 # orders above the highest row, for centers inside _BACKWARD_RANGE, and from
 # the forward division outside it
@@ -69,10 +68,6 @@ def _exp2_rows(n: int) -> np.ndarray:
     rows = np.array([2**j / math.factorial(j) for j in range(n + 1)])
     rows.setflags(write=False)
     return rows
-
-
-# nu_k = -2^(k+1) / (k+1)!
-_LIOUVILLE_NU = -_exp2_rows(_NU_TERMS)[1:]
 
 
 def _liouville_value(t: np.ndarray) -> np.ndarray:
@@ -152,8 +147,7 @@ def _liouville_term_adomian(v, n: int) -> np.ndarray:
 
 def liouville_multiplier() -> Nonlinearity:
     """N(u) = (1 - exp(2u)) / u, the multiplier of u_xy = exp(2u)."""
-    return Nonlinearity(_LIOUVILLE_NU, taylor_fn=_liouville_taylor,
-                        term_adomian_fn=_liouville_term_adomian)
+    return Nonlinearity(_liouville_taylor, _liouville_term_adomian)
 
 
 @dataclass(frozen=True)
@@ -231,7 +225,6 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
     expansion = FdExpansion(problem, grid, p)
     u0 = solve_basic(problem, grid, p)
     expansion.corrections.append(u0)
-    expansion.cell_coeffs = problem.nonlinearity.eval(u0.values[:, :, 0, 0])
     expansion.wall_ms.append(1000.0 * (time.perf_counter() - start))
     for k in range(1, m + 1):
         uk = solve_correction(expansion, k)
@@ -400,8 +393,8 @@ def _study_mesh(spec: StudySpec, n1: int, n2: int):
 # selftest
 
 
-def run_selftest(verbose: bool = True):
-    """Cheap checks of the pieces the solver runs; returns (passed, failed, lines).
+def run_selftest():
+    """Cheap checks of the pieces the solver runs; returns (passed, failed, lines), printing nothing.
 
     The kernel series, the moment stack, the Adomian compositions and the
     cell solve are reached through the solver's own module names, so the
@@ -494,7 +487,4 @@ def run_selftest(verbose: bool = True):
         else:
             failed += 1
     lines.append(f"selftest: {passed} passed, {failed} failed")
-    if verbose:
-        for line in lines:
-            print(line)
     return passed, failed, lines

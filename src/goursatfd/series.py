@@ -10,14 +10,15 @@ the Cauchy product of its factors' (Rach, J. Math. Anal. Appl. 102, 1984),
 so sum_{s<=n} A_{n-s}(N; v) v_s is the single coefficient A_n(G; v),
 `Nonlinearity.term_adomian`.  A correction source composes N at the cell
 corners, once per rank, and takes that one coefficient of G at the cell
-points: for a polynomial multiplier by composing G's rows to order n - 1
-and taking Horner's last step for order n alone, and by the preset's own
-hook otherwise (for the benchmark's G = 1 - e^(2u), the recurrence of the
-exponential of a power series, about n^2 / 2 row updates).
+points, by the multiplier's own function: for a polynomial, by composing
+G's rows to order n - 1 and taking Horner's last step for order n alone;
+for the benchmark's G = 1 - e^(2u), by the recurrence of the exponential of
+a power series, about n^2 / 2 row updates.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from math import comb
 from typing import Callable
 
@@ -51,42 +52,40 @@ def compose(taylor: np.ndarray, tail) -> np.ndarray:
 
 
 class Nonlinearity:
-    """The multiplier N(u) and the term G(u) = u N(u), with recentered Taylor data.
+    """The multiplier N(u) and the term G(u) = u N(u), given by two functions.
 
-    `series_coeffs` are the global coefficients nu_s of N(u) = sum nu_s u^s.
-    `eval` and `deriv` are defined through `taylor_at`, so the three views can
-    never disagree.
+    `taylor_fn(center, order)` gives the Taylor rows a_0..a_order of N at
+    each center, row 0 not depending on `order`; `term_adomian_fn(v, n)`
+    gives A_n(G; v) for n >= 1.  `eval` and `deriv` are defined through
+    `taylor_at`, so the three views can never disagree.
 
     `term_adomian(v, n)` gives what the solver reads of G: the one Adomian
     coefficient A_n(G; v).  A_0 is v_0 N(v_0), N(v_0) bit for bit as `eval`
     gives it, for every multiplier: a rank-1 correction source then vanishes
-    exactly where u0 is its cell's corner value.  By default N's rows are
-    its coefficients, recentered exactly by binomial re-expansion, and
-    A_n(G) composes the rows 1..min(n, deg) of G, [0, nu_0, nu_1, ...],
-    recentered the same way, so a polynomial's degree ends the composition.
-    A preset replaces both
-    with analytic hooks `taylor_fn(center, order)`, whose row 0 must not
-    depend on `order`, and `term_adomian_fn(v, n)` for n >= 1; it gives both
-    or neither.
+    exactly where u0 is its cell's corner value.  `from_series` builds the
+    pair of a polynomial multiplier; a preset gives analytic ones.
     """
 
-    def __init__(self, series_coeffs, taylor_fn: Callable | None = None,
-                 term_adomian_fn: Callable | None = None):
-        nu = np.atleast_1d(np.asarray(series_coeffs, dtype=float))
-        if nu.ndim != 1 or nu.size == 0:
-            raise ValueError("need at least the constant coefficient nu_0")
-        if not np.all(np.isfinite(nu)):
-            raise ValueError("multiplier coefficients must be finite")
-        if (taylor_fn is None) != (term_adomian_fn is None):
-            raise ValueError("give both taylor_fn and term_adomian_fn, or neither")
-        self.series_coeffs = nu
+    def __init__(self, taylor_fn: Callable, term_adomian_fn: Callable):
         self._taylor_fn = taylor_fn
         self._term_adomian_fn = term_adomian_fn
 
     @classmethod
-    def from_series(cls, nu) -> "Nonlinearity":
-        """Polynomial multiplier defined by its global coefficients."""
-        return cls(nu)
+    def from_series(cls, nu) -> Nonlinearity:
+        """Polynomial multiplier N(u) = sum nu_s u^s, from its global coefficients.
+
+        N's rows are its coefficients recentered exactly by binomial
+        re-expansion, and A_n(G) composes the rows 1..min(n, deg) of G,
+        [0, nu_0, nu_1, ...], recentered the same way, so a polynomial's
+        degree ends the composition.
+        """
+        nu = np.atleast_1d(np.asarray(nu, dtype=float))
+        if nu.ndim != 1 or nu.size == 0:
+            raise ValueError("need at least the constant coefficient nu_0")
+        if not np.all(np.isfinite(nu)):
+            raise ValueError("multiplier coefficients must be finite")
+        return cls(partial(_recenter_poly, nu),
+                   partial(_poly_term_adomian, np.concatenate(([0.0], nu))))
 
     def taylor_at(self, center, order: int):
         """Taylor coefficients a_0..a_order of N around `center`.
@@ -94,12 +93,9 @@ class Nonlinearity:
         `center` may be a scalar or an array; the result gains a leading
         order axis.
         """
-        _check_order(order)
-        if self._taylor_fn is not None:
-            out = self._taylor_fn(center, order)
-        else:
-            out = _recenter_poly(self.series_coeffs, center, order)
-        return _checked(out, (order + 1,) + np.shape(center))
+        if order < 0:
+            raise ValueError(f"order must be non-negative, got {order}")
+        return _checked(self._taylor_fn(center, order), (order + 1,) + np.shape(center))
 
     def term_adomian(self, v, n: int):
         """A_n(G; v_0..v_n), the tau^n coefficient of G(v(tau)), v(tau) = sum_s v_s tau^s.
@@ -111,19 +107,7 @@ class Nonlinearity:
             raise ValueError(f"order must be in 0..{len(v) - 1} for {len(v)} rows, got {n}")
         if n == 0:
             return v[0] * self.eval(v[0])
-        if self._term_adomian_fn is not None:
-            out = self._term_adomian_fn(v, n)
-        else:
-            # G = u N has degree len(nu); compose its rows 1..min(n, deg) to order
-            # n - 1 (v serves as the tail, its row 0 unread), then take Horner's
-            # last step A_n = sum_i v_i C_(n-i) alone, in place over C's rows
-            deg = len(self.series_coeffs)
-            g = _recenter_poly(np.concatenate(([0.0], self.series_coeffs)), v[0], min(n, deg))
-            c = compose(g[1:], v[:n])
-            out = np.multiply(v[1], c[n - 1], out=c[n - 1, ...])
-            for i in range(2, n + 1):
-                out += np.multiply(v[i], c[n - i], out=c[n - i, ...])
-        return _checked(out, np.shape(v[0]))
+        return _checked(self._term_adomian_fn(v, n), np.shape(v[0]))
 
     def eval(self, u):
         """N(u); safe at removable singularities of closed forms."""
@@ -134,15 +118,23 @@ class Nonlinearity:
         return self.taylor_at(u, 1)[1]
 
 
-def _check_order(order: int):
-    if order < 0:
-        raise ValueError(f"order must be non-negative, got {order}")
+def _poly_term_adomian(g: np.ndarray, v, n: int) -> np.ndarray:
+    """A_n(G; v), n >= 1, of the polynomial G with global coefficients g, g_0 = 0."""
+    # compose G's rows 1..min(n, deg) to order n - 1 (v serves as the tail,
+    # its row 0 unread), then take Horner's last step A_n = sum_i v_i C_(n-i)
+    # alone, in place over C's rows
+    deg = len(g) - 1
+    c = compose(_recenter_poly(g, v[0], min(n, deg))[1:], v[:n])
+    out = np.multiply(v[1], c[n - 1], out=c[n - 1, ...])
+    for i in range(2, n + 1):
+        out += np.multiply(v[i], c[n - i], out=c[n - i, ...])
+    return out
 
 
 def _checked(out, expect: tuple) -> np.ndarray:
     out = np.asarray(out, dtype=float)
     if out.shape != expect:
-        raise ValueError(f"a hook's result must have shape {expect}, got {out.shape}")
+        raise ValueError(f"a multiplier function's result must have shape {expect}, got {out.shape}")
     return out
 
 

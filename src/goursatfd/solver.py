@@ -76,21 +76,25 @@ class GoursatProblem:
 
 @dataclass
 class FdExpansion:
-    """Corrections u^(0)..u^(m) and the rank-0 frozen coefficients.
+    """Corrections u^(0)..u^(m), and the frozen coefficients read from rank 0.
 
     A cell's corner value at rank k is `corrections[k].values[i, j, 0, 0]`;
-    `cell_coeffs` holds N at the rank-0 corner values, on which every
-    correction solves.  `wall_ms[k]` is the time from the start of the solve
-    to the completion of correction k, when the expansion comes from
-    `fd_solve`.  Nothing else is kept between ranks.
+    `cell_coeffs` is N at the rank-0 corner values, on which every
+    correction solves, computed from them on each read.  `wall_ms[k]` is the
+    time from the start of the solve to the completion of correction k, when
+    the expansion comes from `fd_solve`.  Nothing else is kept between ranks.
     """
 
     problem: GoursatProblem
     grid: Grid
     order: int
     corrections: list = dc_field(default_factory=list)
-    cell_coeffs: np.ndarray | None = None
     wall_ms: list = dc_field(default_factory=list, init=False)
+
+    @property
+    def cell_coeffs(self) -> np.ndarray:
+        """N at the rank-0 corner values, (N1, N2)."""
+        return self.problem.nonlinearity.eval(self.corrections[0].values[:, :, 0, 0])
 
     @property
     def rank(self) -> int:
@@ -210,19 +214,19 @@ def _solve_cells(eng: _CellEngine, weights, left: np.ndarray, bottom: np.ndarray
     return u
 
 
-def _corner_mismatch(left: np.ndarray, bottom: np.ndarray, corners: np.ndarray):
-    """(index, message) of the first cell whose traces miss its corner value.
+def _corner_mismatch(left: np.ndarray, bottom: np.ndarray):
+    """(index, message) of the first cell whose bottom trace misses its corner value.
 
-    Returns None if every cell passes.  A cell passes only when both
-    differences are within tolerance, so a NaN anywhere fails it.
+    A cell's corner value is its left trace's first entry.  Returns None if
+    every cell passes; a NaN on either side fails a cell.
     """
-    tol = TRACE_MATCH_TOL * (1.0 + np.abs(corners))
-    ok = (np.abs(left[:, 0] - corners) <= tol) & (np.abs(bottom[:, 0] - corners) <= tol)
+    corners = left[:, 0]
+    ok = np.abs(bottom[:, 0] - corners) <= TRACE_MATCH_TOL * (1.0 + np.abs(corners))
     if ok.all():
         return None
     n = int(np.argmin(ok))
-    return n, (f"edge traces disagree with the corner value: left[0]={left[n, 0]!r}, "
-               f"bottom[0]={bottom[n, 0]!r}, corner={corners[n]!r}")
+    return n, (f"the bottom trace disagrees with the corner value: bottom[0]={bottom[n, 0]!r}, "
+               f"corner={corners[n]!r}")
 
 
 def _diagonal(n1: int, n2: int, d: int):
@@ -254,7 +258,7 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
             left[0] = left_edge[jj[0]]
         if jj[-1] == 0:
             bottom[-1] = bottom_edge[ii[-1]]
-        bad = _corner_mismatch(left, bottom, left[:, 0])
+        bad = _corner_mismatch(left, bottom)
         if bad:
             raise FdSolverError(f"cell ({ii[bad[0]]}, {jj[bad[0]]}): {bad[1]}")
         weights, rhs = cells(ii, jj, left)
@@ -348,19 +352,13 @@ def _source_field(expansion: FdExpansion, k: int) -> np.ndarray:
     return out.reshape(n1, n2, p, p)
 
 
-def _cell_coeffs(expansion: FdExpansion) -> np.ndarray:
-    if expansion.cell_coeffs is None:
-        raise ValueError("expansion.cell_coeffs is None: set it to N at the rank-0 corner values")
-    return expansion.cell_coeffs
-
-
 def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     """The rank-k correction field, vanishing on both axes.
 
     Each cell solves u_xy + c_ij u = F^(k) - N'(u0_corner) * uk_corner * u0,
     where uk_corner is this correction's own lower-left corner value, already
     known from the march.  Before the march it takes the series weights of
-    every cell on `cell_coeffs`, with the term count of the mesh's largest
+    every cell on `expansion.cell_coeffs`, with the term count of the mesh's largest
     |zeta|, N' at the u^(0) corners and F^(k) on the whole mesh; each
     anti-diagonal then gathers its cells' sources and solves them as rank 0
     does.  Nothing is kept on the expansion.
@@ -372,7 +370,7 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     grid, p = expansion.grid, expansion.order
     u0 = expansion.corrections[0].values
     flat_ii, flat_jj = np.divmod(np.arange(grid.N1 * grid.N2), grid.N2)
-    weights = _kernel_weights(grid, p, _cell_coeffs(expansion).ravel(), flat_ii, flat_jj)
+    weights = _kernel_weights(grid, p, expansion.cell_coeffs.ravel(), flat_ii, flat_jj)
     nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
     source = _source_field(expansion, k)
 
@@ -390,7 +388,7 @@ def _interior_residual_sup(expansion: FdExpansion, values: np.ndarray, rest: np.
     grid = expansion.grid
     d01 = _engine(expansion.order).diff01
     res = (d01 @ values @ d01.T) / (grid.h1 * grid.h2)
-    res += _cell_coeffs(expansion)[:, :, None, None] * values + rest
+    res += expansion.cell_coeffs[:, :, None, None] * values + rest
     return np.max(np.abs(res[:, :, 1:-1, 1:-1]), axis=(2, 3))
 
 

@@ -20,9 +20,10 @@
 - `TruncatedSeries`, `series_compose_nonlinearity`: Adomian polynomials of
   one scalar series through `compose_with_tail`;
 - `sine_gordon_problem`: the sine-Gordon kink 4 arctan(exp(x + y - 2)) on
-  [0, 2]^2, a second exact solution, with N(u) = -sin(u) / u through the
-  hooks `taylor_fn` (a backward recurrence) and `term_adomian_fn` (the
-  paired sin/cos recurrence), checked against mpmath and the partition sum;
+  [0, 2]^2, a second exact solution, with N(u) = -sin(u) / u given by its
+  two functions, `taylor_fn` (a backward recurrence) and `term_adomian_fn`
+  (the paired sin/cos recurrence), checked against mpmath, its Maclaurin
+  coefficients `SINE_GORDON_NU` and the partition sum;
 - `correction_rhs`: the rank-k Adomian source F^(k) at one point of one
   cell, through the production assembly;
 - `correction_source`: the whole rank-k cell source, corner term included,
@@ -181,9 +182,12 @@ def _cell_inputs(left_trace, bottom_trace, corner_value: float, rhs, rect, p: in
     if not (x0 < x1 and y0 < y1):
         raise ValueError(f"degenerate cell rectangle {rect}")
     left, bottom = _trace_values(left_trace, p), _trace_values(bottom_trace, p)
-    bad = solver._corner_mismatch(left[None], bottom[None], np.array([float(corner_value)]))
-    if bad:
-        raise ValueError(bad[1])
+    corner = float(corner_value)
+    tol = solver.TRACE_MATCH_TOL * (1.0 + abs(corner))
+    # written so that a NaN anywhere fails
+    if not (abs(left[0] - corner) <= tol and abs(bottom[0] - corner) <= tol):
+        raise ValueError(f"edge traces disagree with the corner value: left[0]={left[0]!r}, "
+                         f"bottom[0]={bottom[0]!r}, corner={corner!r}")
     rhs_vals = _sample_cells(rhs, cheb_nodes(p, x0, x1)[None], cheb_nodes(p, y0, y1)[None])
     return left, bottom, rhs_vals[0, 0], x1 - x0, y1 - y0
 
@@ -362,6 +366,8 @@ def series_compose_nonlinearity(nl: Nonlinearity, v: TruncatedSeries) -> Truncat
 
 # the backward recurrence of N's rows starts this many orders above the top row
 SINE_GORDON_START = 44
+# N's Maclaurin coefficients through u^29, the reference of its rows at 0
+SINE_GORDON_NU = [0.0 if j % 2 else -(-1.0) ** (j // 2) / factorial(j + 1) for j in range(30)]
 
 
 def _sine_gordon_taylor(center, order: int) -> np.ndarray:
@@ -409,15 +415,12 @@ def sine_gordon_problem() -> Preset:
     In characteristic variables u_xy = sin u has the kinks
     4 arctan(exp(a x + y / a + theta_0)) (Drazin & Johnson, Solitons: an
     Introduction, CUP 1989); here a = 1 and theta_0 = -2, written as
-    u_xy + N(u) u = 0 with N(u) = -sin(u) / u and G = u N = -sin u.  N's
-    global coefficients are those of its Maclaurin series, through u^29.
+    u_xy + N(u) u = 0 with N(u) = -sin(u) / u and G = u N = -sin u.
     """
-    nu = [0.0 if j % 2 else -(-1.0) ** (j // 2) / factorial(j + 1) for j in range(30)]
     problem = solver.GoursatProblem(
         X=2.0, Y=2.0, psi=lambda x: _kink(x, 0.0), phi=lambda y: _kink(0.0, y),
         f=lambda x, y: 0.0,
-        nonlinearity=Nonlinearity(nu, taylor_fn=_sine_gordon_taylor,
-                                  term_adomian_fn=_sine_gordon_term_adomian),
+        nonlinearity=Nonlinearity(_sine_gordon_taylor, _sine_gordon_term_adomian),
     )
     return Preset("sine-gordon", problem, _kink)
 

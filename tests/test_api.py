@@ -44,6 +44,14 @@ def test_solver_entry_points_take_no_new_knobs(name, signature):
     assert str(inspect.signature(getattr(goursatfd, name))) == signature
 
 
+def test_a_multiplier_is_its_two_functions():
+    # a custom multiplier gives N's Taylor rows and G's Adomian coefficient and
+    # nothing else; a polynomial gives its global coefficients
+    nl = goursatfd.Nonlinearity
+    assert str(inspect.signature(nl)) == "(taylor_fn: 'Callable', term_adomian_fn: 'Callable')"
+    assert str(inspect.signature(nl.from_series)) == "(nu) -> 'Nonlinearity'"
+
+
 def test_package_exports_are_pinned():
     assert goursatfd.__all__ == [
         "__version__",

@@ -792,6 +792,8 @@ def test_selftest_mode_exits_zero(capsys):
     assert main(["selftest"]) == 0
     out = capsys.readouterr().out
     assert "selftest:" in out and "0 failed" in out
+    # one line per check, then the summary
+    assert [line[:5] for line in out.splitlines()] == ["ok   "] * 4 + ["selft"]
 
 
 def test_run_reports_numerical_failure(capsys, tmp_path):

@@ -454,11 +454,13 @@ def test_liouville_multiplier_is_negative_on_solution_range():
         assert float(nl.eval(u)) < 0
 
 
-def test_selftest_passes():
-    passed, failed, lines = run_selftest(verbose=False)
+def test_selftest_passes(capsys):
+    passed, failed, lines = run_selftest()
     assert failed == 0
     assert passed == 4
     assert lines[-1].startswith("selftest:")
+    # the lines are returned, and only the CLI prints them
+    assert capsys.readouterr().out == ""
 
 
 def _series_terms_without_z_term(z, n):
@@ -501,7 +503,7 @@ def test_selftest_checks_the_benchmark_term_recurrence(monkeypatch):
         return recurrence(v, n) + (2.0 * v[1] * v[n - 1] if n >= 3 else 0.0)
 
     monkeypatch.setattr(harness, "_liouville_term_adomian", broken)
-    passed, failed, lines = run_selftest(verbose=False)
+    passed, failed, lines = run_selftest()
     assert any(line.startswith("FAIL adomian composition") for line in lines), lines
 
 
@@ -515,10 +517,10 @@ def test_selftest_checks_the_benchmark_term_recurrence(monkeypatch):
 ])
 def test_selftest_fails_when_a_production_piece_breaks(monkeypatch, name, broken, check):
     # the march looks these up as solver module globals, and so do the checks
-    passed, failed, lines = run_selftest(verbose=False)
+    passed, failed, lines = run_selftest()
     assert (passed, failed, len(lines)) == (4, 0, 5)
     monkeypatch.setattr(solver, name, broken)
-    passed, failed, lines = run_selftest(verbose=False)
+    passed, failed, lines = run_selftest()
     assert failed >= 1
     assert any(line.startswith("FAIL " + check) for line in lines), lines
     # a stand-in that no longer fits the call it replaces proves nothing

@@ -9,6 +9,7 @@ from goursatfd.series import Nonlinearity, compose
 from goursatfd.harness import MAX_RANK, liouville_multiplier
 from oracles import (
     PARTITION_ORDER_CAP,
+    SINE_GORDON_NU,
     TruncatedSeries,
     adomian_partition,
     compose_with_tail,
@@ -139,12 +140,10 @@ def test_polynomial_recenter_matches_numpy():
 
 
 def test_taylor_at_zero_returns_global_coeffs():
-    nl = liouville_multiplier()
-    tay = nl.taylor_at(0.0, 8)
-    nu = nl.series_coeffs[:9]
-    assert np.all(np.abs(tay - nu) <= 1e-14 * np.abs(nu))
-    nl2 = Nonlinearity.from_series([0.5, -1.5, 2.0])
-    assert np.array_equal(nl2.taylor_at(0.0, 2), [0.5, -1.5, 2.0])
+    # liouville's rows at 0 are checked against their closed form below
+    nl = Nonlinearity.from_series([0.5, -1.5, 2.0])
+    assert np.array_equal(nl.taylor_at(0.0, 2), [0.5, -1.5, 2.0])
+    assert np.array_equal(nl.taylor_at(0.0, 4), [0.5, -1.5, 2.0, 0.0, 0.0])
 
 
 def test_eval_is_taylor_constant_term():
@@ -328,7 +327,7 @@ def test_sine_gordon_taylor_rows_match_mpmath():
         assert nl.taylor_at(t, order).tobytes() == top[: order + 1].tobytes(), order
     assert float(nl.eval(0.0)) == -1.0
     # the global coefficients are the rows at 0
-    assert np.array_equal(nl.taylor_at(0.0, 29), nl.series_coeffs)
+    assert np.array_equal(nl.taylor_at(0.0, 29), SINE_GORDON_NU)
 
 
 def test_sine_gordon_term_adomian_matches_mpmath_and_the_partition_sum():
@@ -353,11 +352,10 @@ def test_sine_gordon_term_adomian_matches_mpmath_and_the_partition_sum():
 
 
 def test_liouville_series_coefficients():
-    nu = liouville_multiplier().series_coeffs
-    fact = 1.0
-    for k in range(10):
-        fact *= k + 1
-        assert nu[k] == pytest.approx(-(2.0 ** (k + 1)) / fact, rel=1e-15)
+    # the rows at 0 are N's Maclaurin coefficients nu_k = -2^(k+1) / (k+1)!
+    rows = liouville_multiplier().taylor_at(0.0, MAX_RANK)
+    for k in range(MAX_RANK + 1):
+        assert rows[k] == pytest.approx(-(2.0 ** (k + 1)) / math.factorial(k + 1), rel=1e-15)
 
 
 def test_taylor_vectorized_centers():
@@ -372,7 +370,7 @@ def test_taylor_vectorized_centers():
 
 
 def _zero_rows(center, order):
-    # rows of the right shape; the hook tests never read their values
+    # rows of the right shape; the shape tests never read their values
     return np.zeros((order + 1,) + np.shape(center))
 
 
@@ -381,19 +379,20 @@ def _zero_term(v, n):
 
 
 def test_taylor_fn_shape_is_validated():
-    bad = Nonlinearity([1.0], taylor_fn=lambda c, n: np.zeros(n),  # one row short
-                       term_adomian_fn=_zero_term)
-    with pytest.raises(ValueError):
+    bad = Nonlinearity(lambda c, n: np.zeros(n), _zero_term)  # one row short
+    with pytest.raises(ValueError, match="shape"):
         bad.taylor_at(0.0, 3)
+    # and the order before the function is called
+    with pytest.raises(ValueError, match="non-negative"):
+        Nonlinearity(_zero_rows, _zero_term).taylor_at(0.0, -1)
 
 
 def test_term_adomian_fn_shape_is_validated():
     v = np.zeros((4, 5))
-    bad = Nonlinearity([1.0], taylor_fn=_zero_rows,
-                       term_adomian_fn=lambda v, n: np.zeros(n))  # rows, not one coefficient
+    bad = Nonlinearity(_zero_rows, lambda v, n: np.zeros(n))  # rows, not one coefficient
     with pytest.raises(ValueError, match="shape"):
         bad.term_adomian(v, 3)
-    # the order is checked before the hook is called, and n = 0 never calls it
+    # the order is checked before the function is called, and n = 0 never calls it
     nl = liouville_multiplier()
     for n in (-1, 4):
         with pytest.raises(ValueError):
@@ -402,14 +401,13 @@ def test_term_adomian_fn_shape_is_validated():
 
 
 def test_nonlinearity_validation():
-    with pytest.raises(ValueError):
-        Nonlinearity([])
-    with pytest.raises(ValueError):
-        Nonlinearity([1.0, np.inf])
-    # the analytic hooks come in pairs: N's rows alone cannot give G's coefficient
-    for hooks in ({"taylor_fn": _zero_rows}, {"term_adomian_fn": _zero_term}):
-        with pytest.raises(ValueError, match="both"):
-            Nonlinearity([1.0], **hooks)
+    with pytest.raises(ValueError, match="nu_0"):
+        Nonlinearity.from_series([])
+    with pytest.raises(ValueError, match="finite"):
+        Nonlinearity.from_series([1.0, np.inf])
+    # a multiplier is its two functions: N's rows alone cannot give G's coefficient
+    with pytest.raises(TypeError):
+        Nonlinearity(_zero_rows)
 
 
 @pytest.mark.parametrize("order", range(17))

@@ -10,7 +10,14 @@ import pytest
 
 from goursatfd import solver
 from goursatfd.cli import load_problem_file
-from goursatfd.field import Grid, _sample_cells, cheb_nodes, max_edge_jump, unit_cheb_nodes
+from goursatfd.field import (
+    Grid,
+    PiecewiseField,
+    _sample_cells,
+    cheb_nodes,
+    max_edge_jump,
+    unit_cheb_nodes,
+)
 from goursatfd.harness import fd_solve, liouville_problem
 from goursatfd.kernels import Z_MAX, KernelRangeError, series_length, zeta_limit
 from goursatfd.series import Nonlinearity
@@ -674,7 +681,7 @@ nu = 1.4486494471372438, -0.11290112879370873, -0.023002065308227293
 def _prefix(expansion, k):
     """A copy of `expansion` holding corrections 0..k-1 only."""
     return FdExpansion(expansion.problem, expansion.grid, expansion.order,
-                       expansion.corrections[:k], expansion.cell_coeffs)
+                       expansion.corrections[:k])
 
 
 @pytest.mark.parametrize("case", ["liouville-40", "poly-blocks", "cli-poly-seed1"])
@@ -805,7 +812,7 @@ def test_non_finite_rank2_source_names_the_first_bad_cell():
             out[v[0] > threshold] = np.nan
         return out
 
-    nl = Nonlinearity(base.series_coeffs, taylor_fn=base.taylor_at, term_adomian_fn=term_adomian)
+    nl = Nonlinearity(base.taylor_at, term_adomian)
     poisoned = GoursatProblem(problem.X, problem.Y, problem.psi, problem.phi, problem.f, nl)
     expansion = fd_solve(poisoned, 6, 5, 1, 8)
     bad = (u0 > threshold).any(axis=(2, 3))
@@ -818,47 +825,65 @@ def test_non_finite_rank2_source_names_the_first_bad_cell():
 
 
 def _hand_built_expansion():
-    """A 6x5, P = 12 expansion of `_poly_problem` with u^(0) and its coefficients only."""
+    """A 6x5, P = 12 expansion of `_poly_problem` with u^(0) only."""
     problem = _poly_problem()
     grid = Grid(problem.X, problem.Y, 6, 5)
-    expansion = FdExpansion(problem, grid, P, [solve_basic(problem, grid, P)])
-    expansion.cell_coeffs = problem.nonlinearity.eval(expansion.corrections[0].values[:, :, 0, 0])
-    return expansion
+    return FdExpansion(problem, grid, P, [solve_basic(problem, grid, P)])
+
+
+# `_poly_problem`'s cubic N is about 1e4 at u = 46 and about 9e2 at u = 20;
+# a rank-0 corner value set there puts its cell far beyond the kernel range
+_FAR, _NEAR = 46.0, 20.0
+
+
+def test_cell_coeffs_are_read_from_rank0_only():
+    # N at the rank-0 corner values, bit for bit, and nothing to assign
+    expansion = _hand_built_expansion()
+    nl, u0 = expansion.problem.nonlinearity, expansion.corrections[0].values
+    assert expansion.cell_coeffs.tobytes() == nl.eval(u0[:, :, 0, 0]).tobytes()
+    with pytest.raises(AttributeError):
+        expansion.cell_coeffs = np.zeros((6, 5))
+    assert "cell_coeffs" not in vars(expansion)
 
 
 def test_standalone_correction_refuses_an_out_of_range_coefficient():
-    # a hand-built expansion whose coefficient at cell (3, 2) is far beyond the
-    # kernel range: the correction names that cell and a mesh that passes
+    # a hand-built expansion whose rank-0 corner value at cell (3, 2) puts its
+    # coefficient far beyond the kernel range: the correction names that cell
+    # and a mesh that passes
     expansion = _hand_built_expansion()
     problem = expansion.problem
     solve_correction(expansion, 1)
-    # a later call solves on the coefficients the expansion holds then
-    coeffs = expansion.cell_coeffs.copy()
-    coeffs[3, 2] = 1.0e4
-    expansion.cell_coeffs = coeffs
+    # a later call solves on the rank-0 field the expansion holds then
+    values = expansion.corrections[0].values.copy()
+    values[3, 2, 0, 0] = _FAR
+    expansion.corrections[0] = PiecewiseField(expansion.grid, values)
+    c = float(expansion.cell_coeffs[3, 2])
+    assert 1.0e4 < c == float(problem.nonlinearity.eval(_FAR))
     with pytest.raises(KernelRangeError, match=rf"cell \(3, 2\).*at P = {P}; refine") as info:
         solve_correction(expansion, 1)
     n1, n2 = (int(v) for v in re.search(r"N1 = (\d+), N2 = (\d+)", str(info.value)).groups())
-    zeta = lambda a, b: 1.0e4 * (problem.X / a) * (problem.Y / b)
+    zeta = lambda a, b: c * (problem.X / a) * (problem.Y / b)
     assert zeta(n1, n2) <= zeta_limit(P) < zeta(n1 - 1, n2 - 1)
     with pytest.raises(KernelRangeError):
         solve_correction_per_wavefront(expansion, 1)
 
 
 def test_correction_sees_an_in_place_edit_of_the_coefficients():
-    # every call takes its weights from the coefficients' current values
+    # every call reads its coefficients from the rank-0 corner values it finds
     expansion = _hand_built_expansion()
     solve_correction(expansion, 1)
-    expansion.cell_coeffs[3, 2] = 1.0e4
+    expansion.corrections[0].values[3, 2, 0, 0] = _FAR
     with pytest.raises(KernelRangeError, match=r"cell \(3, 2\)"):
         solve_correction(expansion, 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_correction_names_a_non_finite_coefficient(bad):
-    # one such coefficient sets the term count of every cell, so it is refused
+    # a non-finite rank-0 corner value gives a non-finite coefficient, which
+    # sets the term count of every cell, so it is refused
     expansion = _hand_built_expansion()
-    expansion.cell_coeffs[4, 1] = bad
+    expansion.corrections[0].values[4, 1, 0, 0] = bad
+    assert not np.isfinite(expansion.cell_coeffs[4, 1])
     with pytest.raises(KernelRangeError, match=r"cell \(4, 1\).*at P = 12$"):
         solve_correction(expansion, 1)
 
@@ -867,31 +892,31 @@ def test_suggested_mesh_brings_every_cell_within_the_range():
     # the cell named is the mesh's largest |c|, not the first refused in march
     # order, so the mesh it suggests passes for every cell
     expansion = _hand_built_expansion()
-    problem, coeffs = expansion.problem, expansion.cell_coeffs
-    coeffs[1, 0], coeffs[3, 2] = 1.0e3, 1.0e4
+    problem, u0 = expansion.problem, expansion.corrections[0].values
+    u0[1, 0, 0, 0], u0[3, 2, 0, 0] = _NEAR, _FAR
+    coeffs = expansion.cell_coeffs
+    # cell (1, 0), earlier in march order, is beyond the range too
+    assert zeta_limit(P) < coeffs[1, 0] * expansion.grid.h1 * expansion.grid.h2
     with pytest.raises(KernelRangeError, match=r"cell \(3, 2\)") as info:
         solve_correction(expansion, 1)
     n1, n2 = (int(v) for v in re.search(r"N1 = (\d+), N2 = (\d+)", str(info.value)).groups())
     assert np.max(np.abs(coeffs)) * (problem.X / n1) * (problem.Y / n2) <= zeta_limit(P)
 
 
-def test_expansion_without_cell_coeffs_names_them():
-    # a hand-built expansion that never set its frozen coefficients
-    problem = _poly_problem()
-    grid = Grid(problem.X, problem.Y, 3, 2)
-    expansion = FdExpansion(problem, grid, 8, [solve_basic(problem, grid, 8)])
-    with pytest.raises(ValueError, match="cell_coeffs is None"):
-        solve_correction(expansion, 1)
-    with pytest.raises(ValueError, match="cell_coeffs is None"):
-        residual_basic(expansion)
-    expansion.cell_coeffs = problem.nonlinearity.eval(expansion.corrections[0].values[:, :, 0, 0])
-    expansion.corrections.append(solve_correction(expansion, 1))
-    # cleared after a first correction was solved on them
-    expansion.cell_coeffs = None
-    with pytest.raises(ValueError, match="cell_coeffs is None"):
-        residual_correction(expansion, 1)
-    with pytest.raises(ValueError, match="cell_coeffs is None"):
-        solve_correction(expansion, 2)
+@pytest.mark.parametrize("bad", [1.0, np.nan])
+def test_march_refuses_a_trace_that_misses_its_corner(bad):
+    # cell (0, 1)'s left trace starts away from the corner value of the cell
+    # below it; the march names the cell before solving it
+    grid, p = Grid(1.0, 1.0, 2, 2), 8
+    left_edge, bottom_edge = np.zeros((2, p)), np.zeros((2, p))
+    left_edge[1, 0] = bad
+
+    def cells(ii, jj, left):
+        zeros = np.zeros(len(ii))
+        return _kernel_weights(grid, p, zeros, ii, jj), np.zeros((len(ii), p, p))
+
+    with pytest.raises(FdSolverError, match=r"cell \(0, 1\): .*corner"):
+        solver._march(grid, p, left_edge, bottom_edge, cells)
 
 
 # metamorphic relations: the solver against itself on a transformed problem,
