@@ -358,10 +358,10 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     Each cell solves u_xy + c_ij u = F^(k) - N'(u0_corner) * uk_corner * u0,
     where uk_corner is this correction's own lower-left corner value, already
     known from the march.  Before the march it takes the series weights of
-    every cell on `expansion.cell_coeffs`, with the term count of the mesh's largest
-    |zeta|, N' at the u^(0) corners and F^(k) on the whole mesh; each
-    anti-diagonal then gathers its cells' sources and solves them as rank 0
-    does.  Nothing is kept on the expansion.
+    every cell on `cell_coeffs`, N at the u^(0) corners, with the term count
+    of the mesh's largest |zeta|, N' at the same corners and F^(k) on the
+    whole mesh; each anti-diagonal then gathers its cells' sources and
+    solves them as rank 0 does.  Nothing is kept on the expansion.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
