@@ -30,7 +30,7 @@ from .harness import (
     fd_solve,
     run_selftest,
 )
-from .field import unit_cheb_nodes
+from .field import _real, unit_cheb_nodes
 from .series import Nonlinearity
 from .solver import FdSolverError, GoursatProblem, _blocks
 from .kernels import KernelRangeError
@@ -86,7 +86,8 @@ def _build_parser():
 def _read_key_values(path: str, kind: str) -> list:
     """(line number, key, value) of every `key = value` line; `#` starts a comment."""
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
     out = []
@@ -235,24 +236,62 @@ def _check_expr(node: ast.AST, variables: set, text: str):
     raise ConfigError(f"unsupported syntax in expression {text!r}")
 
 
+_OP_TEXT = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
+            ast.USub: "-", ast.UAdd: "+"}
+
+
 def compile_expression(text: str, variables: tuple):
     """Compile a polynomial/exp/ln/sin/cos expression of the named variables.
 
-    Numeric literals are floats, so arithmetic follows float rules.
+    Numeric literals are floats, so arithmetic follows float rules.  The
+    checked tree becomes one function of straight-line steps, one per distinct
+    subexpression: a step is keyed by its operator and argument slots, which
+    its text spells, and a literal by its repr, so that 0.0 and -0.0 stay
+    apart.  The steps run in the text's left-to-right order and each
+    temporary is dropped after its last reader, so the values and the first
+    error are those of evaluating the text.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from exc
     _check_expr(tree, set(variables), text)
-    code = compile(tree, "<expression>", "eval")
-    namespace = dict(_FUNCS)
+    namespace = {"__builtins__": {}, **_FUNCS}
+    slots, steps = {}, []  # key -> slot name; (slot, step text, argument slots)
 
-    def fn(*args):
-        local = dict(zip(variables, args))
-        return eval(code, {"__builtins__": {}}, {**namespace, **local})
+    def lower(node) -> str:
+        if isinstance(node, ast.Name):
+            return node.id
+        if isinstance(node, ast.Constant):
+            key = ("literal", repr(node.value))
+            if key not in slots:
+                slots[key] = f"_c{len(slots)}"
+                namespace[slots[key]] = node.value
+            return slots[key]
+        if isinstance(node, ast.BinOp):
+            args = (lower(node.left), lower(node.right))
+            key = f"{args[0]} {_OP_TEXT[type(node.op)]} {args[1]}"
+        elif isinstance(node, ast.UnaryOp):
+            args = (lower(node.operand),)
+            key = _OP_TEXT[type(node.op)] + args[0]
+        else:
+            args = (lower(node.args[0]),)
+            key = f"{node.func.id}({args[0]})"
+        if key not in slots:
+            slots[key] = f"_t{len(steps)}"
+            steps.append((slots[key], key, args))
+        return slots[key]
 
-    return fn
+    result = lower(tree.body)
+    last = {arg: i for i, (_, _, args) in enumerate(steps) for arg in args}
+    lines = [f"def _expression({', '.join(variables)}):"]
+    for i, (name, step, args) in enumerate(steps[:-1]):
+        lines.append(f" {name} = {step}")
+        dead = [arg for arg in dict.fromkeys(args) if arg.startswith("_t") and last[arg] == i]
+        lines += [" del " + ", ".join(dead)] if dead else []
+    lines.append(f" return {steps[-1][1] if steps else result}")
+    exec(compile("\n".join(lines), "<expression>", "exec"), namespace)
+    return namespace["_expression"]
 
 
 def load_problem_file(path: str) -> Preset:
@@ -284,9 +323,9 @@ def load_problem_file(path: str) -> Preset:
     for key, fn in (("psi", psi), ("phi", phi)):
         try:
             # the corner check below reads both at 0; a negative base to a
-            # fractional power gives a complex value, which float() rejects
-            float(fn(0.0))
-        except (ArithmeticError, TypeError) as exc:
+            # fractional power gives a complex value, which _real refuses
+            _real(fn(0.0))
+        except (ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(f"key `{key}` in {path} fails at 0: {exc}") from exc
     try:
         problem = GoursatProblem(X=X, Y=Y, psi=psi, phi=phi, f=f,
@@ -381,26 +420,33 @@ def _format_e17(v: np.ndarray) -> np.ndarray:
     Python formats every other x: zeros, subnormals, smaller or larger |x|, inf, nan.
     """
     a = np.abs(v)
-    e = np.searchsorted(_DECADES, a, side="right") - 7
-    fast = (e >= -6) & (e <= 16)
-    a[~fast], e[~fast] = 1.0, 0
+    slow = ~((a >= _DECADES[0]) & (a < _DECADES[-1]))
+    a[slow] = 1.0
+    # 2**(b - 1) <= a < 2**b: e is floor((b - 1) log10(2)), or one above it;
+    # 78913 / 2**18 is log10(2) closely enough for the |b| < 60 of this range
+    e = (np.frexp(a)[1] - 1) * 78913 >> 18
+    e += a >= _DECADES.take(e + 7)
+    k = 16 - e
     a_hi, a_lo = _split(a)
-    p = a * _POW10.take(16 - e)
-    b_hi, b_lo = _POW10_HI.take(16 - e), _POW10_LO.take(16 - e)
+    p = a * _POW10.take(k)
+    b_hi, b_lo = _POW10_HI.take(k), _POW10_LO.take(k)
     lo = ((a_hi * b_hi - p) + a_hi * b_lo + a_lo * b_hi) + a_lo * b_lo
     # p >= 1e16 > 2**53 is an even integer and |lo| <= ulp(p) / 2.  No double in
     # range rounds up to 10**17 (the tests check every decade); Python prints any that did
     d = p.astype(np.int64) + np.rint(lo).astype(np.int64)
-    fast &= d < 10 ** 17
+    slow |= d >= 10 ** 17
     lead, d = np.divmod(d, 10 ** 16)
-    words = np.empty((6, len(v)), np.intp)
-    words[0], words[5] = 10000 + 10 * (v < 0) + lead, 10026 + e
-    words[1:5:2], words[2:5:2] = np.divmod(np.array(np.divmod(d, 10 ** 8)), 10 ** 4)
+    high, low = np.divmod(d, 10 ** 8)
+    words = np.empty((len(v), 6), np.intp)
+    words[:, 0], words[:, 5] = 10000 + 10 * (v < 0) + lead, 10026 + e
+    np.divmod(high, 10 ** 4, out=(words[:, 1], words[:, 2]))
+    np.divmod(low, 10 ** 4, out=(words[:, 3], words[:, 4]))
     # a row that Python formats may hold any index: clip it
-    out = np.ascontiguousarray(_WORDS.take(words, mode="clip").T).view(np.uint8)
-    # right-aligned, so that every pad byte of a row is a leading one
-    text = [("%.16e" % x).rjust(24, "\0") for x in v[~fast].tolist()]
-    out[~fast] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
+    out = _WORDS.take(words, mode="clip").view(np.uint8)
+    if slow.any():
+        # right-aligned, so that every pad byte of a row is a leading one
+        text = [("%.16e" % x).rjust(24, "\0") for x in v[slow].tolist()]
+        out[slow] = np.array(text, "S24").view(np.uint8).reshape(-1, 24)
     return out
 
 
@@ -412,7 +458,21 @@ def _format_repr(v: np.ndarray) -> np.ndarray:
 def _format_e17_cut(v: np.ndarray) -> np.ndarray:
     """`_format_e17` rows without the leading columns that are zero in every row."""
     f = _format_e17(v)
-    return f[:, f.any(axis=0).argmax():]
+    cut = 0
+    while cut < f.shape[1] - 1 and not f[:, cut].any():
+        cut += 1
+    return f[:, cut:]
+
+
+def _void(a: np.ndarray) -> np.ndarray:
+    """The bytes of a's last axis, contiguous, as one void each: shape a.shape[:-1]."""
+    return a.view(np.dtype((np.void, a.shape[-1])))[..., 0]
+
+
+def _void_rows(*parts) -> np.ndarray:
+    """Byte rows (n, w) and texts (w,) side by side, as n voids."""
+    n = next(len(c) for c in parts if c.ndim == 2)
+    return _void(np.concatenate([np.broadcast_to(c, (n, c.shape[-1])) for c in parts], axis=1))
 
 
 # the value formatter, the text before x, y and u and after u in a row, the
@@ -439,9 +499,11 @@ def _run_solve(cfg: argparse.Namespace) -> int:
     xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(p))
     value, text, drop, squeeze = _ROWS[cfg.format]
     lit = [np.frombuffer(t.encode(), np.uint8) for t in text]
-    # the N1*P and N2*P nodes, once each, as rows (N1, P, 1, w) and (N2, 1, P, w)
-    xb = value(xs.ravel()).reshape(len(xs), p, 1, -1)
-    yb = value(ys.ravel()).reshape(len(ys), 1, p, -1)
+    # the N1*P and N2*P nodes, once each, with the text around them, as rows of
+    # one void each: (N1, P, 1) of the text up to y, (N2, 1, P) of y and the text after
+    xb = _void_rows(lit[0], value(xs.ravel()), lit[1]).reshape(len(xs), p, 1)
+    yb = _void_rows(value(ys.ravel()), lit[2]).reshape(len(ys), 1, p)
+    ends = (xb.itemsize, xb.itemsize + yb.itemsize)
     with _open_output(cfg.output) as fh:
         if cfg.format == "csv":
             if delta is not None:
@@ -451,6 +513,9 @@ def _run_solve(cfg: argparse.Namespace) -> int:
             # the text of json.dumps(obj, indent=1), written piece by piece
             fh.write('{\n "delta": %s,\n "norm1_delta": %s,\n "samples": [\n'
                      % (json.dumps(delta), json.dumps(norm1)))
+        # the rows go to the binary stream beneath, after the text written so far
+        fh.flush()
+        write = fh.buffer.write if hasattr(fh, "buffer") else lambda b: fh.write(b.decode("ascii"))
         # one row per cell tensor node, cell-major, in blocks of whole cells; a block
         # is a zero-padded byte array (cells, P, P, row), and the field's text is never
         # held.  A block sums its own corrections, in the order `partial_sum` adds them
@@ -459,14 +524,17 @@ def _run_solve(cfg: argparse.Namespace) -> int:
             u = fields[0][block]
             for f in fields[1:]:
                 u = u + f[block]
-            parts = (lit[0], xb[ii], lit[1], yb[jj], lit[2],
-                     value(u.ravel()).reshape(u.shape + (-1,)), lit[3])
-            m = np.concatenate([np.broadcast_to(c, u.shape + c.shape[-1:]) for c in parts], -1)
+            ub = value(u.ravel())
+            m = np.empty(u.shape + (ends[1] + ub.shape[1] + len(lit[3]),), np.uint8)
+            _void(m[..., :ends[0]])[...] = xb[ii]
+            _void(m[..., ends[0]:ends[1]])[...] = yb[jj]
+            _void(m[..., ends[1]:-len(lit[3])])[...] = _void(ub).reshape(u.shape)
+            m[..., -len(lit[3]):] = lit[3]
             if not block.start:
                 m[0, 0, 0, :drop] = 0
-            fh.write(squeeze(m).decode("ascii"))
+            write(squeeze(m))
         if cfg.format == "json":
-            fh.write("\n ]\n}\n")
+            write(b"\n ]\n}\n")
     return 0
 
 

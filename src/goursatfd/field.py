@@ -251,14 +251,25 @@ def max_edge_jump(f: PiecewiseField) -> float:
     return jump
 
 
+def _real(v, name: str = "") -> float:
+    """float(v), refusing a complex v, which float() would cast or reject unnamed."""
+    if np.iscomplexobj(v):
+        raise ValueError(f"{name + ': ' if name else ''}complex value {v!r}: the data must be real")
+    return float(v)
+
+
 def _broadcast_call(fn, *args: np.ndarray):
     """fn(*args) as a float array of the arguments' common shape, or None.
 
-    A scalar result is broadcast; None means fn raised or returned another
-    shape, and the caller samples point by point instead.
+    A scalar result is broadcast; None means fn raised, returned another
+    shape or a complex result, and the caller samples point by point
+    instead, where a complex value raises ValueError.
     """
     try:
-        out = np.asarray(fn(*args), dtype=float)
+        out = np.asarray(fn(*args))
+        if out.dtype.kind == "c":
+            return None
+        out = out.astype(float, copy=False)
     except Exception:
         return None
     if out.shape == args[0].shape:
@@ -268,10 +279,10 @@ def _broadcast_call(fn, *args: np.ndarray):
     return None
 
 
-def _sample_axis(fn, nodes: np.ndarray) -> np.ndarray:
-    """fn on the axis nodes (N, F) of the cells along one side."""
+def _sample_axis(fn, nodes: np.ndarray, name: str) -> np.ndarray:
+    """fn, the data `name`, on the axis nodes (N, F) of the cells along one side."""
     out = _broadcast_call(fn, nodes)
-    return out if out is not None else np.array([[float(fn(v)) for v in row] for row in nodes])
+    return out if out is not None else np.array([[_real(fn(v), name) for v in row] for row in nodes])
 
 
 def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.ndarray:
@@ -292,7 +303,7 @@ def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.nd
     for idx in np.ndindex(ii.shape):
         i, j = ii[idx], jj[idx]
         try:
-            out[idx] = [[float(fn(x, y)) for y in ys[j]] for x in xs[i]]
+            out[idx] = [[_real(fn(x, y)) for y in ys[j]] for x in xs[i]]
         except Exception as exc:
             raise FdSolverError(f"cell ({i}, {j}): {exc}") from exc
     return out

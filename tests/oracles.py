@@ -34,6 +34,11 @@
 - `_ExactSamples`: an exact solution sampled on the whole mesh at once, and
   `delta` and `norm1_delta` of a whole partial-sum field from it, against
   which the blocked error pass of the harness is checked bit for bit;
+- `eval_expression`: a problem-file expression evaluated by Python's own
+  `eval` of the checked tree, against which the straight-line compiled
+  expressions of `cli.compile_expression` are checked bit for bit;
+- `cli_poly_text`: the problem file of the benchmark's cli-poly workload for
+  one seed, from `perfbench/workloads.py`;
 - `mu_recurrence`, `mu_explicit`, `mu_bound_check`: the two-index
   recurrence of the method's a-priori error bound, its closed form and the
   bound itself.
@@ -41,14 +46,18 @@
 
 from __future__ import annotations
 
+import ast
+import importlib
 import math
+import sys
 from dataclasses import dataclass
 from math import factorial
+from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from goursatfd import solver
+from goursatfd import cli, solver
 from goursatfd.field import (
     FdSolverError,
     Grid,
@@ -483,6 +492,28 @@ def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseF
 
     return PiecewiseField(grid, solver._march(grid, p, np.zeros((grid.N2, p)),
                                               np.zeros((grid.N1, p)), cells))
+
+
+# ---------------------------------------------------------------------------
+# problem files
+
+
+def eval_expression(text: str, variables: tuple):
+    """`text` evaluated by `eval` of its tree, checked by the grammar of problem files."""
+    tree = ast.parse(text, mode="eval")
+    cli._check_expr(tree, set(variables), text)
+    code = compile(tree, "<expression>", "eval")
+    return lambda *args: eval(code, {"__builtins__": {}}, {**cli._FUNCS, **dict(zip(variables, args))})
+
+
+def cli_poly_text(seed: int) -> str:
+    """The problem file of the benchmark's cli-poly workload for `seed`."""
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+    try:
+        workloads = importlib.import_module("workloads")
+    finally:
+        sys.path.pop(0)
+    return workloads.poly_problem_text(workloads.poly_params(seed))
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,14 @@
 """Flag/file configuration, output schemas, grammar safety, and exit codes."""
 
+import contextlib
 import inspect
+import io
 import json
 import math
 import os
 import re
 import tracemalloc
+import warnings
 from fractions import Fraction
 from pathlib import Path
 
@@ -33,6 +36,7 @@ from goursatfd.cli import (
     main,
     parse_config,
 )
+from oracles import cli_poly_text, eval_expression
 
 
 def test_parse_solve_flags():
@@ -399,6 +403,28 @@ def test_solve_writes_without_a_copy_of_the_partial_sum(monkeypatch, rank):
     assert peak < 0.75 * field, (peak, field)
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_solve_prints_to_stdout_the_text_it_writes_to_a_file(tmp_path, fmt):
+    # the rows go to the stream beneath a text stdout, and are decoded for one
+    # without: either way they follow the delta lines and the header in order
+    argv = ["solve", "--problem", "liouville", "--n1", "3", "--n2", "2", "--rank", "2",
+            "--cheb-order", "6", "--format", fmt]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert main(argv + ["--output", str(tmp_path / "field")]) == 0
+    expect = printed.getvalue() + (tmp_path / "field").read_text()
+    assert expect.count("delta") == 4
+    text = io.StringIO()
+    with contextlib.redirect_stdout(text):
+        assert main(argv) == 0
+    assert text.getvalue() == expect
+    binary = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
+    with contextlib.redirect_stdout(binary):
+        assert main(argv) == 0
+    binary.flush()
+    assert binary.buffer.getvalue().decode() == expect
+
+
 def test_solve_prints_the_errors_of_the_rank_errors_running_sum(capsys):
     # the CLI reads both errors from the one partial sum it writes; the study
     # path adds the same corrections in the same order, so they agree bit for bit
@@ -623,6 +649,71 @@ def test_expression_grammar_rejects_bad_input():
         compile_expression("'hello'", ("x",))
 
 
+def _same(a, b) -> bool:
+    """Equal type and equal bits: -0.0 against 0.0 and every NaN count."""
+    if isinstance(a, np.ndarray):
+        return (isinstance(b, np.ndarray) and a.dtype == b.dtype and a.shape == b.shape
+                and a.tobytes() == b.tobytes())
+    return type(a) is type(b) and repr(a) == repr(b)
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the error it raises."""
+    try:
+        with np.errstate(all="ignore"):
+            return fn(*args)
+    except ArithmeticError as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 79])
+def test_compiled_expressions_equal_their_eval(seed):
+    # the benchmark's f and exact, on broadcast cell nodes and on scalars
+    entries = dict(line.split(" = ", 1) for line in cli_poly_text(seed).splitlines() if line)
+    xs, ys = Grid(2.0, 2.0, 5, 4).cell_nodes(unit_cheb_nodes(6))
+    x, y = np.broadcast_arrays(xs[:, None, :, None], ys[None, :, None, :])
+    for key in ("f", "exact"):
+        got = compile_expression(entries[key], ("x", "y"))
+        ref = eval_expression(entries[key], ("x", "y"))
+        assert _same(got(x, y), ref(x, y)), key
+        for point in ((0.0, 0.0), (0.3, 1.7), (-2.5, 1e300)):
+            assert _same(_outcome(got, *point), _outcome(ref, *point)), (key, point)
+
+
+@pytest.mark.parametrize("text", ["-0.0*x", "0.0*x + -0.0", "-0.0 + 0*x", "(-2)**0.5*x",
+                                  "x/0", "x/0 + sin(x/0)", "(x + 1)/(x + 1)", "1/x + exp(x)*exp(x)",
+                                  "x**2**0.5 - (x**2)**0.5", "10**400*x"])
+def test_compiled_literals_equal_their_eval(text):
+    # signed zeros stay apart, Python folds (-2)**0.5 to a complex number, and
+    # a scalar raises the error of the first failing step in the text's order
+    got, ref = compile_expression(text, ("x",)), eval_expression(text, ("x",))
+    x = np.array([-1.5, -0.0, 0.0, 2.0, math.inf])
+    assert _same(_outcome(got, x), _outcome(ref, x))
+    for v in (-1.5, -0.0, 0.0, 2.0):
+        assert _same(_outcome(got, v), _outcome(ref, v)), v
+
+
+def test_each_distinct_subexpression_is_evaluated_once(monkeypatch):
+    # the cli-poly f reads sin(x + b*y) four times and u* three times
+    calls, plain = [], dict(cli._FUNCS)
+    for name in ("sin", "exp"):
+        monkeypatch.setitem(cli._FUNCS, name,
+                            lambda v, name=name: calls.append(name) or plain[name](v))
+    entries = dict(line.split(" = ", 1) for line in cli_poly_text(1).splitlines() if line)
+    assert entries["f"].count("sin(") == 4
+    f = compile_expression(entries["f"], ("x", "y"))
+    x = np.linspace(0.0, 2.0, 7)
+    for args in ((x, x[::-1]), (0.5, 1.25)):
+        calls.clear()
+        assert _same(f(*args), eval_expression(entries["f"], ("x", "y"))(*args))
+        assert calls.count("sin") == 5  # once here, four times in the eval
+    # steps run in the text's order, a repeated one where it first appears
+    g = compile_expression("exp(x) + sin(x)*sin(x) + exp(x)", ("x",))
+    calls.clear()
+    g(0.5)
+    assert calls == ["exp", "sin"]
+
+
 def test_custom_problem_file_roundtrip(tmp_path, capsys):
     # u = x*y solves u_xy + N(u) u = 1 + x*y with constant N = 1: the frozen
     # rank-0 problem is already the full equation, so the error is roundoff
@@ -736,6 +827,8 @@ def test_deeply_nested_expression_is_a_config_error(tmp_path, capsys, key, term,
     ("Y = inf", "extent Y "),
     # (-1.0)**0.5 is complex in Python float arithmetic
     ("psi = (x - 1)**0.5", "key `psi`"),
+    # numpy's sin(0) is a numpy float, which the complex term makes a numpy complex
+    ("psi = sin(x) + (-2)**0.5*x", "key `psi` in"),
     ("phi = 1 + y", "phi(0)=1.0"),
 ])
 def test_bad_problem_data_is_a_config_error_naming_the_key(tmp_path, capsys, edit, key):
@@ -794,6 +887,18 @@ def test_selftest_mode_exits_zero(capsys):
     assert "selftest:" in out and "0 failed" in out
     # one line per check, then the summary
     assert [line[:5] for line in out.splitlines()] == ["ok   "] * 4 + ["selft"]
+
+
+def test_complex_data_exits_1_naming_the_cell(tmp_path, capsys):
+    # Python folds (-2)**0.5 to a complex number: f is complex on every cell
+    spec = tmp_path / "complex.prob"
+    spec.write_text("X = 1\nY = 1\npsi = 0*x\nphi = 0*y\nf = (-2)**0.5*x\nnu = 1.0\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["solve", "--problem", str(spec), "--n1", "2", "--cheb-order", "6"])
+    assert code == 1
+    assert capsys.readouterr().err == ("error: FdSolverError: cell (0, 0): complex value 0j: "
+                                      "the data must be real\n")
 
 
 def test_run_reports_numerical_failure(capsys, tmp_path):

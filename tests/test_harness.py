@@ -1,10 +1,7 @@
 """Solve driver, error metrics, convergence studies, and recurrence diagnostics."""
 
-import importlib
 import math
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,7 +31,7 @@ from goursatfd.solver import (
 )
 from goursatfd.cli import load_problem_file
 from goursatfd.field import Grid, PiecewiseField, unit_cheb_nodes
-from oracles import _ExactSamples, mu_bound_check, mu_explicit, mu_recurrence
+from oracles import _ExactSamples, cli_poly_text, mu_bound_check, mu_explicit, mu_recurrence
 
 
 def test_mu_collapsed_recurrence():
@@ -226,13 +223,8 @@ def test_rank_errors_take_one_node_sup_per_rank(monkeypatch):
 
 def _cli_poly_problem(seed, tmp_path):
     """The problem file and exact solution of the benchmark's cli-poly workload."""
-    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
-    try:
-        workloads = importlib.import_module("workloads")
-    finally:
-        sys.path.pop(0)
     path = tmp_path / f"poly{seed}.problem"
-    path.write_text(workloads.poly_problem_text(workloads.poly_params(seed)), encoding="utf-8")
+    path.write_text(cli_poly_text(seed), encoding="utf-8")
     preset = load_problem_file(str(path))
     return preset.problem, preset.exact
 
