@@ -475,6 +475,28 @@ def _void_rows(*parts) -> np.ndarray:
     return _void(np.concatenate([np.broadcast_to(c, (n, c.shape[-1])) for c in parts], axis=1))
 
 
+_ASCII = bytes(range(32, 127)) + b"\n"
+
+
+def _byte_writer(fh, own: bool):
+    """A writer of ASCII bytes to the text stream fh, after the text written so far.
+
+    Straight to the binary stream beneath fh where its text layer would write
+    the same bytes: a stream that this module opened, or the interpreter's own
+    stdout (`own`), in an ASCII-compatible encoding on a platform whose line
+    separator is "\n".  Any other stream gets the bytes decoded, through its
+    text layer.
+    """
+    try:
+        same = own and os.linesep == "\n" and _ASCII.decode().encode(fh.encoding) == _ASCII
+    except (AttributeError, TypeError, LookupError):
+        same = False
+    if not (same and hasattr(fh, "buffer")):
+        return lambda b: fh.write(b.decode("ascii"))
+    fh.flush()
+    return fh.buffer.write
+
+
 # the value formatter, the text before x, y and u and after u in a row, the
 # bytes the first row drops, and how a block of rows drops its zeros; a JSON
 # row is a sample of json.dumps(obj, indent=1).  Cut to its values' common
@@ -513,9 +535,7 @@ def _run_solve(cfg: argparse.Namespace) -> int:
             # the text of json.dumps(obj, indent=1), written piece by piece
             fh.write('{\n "delta": %s,\n "norm1_delta": %s,\n "samples": [\n'
                      % (json.dumps(delta), json.dumps(norm1)))
-        # the rows go to the binary stream beneath, after the text written so far
-        fh.flush()
-        write = fh.buffer.write if hasattr(fh, "buffer") else lambda b: fh.write(b.decode("ascii"))
+        write = _byte_writer(fh, bool(cfg.output) or fh is sys.__stdout__)
         # one row per cell tensor node, cell-major, in blocks of whole cells; a block
         # is a zero-padded byte array (cells, P, P, row), and the field's text is never
         # held.  A block sums its own corrections, in the order `partial_sum` adds them

@@ -66,13 +66,8 @@ def series_length(zmax: float, p: int) -> int:
         raise KernelRangeError(f"|zeta| = {zmax} is not a number at P = {p}")
     if zmax > limit:
         raise KernelRangeError(f"|zeta| = {zmax:.4g} exceeds {limit:.4g} at P = {p}")
-    return _term_count(zmax, TERM_FLOOR, math.inf)
-
-
-def _term_count(zmax: float, floor: float, cap) -> int:
-    """The least K >= 1 with zmax^K / (K!)^2 <= floor, or cap if that is smaller."""
     n, term = 1, zmax
-    while n < cap and term > floor:
+    while term > TERM_FLOOR:
         n += 1
         term *= zmax / (n * n)
     return n

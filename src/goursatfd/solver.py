@@ -40,14 +40,7 @@ from .field import (
     unit_cc_weights,
     unit_cheb_nodes,
 )
-from .kernels import (
-    TERM_FLOOR,
-    KernelRangeError,
-    _term_count,
-    series_length,
-    series_terms,
-    zeta_limit,
-)
+from .kernels import KernelRangeError, series_length, series_terms, zeta_limit
 from .series import Nonlinearity, compose
 
 __all__ = [
@@ -367,10 +360,6 @@ def _need_rank0(expansion: FdExpansion):
         raise ValueError("expected corrections 0..0 complete, have 0")
 
 
-def _sup(values: np.ndarray) -> float:
-    return max(float(values.max()), -float(values.min()))
-
-
 def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     """The rank-k correction field, vanishing on both axes.
 
@@ -381,12 +370,6 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     of the mesh's largest |zeta|, N' at the same corners and F^(k) on the
     whole mesh; each anti-diagonal then gathers its cells' sources and
     solves them as rank 0 does.  Nothing is kept on the expansion.
-
-    An anti-diagonal keeps the terms that the partial sum can see: the least
-    K with zmax^K / (K!)^2 sup|u^(k-1)| <= TERM_FLOOR sup|u^(0)|, zmax its own
-    largest |zeta|, sup|u^(k-1)| standing in for sup|u^(k)|.  If sup|u^(k)|
-    turns out larger than sup|u^(k-1)|, the rank is solved again with every
-    term of the mesh.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
@@ -394,31 +377,17 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
         raise ValueError(f"expected corrections 0..{k - 1} complete, have {len(expansion.corrections)}")
     grid, p = expansion.grid, expansion.order
     u0 = expansion.corrections[0].values
-    # the cells one anti-diagonal after another, so that each is a run of rows
-    diagonals = [_diagonal(grid.N1, grid.N2, d) for d in range(grid.N1 + grid.N2 - 1)]
-    order = [np.concatenate(a) for a in zip(*diagonals)]
-    starts = np.cumsum([0] + [len(ii) for ii, _ in diagonals])
-    coeffs = expansion.cell_coeffs[tuple(order)]
-    weights = _kernel_weights(grid, p, coeffs, *order)
-    zmax = (np.maximum.reduceat(np.abs(coeffs), starts[:-1]) * (grid.h1 * grid.h2)).tolist()
+    flat_ii, flat_jj = np.divmod(np.arange(grid.N1 * grid.N2), grid.N2)
+    weights = _kernel_weights(grid, p, expansion.cell_coeffs.ravel(), flat_ii, flat_jj)
     nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
     source = _source_field(expansion, k)
 
-    def march(floor: float) -> np.ndarray:
-        def cells(ii, jj, left):
-            rhs = source[ii, jj]
-            rhs -= (nprime[ii, jj] * left[:, 0])[:, None, None] * u0[ii, jj]
-            d = ii[0] + jj[0]
-            terms = _term_count(zmax[d], floor, weights[0].shape[1])
-            return [w[starts[d]:starts[d + 1], :terms] for w in weights], rhs
+    def cells(ii, jj, left):
+        rhs = source[ii, jj]
+        rhs -= (nprime[ii, jj] * left[:, 0])[:, None, None] * u0[ii, jj]
+        return [w[ii * grid.N2 + jj] for w in weights], rhs
 
-        return _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), cells)
-
-    prior = _sup(expansion.corrections[k - 1].values)
-    values = march(TERM_FLOOR * _sup(u0) / prior if prior else math.inf)
-    if _sup(values) > prior:
-        # no term lies below a floor of -inf: the mesh's full count
-        values = march(-math.inf)
+    values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), cells)
     return PiecewiseField(grid, values)
 
 

@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import sys
 import tracemalloc
 import warnings
 from fractions import Fraction
@@ -211,6 +212,16 @@ def test_config_file_type_error_names_key(tmp_path):
         parse_config(["study", "--config", str(bad)])
 
 
+def test_config_file_is_closed_once_read(tmp_path):
+    # a closed file leaves no ResourceWarning for the garbage collector to raise
+    good = tmp_path / "good.cfg"
+    good.write_text("problem = pr1\nn_list = 2, 3\nrank = 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert parse_config(["study", "--config", str(good)]).rank == 2
+    assert not [w for w in caught if issubclass(w.category, ResourceWarning)]
+
+
 def test_threads_knob_is_gone(monkeypatch, tmp_path):
     # the march is batched per wavefront; there are no workers to configure
     with pytest.raises(SystemExit) as exc:
@@ -404,9 +415,11 @@ def test_solve_writes_without_a_copy_of_the_partial_sum(monkeypatch, rank):
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_solve_prints_to_stdout_the_text_it_writes_to_a_file(tmp_path, fmt):
-    # the rows go to the stream beneath a text stdout, and are decoded for one
-    # without: either way they follow the delta lines and the header in order
+def test_solve_prints_to_stdout_the_text_it_writes_to_a_file(tmp_path, fmt, monkeypatch):
+    # the rows go to the stream beneath the interpreter's stdout where its text
+    # layer would write the same bytes, and through the text layer elsewhere:
+    # either way they follow the delta lines and the header in order, in one
+    # encoding and with one line ending
     argv = ["solve", "--problem", "liouville", "--n1", "3", "--n2", "2", "--rank", "2",
             "--cheb-order", "6", "--format", fmt]
     printed = io.StringIO()
@@ -418,11 +431,18 @@ def test_solve_prints_to_stdout_the_text_it_writes_to_a_file(tmp_path, fmt):
     with contextlib.redirect_stdout(text):
         assert main(argv) == 0
     assert text.getvalue() == expect
-    binary = io.TextIOWrapper(io.BytesIO(), encoding="utf-8")
-    with contextlib.redirect_stdout(binary):
-        assert main(argv) == 0
-    binary.flush()
-    assert binary.buffer.getvalue().decode() == expect
+    for encoding, newline, own, raw in [("utf-8", None, True, True), ("utf-16", None, True, False),
+                                        ("utf-8", None, False, False),
+                                        ("utf-8", "\r\n", False, False)]:
+        stream = io.TextIOWrapper(io.BytesIO(), encoding=encoding, newline=newline)
+        assert (cli._byte_writer(stream, own) == stream.buffer.write) is raw
+        if own:
+            monkeypatch.setattr(sys, "__stdout__", stream)
+        with contextlib.redirect_stdout(stream):
+            assert main(argv) == 0
+        stream.flush()
+        assert stream.buffer.getvalue() == expect.replace("\n", newline or "\n").encode(encoding)
+        monkeypatch.undo()
 
 
 def test_solve_prints_the_errors_of_the_rank_errors_running_sum(capsys):
