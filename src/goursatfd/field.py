@@ -295,7 +295,9 @@ def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.nd
     """
     if ii is None:
         ii, jj = np.indices((len(xs), len(ys)))
-    xg, yg = np.broadcast_arrays(xs[ii][..., :, None], ys[jj][..., None, :])
+    shape = ii.shape + (xs.shape[1], ys.shape[1])
+    xg = np.broadcast_to(xs[ii][..., :, None], shape)
+    yg = np.broadcast_to(ys[jj][..., None, :], shape)
     out = _broadcast_call(fn, xg, yg)
     if out is not None:
         return out

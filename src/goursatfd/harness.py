@@ -29,6 +29,7 @@ from .solver import (
     FdExpansion,
     FdSolverError,
     GoursatProblem,
+    _QUIET,
     _blocks,
     solve_basic,
     solve_correction,
@@ -288,37 +289,40 @@ def _rank_errors(expansion: FdExpansion, exact, ranks, delta: bool = True,
     reads nan.  An exact solution that is not finite at a sample raises
     FdSolverError naming its cell.
     """
-    grid, p = expansion.grid, expansion.order
-    s = unit_cheb_nodes(p)
-    at_nodes, at_lattice = grid.cell_nodes(s), grid.cell_nodes(_LATTICE)
-    diff, interp = cheb_diff_matrix(s), bary_matrix(_LATTICE, s)
-    fields = [u.values.reshape(-1, p, p) for u in expansion.corrections[:ranks[-1] + 1]]
-    cells = np.arange(len(fields[0]))
-    # per rank: the node, lattice and derivative sups
-    sups = [[-math.inf] * 3 for _ in ranks]
-    for block in _blocks(len(cells), p, _ERROR_BLOCK):
-        ii, jj = np.divmod(cells[block], grid.N2)
-        nodes = _sample_cells(exact, *at_nodes, ii, jj)
-        if delta:
-            lattice = _sample_cells(exact, *at_lattice, ii, jj)
-        total = fields[0][block].copy()
-        e, d = np.empty_like(total), np.empty_like(total)
-        done = 0
-        for sup, m in zip(sups, ranks):
-            for k in range(done + 1, m + 1):
-                total += fields[k][block]
-            done = m
-            sup[0] = max(sup[0], _sup_abs(np.subtract(total, nodes, out=e), ii, jj))
+    with np.errstate(**_QUIET):
+        grid, p = expansion.grid, expansion.order
+        s = unit_cheb_nodes(p)
+        at_nodes, at_lattice = grid.cell_nodes(s), grid.cell_nodes(_LATTICE)
+        diff, interp = cheb_diff_matrix(s), bary_matrix(_LATTICE, s)
+        diff_t, interp_t = diff.T.copy(), interp.T.copy()
+        fields = [u.values.reshape(-1, p, p) for u in expansion.corrections[:ranks[-1] + 1]]
+        cells = np.arange(len(fields[0]))
+        # per rank: the node, lattice and derivative sups
+        sups = [[-math.inf] * 3 for _ in ranks]
+        for block in _blocks(len(cells), p, _ERROR_BLOCK):
+            ii, jj = np.divmod(cells[block], grid.N2)
+            nodes = _sample_cells(exact, *at_nodes, ii, jj)
             if delta:
-                sup[1] = max(sup[1], _sup_abs(interp @ total @ interp.T - lattice, ii, jj))
-            if norm1:
-                np.matmul(diff, e, out=d)
-                d /= grid.h1
-                sup_x = np.abs(d, out=d).max(axis=(1, 2))
-                np.matmul(e, diff.T, out=d)
-                d /= grid.h2
-                sup_y = np.abs(d, out=d).max(axis=(1, 2))
-                sup[2] = max(sup[2], float(np.max(np.hypot(sup_x, sup_y))))
+                lattice = _sample_cells(exact, *at_lattice, ii, jj)
+            total = fields[0][block].copy()
+            e, d = np.empty_like(total), np.empty_like(total)
+            done = 0
+            for sup, m in zip(sups, ranks):
+                for k in range(done + 1, m + 1):
+                    total += fields[k][block]
+                done = m
+                sup[0] = max(sup[0], _sup_abs(np.subtract(total, nodes, out=e), ii, jj))
+                if delta:
+                    # (interp @ total) @ interp.T, the second product as one GEMM
+                    u_lat = ((interp @ total).reshape(-1, p) @ interp_t).reshape(lattice.shape)
+                    sup[1] = max(sup[1], _sup_abs(np.subtract(u_lat, lattice, out=u_lat), ii, jj))
+                if norm1:
+                    # rounding is monotone, so max|d| / h is max |d / h| bit for bit
+                    np.matmul(diff, e, out=d)
+                    sup_x = np.abs(d, out=d).max(axis=(1, 2)) / grid.h1
+                    np.matmul(e.reshape(-1, p), diff_t, out=d.reshape(-1, p))
+                    sup_y = np.abs(d, out=d).max(axis=(1, 2)) / grid.h2
+                    sup[2] = max(sup[2], float(np.max(np.hypot(sup_x, sup_y))))
     return [(max(node, lat) if delta else math.nan, max(node, der) if norm1 else math.nan)
             for node, lat, der in sups]
 

@@ -26,6 +26,7 @@ The accurate range, |zeta| <= zeta_limit(P), has two conditions.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -43,6 +44,7 @@ class KernelRangeError(ValueError):
     """Series argument outside the accurate range: the mesh cell must be refined."""
 
 
+@lru_cache(maxsize=None)
 def zeta_limit(p: int) -> float:
     """The largest |zeta| accepted with P nodes per cell side.
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +54,11 @@ __all__ = [
 ]
 
 TRACE_MATCH_TOL = 1.0e-10
+
+# the entry points run under np.errstate(**_QUIET): every value a march or
+# an error pass produces is checked, so a refused run raises its named
+# error, and no numpy warning comes before it
+_QUIET = dict(over="ignore", invalid="ignore", divide="ignore")
 
 
 @dataclass(frozen=True)
@@ -237,40 +242,70 @@ def _diagonal(n1: int, n2: int, d: int):
     return ii, d - ii
 
 
+class _Step(NamedTuple):
+    """One anti-diagonal of a march plan; ids are flat cell ids i N2 + j."""
+
+    ii: np.ndarray
+    jj: np.ndarray
+    ids: np.ndarray
+    left_ids: np.ndarray  # the cells (i - 1, j); a wrong cell on x = 0
+    bottom_ids: np.ndarray  # the cells (i, j - 1); a wrong cell on y = 0
+    at: slice  # the cells' place in march order
+    on_left: bool  # the first cell lies on x = 0
+    on_bottom: bool  # the last cell lies on y = 0
+
+
+@lru_cache(maxsize=8)
+def _plan(n1: int, n2: int):
+    """(steps, order): the `_Step`s of an N1 x N2 mesh and its flat ids in march order."""
+    steps, start = [], 0
+    for d in range(n1 + n2 - 1):
+        ii, jj = _diagonal(n1, n2, d)
+        ids = ii * n2 + jj
+        steps.append(_Step(ii, jj, ids, ids - n2, ids - 1, slice(start, start + len(ids)),
+                           bool(ii[0] == 0), bool(jj[-1] == 0)))
+        start += len(ids)
+    order = np.concatenate([step.ids for step in steps])
+    for a in (order, *(a for step in steps for a in step[:5])):
+        a.setflags(write=False)
+    return tuple(steps), order
+
+
 def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
            cells) -> np.ndarray:
     """Solve every cell, one anti-diagonal per `_solve_cells` call.
 
     `left_edge` (N2, P) and `bottom_edge` (N1, P) carry the data on x = 0 and
-    y = 0.  cells(ii, jj, left) returns the `_kernel_weights` and the (n, P, P)
-    sources of the cells (ii, jj) of one anti-diagonal, given their (n, P)
-    left traces, whose first entries are the cells' corner values; it may
-    read only cells of earlier anti-diagonals, all complete.
+    y = 0.  cells(step, left) returns the `_kernel_weights` and the (n, P, P)
+    sources of the cells of one anti-diagonal, the `_Step` `step` of the
+    mesh's plan, given their (n, P) left traces, whose first entries are the
+    cells' corner values; it may read only cells of earlier anti-diagonals,
+    all complete.
     """
     n1, n2 = grid.N1, grid.N2
     eng = _engine(p)
-    values = np.full((n1, n2, p, p), np.nan)
-    for d in range(n1 + n2 - 1):
-        ii, jj = _diagonal(n1, n2, d)
-        # index -1 reads a wrong cell only for cells on an axis; their traces
-        # are replaced by the axis data
-        left = values[ii - 1, jj, -1, :]
-        bottom = values[ii, jj - 1, :, -1]
-        if ii[0] == 0:
-            left[0] = left_edge[jj[0]]
-        if jj[-1] == 0:
-            bottom[-1] = bottom_edge[ii[-1]]
+    values = np.empty((n1 * n2, p, p))
+    for step in _plan(n1, n2)[0]:
+        left = values[step.left_ids, -1, :]
+        bottom = values[step.bottom_ids, :, -1]
+        if step.on_left:
+            left[0] = left_edge[step.jj[0]]
+        if step.on_bottom:
+            bottom[-1] = bottom_edge[step.ii[-1]]
         bad = _corner_mismatch(left, bottom)
         if bad:
-            raise FdSolverError(f"cell ({ii[bad[0]]}, {jj[bad[0]]}): {bad[1]}")
-        weights, rhs = cells(ii, jj, left)
+            raise FdSolverError(f"cell ({step.ii[bad[0]]}, {step.jj[bad[0]]}): {bad[1]}")
+        weights, rhs = cells(step, left)
         out = _solve_cells(eng, weights, left, bottom, rhs)
-        finite = np.isfinite(out).all(axis=(1, 2))
-        if not finite.all():
-            n = int(np.argmin(finite))
-            raise FdSolverError(f"cell ({ii[n]}, {jj[n]}): non-finite values in the solution")
-        values[ii, jj] = out
-    return values
+        # one sum is finite unless a value is not, or the sum overflows
+        if not np.isfinite(out.sum()):
+            finite = np.isfinite(out).all(axis=(1, 2))
+            if not finite.all():
+                n = int(np.argmin(finite))
+                raise FdSolverError(f"cell ({step.ii[n]}, {step.jj[n]}): "
+                                    "non-finite values in the solution")
+        values[step.ids] = out
+    return values.reshape(n1, n2, p, p)
 
 
 def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
@@ -280,15 +315,16 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
     data already computed, then solving the cell in closed form.  The
     frozen coefficients are N(field.values[:, :, 0, 0]), bit for bit.
     """
-    nl = problem.nonlinearity
-    xs, ys = grid.cell_nodes(unit_cheb_nodes(p))
+    with np.errstate(**_QUIET):
+        nl = problem.nonlinearity
+        xs, ys = grid.cell_nodes(unit_cheb_nodes(p))
 
-    def cells(ii, jj, left):
-        weights = _kernel_weights(grid, p, nl.eval(left[:, 0]), ii, jj)
-        return weights, _sample_cells(problem.f, xs, ys, ii, jj)
+        def cells(step, left):
+            weights = _kernel_weights(grid, p, nl.eval(left[:, 0]), step.ii, step.jj)
+            return weights, _sample_cells(problem.f, xs, ys, step.ii, step.jj)
 
-    values = _march(grid, p, _sample_axis(problem.phi, ys, "phi"),
-                    _sample_axis(problem.psi, xs, "psi"), cells)
+        values = _march(grid, p, _sample_axis(problem.phi, ys, "phi"),
+                        _sample_axis(problem.psi, xs, "psi"), cells)
     return PiecewiseField(grid, values)
 
 
@@ -375,19 +411,23 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
         raise ValueError(f"corrections start at k=1, got k={k}")
     if len(expansion.corrections) != k:
         raise ValueError(f"expected corrections 0..{k - 1} complete, have {len(expansion.corrections)}")
-    grid, p = expansion.grid, expansion.order
-    u0 = expansion.corrections[0].values
-    flat_ii, flat_jj = np.divmod(np.arange(grid.N1 * grid.N2), grid.N2)
-    weights = _kernel_weights(grid, p, expansion.cell_coeffs.ravel(), flat_ii, flat_jj)
-    nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
-    source = _source_field(expansion, k)
+    with np.errstate(**_QUIET):
+        grid, p = expansion.grid, expansion.order
+        size = grid.N1 * grid.N2
+        u0 = expansion.corrections[0].values.reshape(size, p, p)
+        order = _plan(grid.N1, grid.N2)[1]
+        flat_ii, flat_jj = np.divmod(np.arange(size), grid.N2)
+        weights = _kernel_weights(grid, p, expansion.cell_coeffs.ravel(), flat_ii, flat_jj)
+        weights = [w[order] for w in weights]
+        nprime = expansion.problem.nonlinearity.deriv(u0[order, 0, 0])
+        source = _source_field(expansion, k).reshape(size, p, p)
 
-    def cells(ii, jj, left):
-        rhs = source[ii, jj]
-        rhs -= (nprime[ii, jj] * left[:, 0])[:, None, None] * u0[ii, jj]
-        return [w[ii * grid.N2 + jj] for w in weights], rhs
+        def cells(step, left):
+            rhs = source[step.ids]
+            rhs -= (nprime[step.at] * left[:, 0])[:, None, None] * u0[step.ids]
+            return [w[step.at] for w in weights], rhs
 
-    values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), cells)
+        values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), cells)
     return PiecewiseField(grid, values)
 
 

@@ -486,7 +486,8 @@ def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseF
     grid, p = expansion.grid, expansion.order
     source = correction_source(expansion, k)
 
-    def cells(ii, jj, left):
+    def cells(step, left):
+        ii, jj = step.ii, step.jj
         weights = solver._kernel_weights(grid, p, expansion.cell_coeffs[ii, jj], ii, jj)
         return weights, source(ii, jj, left[:, 0])
 

@@ -942,9 +942,9 @@ def test_march_refuses_a_trace_that_misses_its_corner(bad):
     left_edge, bottom_edge = np.zeros((2, p)), np.zeros((2, p))
     left_edge[1, 0] = bad
 
-    def cells(ii, jj, left):
-        zeros = np.zeros(len(ii))
-        return _kernel_weights(grid, p, zeros, ii, jj), np.zeros((len(ii), p, p))
+    def cells(step, left):
+        zeros = np.zeros(len(step.ii))
+        return _kernel_weights(grid, p, zeros, step.ii, step.jj), np.zeros((len(step.ii), p, p))
 
     with pytest.raises(FdSolverError, match=r"cell \(0, 1\): .*corner"):
         solver._march(grid, p, left_edge, bottom_edge, cells)
