@@ -230,10 +230,11 @@ def _cli_poly_problem(seed, tmp_path):
 
 
 @pytest.mark.parametrize("case", ["liouville-40", "liouville-7x5", "liouville-33x29",
-                                  "cli-poly-seed1", "cli-poly-seed2"])
+                                  "liouville-p16", "cli-poly-seed1", "cli-poly-seed2"])
 def test_rank_errors_equal_the_whole_mesh_oracle(case, monkeypatch, tmp_path):
     # blocks of one cell, of seven cells (a block boundary inside a row, a
-    # partial last block) and the default, against one whole-mesh sampling
+    # partial last block) and the default, against one whole-mesh sampling;
+    # liouville-p16 is rank 0 at P = 16, as in the rank0-p16 benchmark
     if case.startswith("cli-poly"):
         problem, exact = _cli_poly_problem(int(case[-1]), tmp_path)
         n1, n2, m, p = 40, 40, 4, 12
@@ -241,7 +242,7 @@ def test_rank_errors_equal_the_whole_mesh_oracle(case, monkeypatch, tmp_path):
         preset = liouville_problem()
         problem, exact = preset.problem, preset.exact
         n1, n2, m, p = {"liouville-40": (40, 40, 7, 12), "liouville-7x5": (7, 5, 3, 8),
-                        "liouville-33x29": (33, 29, 4, 12)}[case]
+                        "liouville-33x29": (33, 29, 4, 12), "liouville-p16": (30, 30, 0, 16)}[case]
     expansion = fd_solve(problem, n1, n2, m, p)
     samples = _ExactSamples(expansion, exact, harness._LATTICE)
     expect = [samples.errors(expansion.partial_sum(k).values) for k in range(m + 1)]

@@ -33,6 +33,7 @@ from goursatfd.solver import (
     _diagonal,
     _engine,
     _kernel_weights,
+    _plan,
     _solve_cells,
     residual_basic,
     residual_correction,
@@ -948,6 +949,46 @@ def test_march_refuses_a_trace_that_misses_its_corner(bad):
 
     with pytest.raises(FdSolverError, match=r"cell \(0, 1\): .*corner"):
         solver._march(grid, p, left_edge, bottom_edge, cells)
+
+
+@pytest.mark.parametrize("n1,n2", [(1, 1), (1, 7), (7, 1), (7, 3), (40, 40)])
+def test_march_plan_lists_every_cell_once_in_march_order(n1, n2):
+    # anti-diagonal by anti-diagonal, i ascending; each neighbour off an axis
+    # lies on the previous anti-diagonal, and the axis flags are exact
+    steps, order = _plan(n1, n2)
+    assert _plan(n1, n2)[1] is order
+    assert len(steps) == n1 + n2 - 1
+    assert np.array_equal(np.sort(order), np.arange(n1 * n2))
+    ii, jj = np.divmod(order, n2)
+    assert np.array_equal(np.lexsort((ii, ii + jj)), np.arange(n1 * n2))
+    start = 0
+    for d, step in enumerate(steps):
+        assert np.array_equal(step.ii, ii[step.at]) and np.array_equal(step.jj, jj[step.at])
+        assert np.array_equal(step.ids, order[step.at]) and np.all(step.ii + step.jj == d)
+        assert step.at == slice(start, start + len(step.ids))
+        start += len(step.ids)
+        assert step.on_left == (step.ii[0] == 0) and step.on_bottom == (step.jj[-1] == 0)
+        assert np.all(step.ii[1:] > 0) and np.all(step.jj[:-1] > 0)
+        prev = steps[d - 1].ids if d else np.array([], dtype=int)
+        left = slice(1 if step.on_left else 0, None)
+        bottom = slice(None, -1 if step.on_bottom else None)
+        assert np.array_equal(step.left_ids[left], (step.ids - n2)[left])
+        assert np.array_equal(step.bottom_ids[bottom], (step.ids - 1)[bottom])
+        assert np.isin(step.left_ids[left], prev).all() and np.isin(step.bottom_ids[bottom], prev).all()
+        assert not any(a.flags.writeable for a in step[:5])
+    assert start == n1 * n2
+
+
+def test_a_refused_run_emits_no_numpy_warning():
+    # f = exp(800 x y) overflows on cell (3, 3) only; the march names that
+    # cell, and no overflow or invalid-value warning comes before the error
+    problem = GoursatProblem(X=1.0, Y=1.0, psi=lambda x: 0 * x, phi=lambda y: 0 * y,
+                             f=lambda x, y: np.exp(800.0 * x * y),
+                             nonlinearity=Nonlinearity.from_series([1.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(FdSolverError, match=r"^cell \(3, 3\): non-finite values in the solution$"):
+            fd_solve(problem, 4, 4, 2, 8)
 
 
 # metamorphic relations: the solver against itself on a transformed problem,

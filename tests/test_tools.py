@@ -112,6 +112,9 @@ def test_bench_record_alternates_the_pairs_and_summarises_each_side(tmp_path, mo
     assert deep["parent"]["peak_rss_mb"] == [3.0, 2.25, 3.75]
     assert poly["change"]["setup_s"] == [5.0, 4.5, 5.5]
     assert deep["change_lower_in"] == dict.fromkeys(bench_record.METRICS, 3)
+    # lower in 3/3 pairs, but by 1.0 against the parent's q3 - q1 of 1.5
+    assert deep["claim"]["op_s"] == {"parent_q3_q1": 1.5, "median_gap": 1.0, "lower_in": "3/3",
+                                     "holds": False}
     assert deep["change"]["correct"] and deep["change"]["failed"] == 0
     assert deep["change"]["errors"] == [] and poly["parent"]["context"] == {"n": 6}
 
@@ -125,3 +128,21 @@ def test_bench_record_reports_a_run_without_a_result(tmp_path, monkeypatch, caps
     side = entry["change"]
     assert not side["correct"] and side["op_s"] is None and len(side["errors"]) == 2
     assert side["errors"][0].startswith("exit 1:") and "scale.txt" in side["errors"][0]
+
+
+def test_bench_record_states_the_claim_rule(tmp_path, monkeypatch):
+    # a parent three times slower: lower in 3/3 pairs, and the median gap of
+    # 4.0 clears the parent's q3 - q1 of 3.0
+    monkeypatch.setenv("FAKE_BENCH_LOG", str(tmp_path / "log"))
+    change, parent = _fake_tree(tmp_path, "change", 1.0), _fake_tree(tmp_path, "parent", 3.0)
+    argv = ["8", "--tree", str(parent), "--runs", "3", "--workload", "rank0-p16"]
+    assert bench_record.main(argv, root=change) == 0
+    entry = json.loads((change / "BENCH_8.json").read_text())["workloads"]["rank0-p16"]
+    assert entry["claim"] == dict.fromkeys(bench_record.METRICS, {
+        "parent_q3_q1": 3.0, "median_gap": 4.0, "lower_in": "3/3", "holds": True})
+    # 9 of 10 pairs is enough, 8 of 10 is not; the gap must exceed q3 - q1
+    claim = bench_record.claim
+    assert claim([1.0, 0.9, 1.1], [2.0, 1.9, 2.1], 9, 10)["holds"]
+    assert not claim([1.0, 0.9, 1.1], [2.0, 1.9, 2.1], 8, 10)["holds"]
+    assert not claim([1.0, 0.9, 1.1], [2.0, 1.0, 3.0], 10, 10)["holds"]
+    assert claim(None, [2.0, 1.9, 2.1], 0, 0) is None

@@ -15,9 +15,12 @@ workload and side the record holds `op_s`, `setup_s`, `us_per_cell_rank` and
 `peak_rss_mb` as [median, q1, q3] over the runs, whether every run was
 correct, the failed operations summed over the runs, and the run context of
 the last run's `perfbench/out` record.  With two trees it also counts, per
-metric, the pairs in which the change read lower.  Per side it holds the
-commit and the `src/goursatfd` total and code lines of `tools/src_lines.py`.
-The file is written at the root of the change tree.
+metric, the pairs in which the change read lower, and states per metric
+whether a claim of a lower value holds: the change is lower in at least 9
+of every 10 pairs, and its median lies below the parent's by more than the
+parent's q3 - q1.  Per side it holds the commit and the `src/goursatfd`
+total and code lines of `tools/src_lines.py`.  The file is written at the
+root of the change tree.
 """
 
 from __future__ import annotations
@@ -47,6 +50,15 @@ def _quartiles(values: list) -> list:
         return [values[0]] * 3
     q1, _, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return [statistics.median(values), q1, q3]
+
+
+def claim(change: list, parent: list, lower_in: int, pairs: int) -> dict | None:
+    """Whether the change's [median, q1, q3] is lower than the parent's, by the claim rule."""
+    if change is None or parent is None or not pairs:
+        return None
+    iqr, gap = parent[2] - parent[1], parent[0] - change[0]
+    return {"parent_q3_q1": iqr, "median_gap": gap, "lower_in": f"{lower_in}/{pairs}",
+            "holds": 10 * lower_in >= 9 * pairs and gap > iqr}
 
 
 def _commit(tree: Path) -> str | None:
@@ -108,11 +120,13 @@ def record(trees: dict, workloads, runs: int, seconds: float) -> dict:
                 errors=[r["error"] for r in done if "error" in r],
                 context=next((r["context"] for r in reversed(done) if r.get("context")), None))
         if len(sides) == 2:
-            mine, ref = (results[side] for side in sides)
-            entry["change_lower_in"] = {
-                m: sum(a["metrics"][m]["value"] < b["metrics"][m]["value"]
-                       for a, b in zip(mine, ref) if m in a["metrics"] and m in b["metrics"])
-                for m in METRICS}
+            pairs = {m: [(a["metrics"][m]["value"], b["metrics"][m]["value"])
+                         for a, b in zip(*results.values())
+                         if m in a["metrics"] and m in b["metrics"]] for m in METRICS}
+            entry["change_lower_in"] = {m: sum(a < b for a, b in pairs[m]) for m in METRICS}
+            entry["claim"] = {m: claim(entry["change"][m], entry["parent"][m],
+                                       entry["change_lower_in"][m], len(pairs[m]))
+                              for m in METRICS}
         out["workloads"][workload] = entry
     return out
 
