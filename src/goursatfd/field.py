@@ -296,8 +296,7 @@ def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.nd
     if ii is None:
         ii, jj = np.indices((len(xs), len(ys)))
     shape = ii.shape + (xs.shape[1], ys.shape[1])
-    xg = np.broadcast_to(xs[ii][..., :, None], shape)
-    yg = np.broadcast_to(ys[jj][..., None, :], shape)
+    xg, yg = np.broadcast_to(xs[ii][..., :, None], shape), np.broadcast_to(ys[jj][..., None, :], shape)
     out = _broadcast_call(fn, xg, yg)
     if out is not None:
         return out

@@ -21,9 +21,10 @@ expansion and the order of the work.  The code relies on three facts:
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass, field as dc_field
 from functools import lru_cache
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -236,31 +237,23 @@ def _corner_mismatch(left: np.ndarray, bottom: np.ndarray):
                f"corner={corners[n]!r}")
 
 
-def _diagonal(n1: int, n2: int, d: int):
-    """Index arrays (ii, jj) of the cells on anti-diagonal d, i ascending."""
-    ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
-    return ii, d - ii
-
-
-class _Step(NamedTuple):
-    """One anti-diagonal of a march plan; ids are flat cell ids i N2 + j."""
-
-    ii: np.ndarray
-    jj: np.ndarray
-    ids: np.ndarray
-    left_ids: np.ndarray  # the cells (i - 1, j); a wrong cell on x = 0
-    bottom_ids: np.ndarray  # the cells (i, j - 1); a wrong cell on y = 0
-    at: slice  # the cells' place in march order
-    on_left: bool  # the first cell lies on x = 0
-    on_bottom: bool  # the last cell lies on y = 0
+_Step = namedtuple("_Step", "ii jj ids left_ids bottom_ids at on_left on_bottom")
 
 
 @lru_cache(maxsize=8)
 def _plan(n1: int, n2: int):
-    """(steps, order): the `_Step`s of an N1 x N2 mesh and its flat ids in march order."""
+    """(steps, order): one `_Step` per anti-diagonal of an N1 x N2 mesh, and
+    the flat cell ids i N2 + j in march order.
+
+    A step holds its cells (ii, jj), i ascending, their flat ids, the ids of
+    the cells (i - 1, j) and (i, j - 1), which are wrong cells only on an
+    axis, its slice `at` of the march order, and whether its first cell lies
+    on x = 0 and its last on y = 0.  The arrays are read-only.
+    """
     steps, start = [], 0
     for d in range(n1 + n2 - 1):
-        ii, jj = _diagonal(n1, n2, d)
+        ii = np.arange(max(0, d - n2 + 1), min(n1, d + 1))
+        jj = d - ii
         ids = ii * n2 + jj
         steps.append(_Step(ii, jj, ids, ids - n2, ids - 1, slice(start, start + len(ids)),
                            bool(ii[0] == 0), bool(jj[-1] == 0)))
@@ -297,7 +290,8 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
             raise FdSolverError(f"cell ({step.ii[bad[0]]}, {step.jj[bad[0]]}): {bad[1]}")
         weights, rhs = cells(step, left)
         out = _solve_cells(eng, weights, left, bottom, rhs)
-        # one sum is finite unless a value is not, or the sum overflows
+        # a sum is not finite if a value is not, or if finite values overflow
+        # it; the per-cell scan tells the two apart and names the cell
         if not np.isfinite(out.sum()):
             finite = np.isfinite(out).all(axis=(1, 2))
             if not finite.all():
@@ -417,8 +411,8 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
         u0 = expansion.corrections[0].values.reshape(size, p, p)
         order = _plan(grid.N1, grid.N2)[1]
         flat_ii, flat_jj = np.divmod(np.arange(size), grid.N2)
-        weights = _kernel_weights(grid, p, expansion.cell_coeffs.ravel(), flat_ii, flat_jj)
-        weights = [w[order] for w in weights]
+        coeffs = expansion.cell_coeffs.ravel()
+        weights = [w[order] for w in _kernel_weights(grid, p, coeffs, flat_ii, flat_jj)]
         nprime = expansion.problem.nonlinearity.deriv(u0[order, 0, 0])
         source = _source_field(expansion, k).reshape(size, p, p)
 

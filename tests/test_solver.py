@@ -30,7 +30,6 @@ from goursatfd.solver import (
     _CellEngine,
     _adomian_source,
     _corner_weights,
-    _diagonal,
     _engine,
     _kernel_weights,
     _plan,
@@ -722,7 +721,7 @@ def test_correction_matches_the_per_wavefront_cell_solve(case, tmp_path, monkeyp
     solve_cells = solver._solve_cells
     monkeypatch.setattr(solver, "_solve_cells", spy)
     solve_correction(_prefix(expansion, 1), 1)
-    diagonals = [_diagonal(n1, n2, d) for d in range(n1 + n2 - 1)]
+    diagonals = [(step.ii, step.jj) for step in _plan(n1, n2)[0]]
     assert shapes == [{(len(ii), k)} for ii, _ in diagonals]
     if case == "cli-poly-seed1":
         assert {series_length(float(np.max(zeta[d])), P) for d in diagonals} == {k - 1, k}
@@ -989,6 +988,18 @@ def test_a_refused_run_emits_no_numpy_warning():
         warnings.simplefilter("error")
         with pytest.raises(FdSolverError, match=r"^cell \(3, 3\): non-finite values in the solution$"):
             fd_solve(problem, 4, 4, 2, 8)
+
+
+def test_a_finite_field_whose_sum_overflows_is_accepted():
+    # u = 1e308 x y on the unit cell: every value is finite, their sum is not
+    problem = GoursatProblem(X=1.0, Y=1.0, psi=lambda x: 0 * x, phi=lambda y: 0 * y,
+                             f=lambda x, y: 1e308, nonlinearity=Nonlinearity.from_series([0.0]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        u = solve_basic(problem, Grid(1.0, 1.0, 1, 1), P).values
+    assert np.isfinite(u).all() and u.max() <= 1e308
+    with np.errstate(over="ignore"):
+        assert np.isinf(u.sum())
 
 
 # metamorphic relations: the solver against itself on a transformed problem,
