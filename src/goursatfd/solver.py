@@ -16,6 +16,11 @@ expansion and the order of the work.  The code relies on three facts:
 - A cell reads only cells of earlier anti-diagonals, all complete and
   finite, so each anti-diagonal is one batched call, and a correction's
   source, which reads only lower ranks, is assembled before its march.
+- Every march follows one plan per mesh, `_plan(N1, N2)`, built once: per
+  anti-diagonal the flat ids of its cells and of their left and bottom
+  neighbours, its slice of the march order and two axis flags.  A
+  correction puts its series weights and N' at the u0 corners in march
+  order before the march, so each anti-diagonal slices them.
 """
 
 from __future__ import annotations
@@ -397,9 +402,10 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     where uk_corner is this correction's own lower-left corner value, already
     known from the march.  Before the march it takes the series weights of
     every cell on `cell_coeffs`, N at the u^(0) corners, with the term count
-    of the mesh's largest |zeta|, N' at the same corners and F^(k) on the
-    whole mesh; each anti-diagonal then gathers its cells' sources and
-    solves them as rank 0 does.  Nothing is kept on the expansion.
+    of the mesh's largest |zeta|, and N' at the same corners, both in march
+    order, and F^(k) on the whole mesh; each anti-diagonal then gathers its
+    cells' sources, slices its weights and N', and solves them as rank 0
+    does.  Nothing is kept on the expansion.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
