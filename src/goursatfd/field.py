@@ -9,7 +9,6 @@ matrix, and integration Clenshaw-Curtis rules (which share the CGL nodes).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 import numpy as np
 
@@ -76,14 +75,17 @@ def bary_weights(p: int) -> np.ndarray:
 def bary_matrix(targets, nodes) -> np.ndarray:
     """Interpolation matrix from `nodes` to `targets`.
 
+    `nodes` is one (P,) set for every target or one (n, P) row per target.
     Rows for targets that coincide exactly with a node are unit vectors, so
-    interpolation at a stored node reproduces the stored value exactly.
+    interpolation at a stored node reproduces the stored value exactly.  So
+    are rows for targets less than the smallest normal double from a node,
+    whose weights would overflow.
     """
     targets = np.atleast_1d(np.asarray(targets, dtype=float))
     nodes = np.asarray(nodes, dtype=float)
-    weights = bary_weights(len(nodes))
-    diff = targets[:, None] - nodes[None, :]
-    hit_rows, hit_cols = np.nonzero(diff == 0.0)
+    weights = bary_weights(nodes.shape[-1])
+    diff = targets[:, None] - nodes
+    hit_rows, hit_cols = np.nonzero(np.abs(diff) < np.finfo(float).tiny)
     diff[hit_rows, :] = 1.0  # placeholder; exact-hit rows become unit rows
     kern = weights[None, :] / diff
     kern[hit_rows, :] = 0.0
@@ -174,27 +176,10 @@ class Grid:
         x, y = self.x_nodes, self.y_nodes
         return _interval_nodes(x[:-1], x[1:], s), _interval_nodes(y[:-1], y[1:], s)
 
-    def cell_rect(self, i: int, j: int):
-        """Closed cell (i, j), 0-based: [x_i, x_{i+1}] x [y_j, y_{j+1}]."""
-        x = self.x_nodes
-        y = self.y_nodes
-        return (x[i], x[i + 1], y[j], y[j + 1])
 
-    def locate(self, x: float, y: float):
-        """Owning cell of a point; edge points belong to the lower-index cell."""
-        if not (0.0 <= x <= self.X and 0.0 <= y <= self.Y):
-            raise ValueError(f"point ({x}, {y}) outside domain [0, {self.X}] x [0, {self.Y}]")
-        return (_locate_1d(x, self.h1, self.N1), _locate_1d(y, self.h2, self.N2))
-
-
-def _locate_1d(v: float, h: float, n: int) -> int:
-    i = int(np.floor(v / h))
-    i = min(max(i, 0), n - 1)
-    if i > 0 and v <= i * h:
-        i -= 1
-    elif i < n - 1 and v > (i + 1) * h:
-        i += 1
-    return i
+# points per block of `PiecewiseField.evaluate`, whose gather of the blocks'
+# cell tensors is 1.2 MB at P = 12
+_EVAL_BLOCK = 1024
 
 
 class PiecewiseField:
@@ -218,27 +203,34 @@ class PiecewiseField:
     def order(self) -> int:
         return self.values.shape[2]
 
-    @classmethod
-    def sample(cls, grid: Grid, p: int, fn: Callable[[float, float], float]) -> "PiecewiseField":
-        """Sample a callable on every cell's tensor nodes."""
-        return cls(grid, _sample_cells(fn, *grid.cell_nodes(unit_cheb_nodes(p))))
+    def evaluate(self, x, y):
+        """The field at the points (x, y), broadcast arrays; scalars give a float.
 
-    def cell_nodes(self, i: int, j: int):
-        """The (x-nodes, y-nodes) of cell (i, j), endpoints exact."""
-        x0, x1, y0, y1 = self.grid.cell_rect(i, j)
-        p = self.order
-        return cheb_nodes(p, x0, x1), cheb_nodes(p, y0, y1)
-
-    def evaluate(self, x: float, y: float) -> float:
-        i, j = self.grid.locate(x, y)
-        return self.evaluate_in_cell(i, j, x, y)
-
-    def evaluate_in_cell(self, i: int, j: int, x: float, y: float) -> float:
-        """Barycentric tensor interpolation using cell (i, j)'s data."""
-        xn, yn = self.cell_nodes(i, j)
-        mx = bary_matrix([x], xn)[0]
-        my = bary_matrix([y], yn)[0]
-        return float(mx @ self.values[i, j] @ my)
+        A point on an edge shared by two cells takes the lower-index cell,
+        whose own nodes carry the barycentric interpolation, so a stored node
+        returns its stored value bit for bit.  A point outside the domain, or
+        a NaN coordinate, raises ValueError naming the point.
+        """
+        grid = self.grid
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        # written so that a NaN fails
+        inside = (0.0 <= x) & (x <= grid.X) & (0.0 <= y) & (y <= grid.Y)
+        if not inside.all():
+            n = np.argmin(inside)
+            raise ValueError(f"point ({x.flat[n]}, {y.flat[n]}) outside domain "
+                             f"[0, {grid.X}] x [0, {grid.Y}]")
+        x, y = x.ravel(), y.ravel()
+        # the first mesh node at or past a point closes its cell: an edge
+        # point falls in the cell below the edge
+        ii = np.clip(np.searchsorted(grid.x_nodes, x) - 1, 0, grid.N1 - 1)
+        jj = np.clip(np.searchsorted(grid.y_nodes, y) - 1, 0, grid.N2 - 1)
+        xs, ys = grid.cell_nodes(unit_cheb_nodes(self.order))
+        out = np.empty(len(x))
+        for start in range(0, len(x), _EVAL_BLOCK):
+            b = slice(start, start + _EVAL_BLOCK)
+            mx, my = bary_matrix(x[b], xs[ii[b]]), bary_matrix(y[b], ys[jj[b]])
+            out[b] = (mx[:, None, :] @ self.values[ii[b], jj[b]] @ my[:, :, None])[:, 0, 0]
+        return float(out[0]) if inside.ndim == 0 else out.reshape(inside.shape)
 
 
 def max_edge_jump(f: PiecewiseField) -> float:
@@ -280,9 +272,23 @@ def _broadcast_call(fn, *args: np.ndarray):
 
 
 def _sample_axis(fn, nodes: np.ndarray, name: str) -> np.ndarray:
-    """fn, the data `name`, on the axis nodes (N, F) of the cells along one side."""
+    """fn, the data `name`, on the axis nodes (N, F) of the cells along one side.
+
+    Point by point when fn does not take arrays, where an exception from fn
+    is raised again as a ValueError naming the data and the node.
+    """
     out = _broadcast_call(fn, nodes)
-    return out if out is not None else np.array([[_real(fn(v), name) for v in row] for row in nodes])
+    return out if out is not None else np.array([[_axis_value(fn, v, name) for v in row]
+                                                 for row in nodes])
+
+
+def _axis_value(fn, v: float, name: str) -> float:
+    """fn(v) as a float; an exception from fn is raised again naming `name` and v."""
+    try:
+        out = fn(v)
+    except Exception as exc:
+        raise ValueError(f"{name}: at node {float(v)!r}: {exc}") from exc
+    return _real(out, name)
 
 
 def _sample_cells(fn, xs: np.ndarray, ys: np.ndarray, ii=None, jj=None) -> np.ndarray:

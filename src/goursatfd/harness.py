@@ -236,8 +236,6 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
 
 def error_vs_exact(expansion: FdExpansion, exact, m: int) -> float:
     """Sup-norm error of the rank-m partial sum over the documented sample set."""
-    if not 0 <= m <= expansion.rank:
-        raise ValueError(f"rank {m} not in stored range 0..{expansion.rank}")
     return _rank_errors(expansion, exact, [m], norm1=False)[0][0]
 
 
@@ -249,8 +247,6 @@ def error_norm1(expansion: FdExpansion, exact, m: int) -> float:
     derivative amplifies rounding by about 2 P^2 / h, so values below about
     eps (2 P^2 / h) sup|u|, eps = 2^-52, carry only one or two digits.
     """
-    if not 0 <= m <= expansion.rank:
-        raise ValueError(f"partial sum rank must be in 0..{expansion.rank}, got {m}")
     return _rank_errors(expansion, exact, [m], delta=False)[0][1]
 
 
@@ -286,9 +282,12 @@ def _rank_errors(expansion: FdExpansion, exact, ranks, delta: bool = True,
     in the order `partial_sum` does, and each rank's sups fold into maxima
     over the blocks.  So no whole-mesh sample, sum or error is held, and the
     numbers are those of the whole mesh bit for bit.  A metric not asked for
-    reads nan.  An exact solution that is not finite at a sample raises
-    FdSolverError naming its cell.
+    reads nan.  A rank outside the stored ones raises ValueError, and an exact
+    solution that is not finite at a sample FdSolverError naming its cell.
     """
+    for m in (ranks[0], ranks[-1]):
+        if not 0 <= m <= expansion.rank:
+            raise ValueError(f"partial sum rank must be in 0..{expansion.rank}, got {m}")
     with np.errstate(**_QUIET):
         grid, p = expansion.grid, expansion.order
         s = unit_cheb_nodes(p)

@@ -37,8 +37,8 @@ from .field import (
     FdSolverError,
     Grid,
     PiecewiseField,
+    _axis_value,
     _check_extents,
-    _real,
     _sample_axis,
     _sample_cells,
     bary_matrix,
@@ -80,7 +80,7 @@ class GoursatProblem:
 
     def __post_init__(self):
         _check_extents(self.X, self.Y)
-        p0, q0 = _real(self.psi(0.0), "psi"), _real(self.phi(0.0), "phi")
+        p0, q0 = _axis_value(self.psi, 0.0, "psi"), _axis_value(self.phi, 0.0, "phi")
         # written so that a NaN on either side fails
         if not abs(p0 - q0) <= 1.0e-12 * (1.0 + abs(p0)):
             raise ValueError(f"incompatible corner data: psi(0)={p0!r}, phi(0)={q0!r}")
@@ -432,21 +432,29 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
 
 
 def _interior_residual_sup(expansion: FdExpansion, values: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """Per-cell sup over interior nodes of values_xy + c_ij * values + rest."""
+    """Per-cell sup over interior nodes of values_xy + c_ij * values + rest.
+
+    A residual that is not finite raises FdSolverError naming its first cell.
+    """
     grid = expansion.grid
     d01 = _engine(expansion.order).diff01
     res = (d01 @ values @ d01.T) / (grid.h1 * grid.h2)
     res += expansion.cell_coeffs[:, :, None, None] * values + rest
-    return np.max(np.abs(res[:, :, 1:-1, 1:-1]), axis=(2, 3))
+    sup = np.max(np.abs(res[:, :, 1:-1, 1:-1]), axis=(2, 3))
+    if not np.isfinite(sup).all():
+        i, j = np.argwhere(~np.isfinite(sup))[0]
+        raise FdSolverError(f"cell ({i}, {j}): the residual is not finite")
+    return sup
 
 
 def residual_basic(expansion: FdExpansion) -> np.ndarray:
     """Per-cell sup residual of the frozen-coefficient equation at interior nodes."""
     _need_rank0(expansion)
     grid = expansion.grid
-    u0 = expansion.corrections[0].values
-    f = _sample_cells(expansion.problem.f, *grid.cell_nodes(unit_cheb_nodes(expansion.order)))
-    return _interior_residual_sup(expansion, u0, -f)
+    with np.errstate(**_QUIET):
+        u0 = expansion.corrections[0].values
+        f = _sample_cells(expansion.problem.f, *grid.cell_nodes(unit_cheb_nodes(expansion.order)))
+        return _interior_residual_sup(expansion, u0, -f)
 
 
 def residual_correction(expansion: FdExpansion, k: int) -> np.ndarray:
@@ -456,9 +464,10 @@ def residual_correction(expansion: FdExpansion, k: int) -> np.ndarray:
     """
     if not 1 <= k <= expansion.rank:
         raise ValueError(f"have corrections 0..{expansion.rank}, got k={k}")
-    u0, uk = expansion.corrections[0].values, expansion.corrections[k].values
-    # minus the source F^(k) - N'(u0_corner) * uk_corner * u0
-    nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
-    rest = (nprime * uk[:, :, 0, 0])[..., None, None] * u0
-    rest -= _source_field(expansion, k)
-    return _interior_residual_sup(expansion, uk, rest)
+    with np.errstate(**_QUIET):
+        u0, uk = expansion.corrections[0].values, expansion.corrections[k].values
+        # minus the source F^(k) - N'(u0_corner) * uk_corner * u0
+        nprime = expansion.problem.nonlinearity.deriv(u0[:, :, 0, 0])
+        rest = (nprime * uk[:, :, 0, 0])[..., None, None] * u0
+        rest -= _source_field(expansion, k)
+        return _interior_residual_sup(expansion, uk, rest)

@@ -4,6 +4,11 @@
   `riemann_d2`: scalar 0F1 summation, against which the batched moment
   solve and the kernel identities are checked;
 - `integrate_1d`, `integrate_2d`: Clenshaw-Curtis quadrature of callables;
+- `cell_rect`, `locate`, `evaluate_in_cell`, `sample_field`: one cell at a
+  time, a cell's rectangle, the owning cell of one point by floor division,
+  barycentric evaluation on the named cell's `cheb_nodes`, and a callable
+  sampled onto a field, against which the vectorised
+  `PiecewiseField.evaluate` is checked;
 - `solve_cell_linear`: one constant-coefficient cell through the production
   batch solve `solver._solve_cells` and its `solver._kernel_weights`, and
   `picard_cell_oracle`, the same cell by Picard iteration on the integral
@@ -167,6 +172,47 @@ def integrate_2d(g: Callable[[float, float], float], rect, p: int) -> float:
     wy = (y1 - y0) * unit_cc_weights(p)
     vals = np.array([[g(x, y) for y in ys] for x in xs], dtype=float)
     return float(wx @ vals @ wy)
+
+
+# ---------------------------------------------------------------------------
+# one cell at a time: rectangles, point location, evaluation and sampling
+
+
+def cell_rect(grid: Grid, i: int, j: int):
+    """Closed cell (i, j), 0-based: [x_i, x_{i+1}] x [y_j, y_{j+1}]."""
+    x, y = grid.x_nodes, grid.y_nodes
+    return (x[i], x[i + 1], y[j], y[j + 1])
+
+
+def locate(grid: Grid, x: float, y: float):
+    """Owning cell of a point; edge points belong to the lower-index cell."""
+    if not (0.0 <= x <= grid.X and 0.0 <= y <= grid.Y):
+        raise ValueError(f"point ({x}, {y}) outside domain [0, {grid.X}] x [0, {grid.Y}]")
+    return (_locate_1d(x, grid.h1, grid.N1), _locate_1d(y, grid.h2, grid.N2))
+
+
+def _locate_1d(v: float, h: float, n: int) -> int:
+    i = int(np.floor(v / h))
+    i = min(max(i, 0), n - 1)
+    if i > 0 and v <= i * h:
+        i -= 1
+    elif i < n - 1 and v > (i + 1) * h:
+        i += 1
+    return i
+
+
+def evaluate_in_cell(field: PiecewiseField, i: int, j: int, x: float, y: float) -> float:
+    """Barycentric tensor interpolation at (x, y) using cell (i, j)'s data."""
+    x0, x1, y0, y1 = cell_rect(field.grid, i, j)
+    p = field.order
+    mx = bary_matrix([x], cheb_nodes(p, x0, x1))[0]
+    my = bary_matrix([y], cheb_nodes(p, y0, y1))[0]
+    return float(mx @ field.values[i, j] @ my)
+
+
+def sample_field(grid: Grid, p: int, fn: Callable[[float, float], float]) -> PiecewiseField:
+    """A callable sampled on every cell's tensor nodes."""
+    return PiecewiseField(grid, _sample_cells(fn, *grid.cell_nodes(unit_cheb_nodes(p))))
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +498,7 @@ def correction_rhs(expansion: FdExpansion, k: int, cell, point) -> float:
     x, y = point
     nl = expansion.problem.nonlinearity
     frozen = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
-    here = [np.array([expansion.corrections[s].evaluate_in_cell(i, j, x, y)]) for s in range(k)]
+    here = [np.array([evaluate_in_cell(expansion.corrections[s], i, j, x, y)]) for s in range(k)]
     return float(_adomian_source(nl, here, _corner_weights(nl, frozen))[0])
 
 
@@ -533,7 +579,7 @@ class _ExactSamples:
         grid, p = expansion.grid, expansion.order
         s = unit_cheb_nodes(p)
         self.grid = grid
-        self.nodes = PiecewiseField.sample(grid, p, exact).values
+        self.nodes = sample_field(grid, p, exact).values
         self.lattice = _sample_cells(exact, *grid.cell_nodes(lattice))
         self.diff = cheb_diff_matrix(s)
         self.interp = bary_matrix(lattice, s)

@@ -1,7 +1,10 @@
 """Every exported name resolves: a deleted helper cannot stay exported."""
 
+import ast
 import importlib
 import inspect
+import re
+from pathlib import Path
 
 import pytest
 
@@ -28,10 +31,32 @@ def test_oracles_live_only_beside_the_tests():
 
     moved = [n for n, v in vars(oracles).items()
              if getattr(v, "__module__", None) == "oracles" and not n.startswith("_")]
-    assert len(moved) == 23
+    assert len(moved) == 27
     for name in ("goursatfd",) + tuple(f"goursatfd.{m}" for m in MODULES):
         module = importlib.import_module(name)
         assert not [n for n in moved if hasattr(module, n)], name
+
+
+def test_every_private_definition_is_used_in_src():
+    # a `_`-prefixed function, class or module-level name that no other src
+    # line names is test-only code, which belongs in tests/oracles.py
+    files = sorted(Path(goursatfd.__file__).parent.glob("*.py"))
+    lines = [(path.name, n, line) for path in files
+             for n, line in enumerate(path.read_text().splitlines(), 1)]
+    unused = []
+    for path in files:
+        tree = ast.parse(path.read_text())
+        defs = [(node.name, node.lineno) for node in ast.walk(tree)
+                if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+        defs += [(t.id, node.lineno) for node in tree.body if isinstance(node, ast.Assign)
+                 for t in node.targets if isinstance(t, ast.Name)]
+        for name, lineno in defs:
+            if not name.startswith("_") or name.startswith("__"):
+                continue
+            word = re.compile(rf"\b{re.escape(name)}\b")
+            if not any(word.search(line) for f, n, line in lines if (f, n) != (path.name, lineno)):
+                unused.append(f"{path.name}:{lineno} {name}")
+    assert not unused
 
 
 @pytest.mark.parametrize("name,signature", [

@@ -30,8 +30,15 @@ from goursatfd.solver import (
     solve_basic,
 )
 from goursatfd.cli import load_problem_file
-from goursatfd.field import Grid, PiecewiseField, unit_cheb_nodes
-from oracles import _ExactSamples, cli_poly_text, mu_bound_check, mu_explicit, mu_recurrence
+from goursatfd.field import Grid, unit_cheb_nodes
+from oracles import (
+    _ExactSamples,
+    cli_poly_text,
+    mu_bound_check,
+    mu_explicit,
+    mu_recurrence,
+    sample_field,
+)
 
 
 def test_mu_collapsed_recurrence():
@@ -117,7 +124,7 @@ def test_error_vs_exact_self_is_zero():
     preset = liouville_problem()
     expansion = fd_solve(preset.problem, 3, 3, 1, 8)
     total = expansion.partial_sum(1)
-    delta = error_vs_exact(expansion, lambda x, y: total.evaluate(float(x), float(y)), 1)
+    delta = error_vs_exact(expansion, total.evaluate, 1)
     assert delta <= 1e-13
 
 
@@ -128,10 +135,22 @@ def test_error_vs_exact_rank_bounds():
         error_vs_exact(expansion, preset.exact, 2)
 
 
+@pytest.mark.parametrize("read", [
+    lambda e, m: error_vs_exact(e, liouville_problem().exact, m),
+    lambda e, m: error_norm1(e, liouville_problem().exact, m),
+    lambda e, m: e.partial_sum(m),
+], ids=["error_vs_exact", "error_norm1", "partial_sum"])
+@pytest.mark.parametrize("m", [5, -1])
+def test_every_rank_read_names_the_stored_range(read, m):
+    expansion = fd_solve(liouville_problem().problem, 2, 2, 3, 8)
+    with pytest.raises(ValueError, match=rf"^partial sum rank must be in 0\.\.3, got {m}$"):
+        read(expansion, m)
+
+
 def test_error_norm1_dominates_sup_norm():
     preset = liouville_problem()
     expansion = fd_solve(preset.problem, 4, 4, 1, 10)
-    exact_nodes = PiecewiseField.sample(expansion.grid, 10, preset.exact).values
+    exact_nodes = sample_field(expansion.grid, 10, preset.exact).values
     for m in (0, 1):
         node_sup = np.max(np.abs(expansion.partial_sum(m).values - exact_nodes))
         norm1 = error_norm1(expansion, preset.exact, m)

@@ -41,8 +41,10 @@ from goursatfd.solver import (
 )
 from oracles import (
     adomian_partition,
+    cell_rect,
     correction_rhs,
     correction_source,
+    evaluate_in_cell,
     hyp0f1,
     picard_cell_oracle,
     solve_cell_linear,
@@ -228,7 +230,7 @@ def test_solve_basic_reproduces_benchmark_error():
     err = 0.0
     for i in range(8):
         for j in range(8):
-            x0, x1, y0, y1 = grid.cell_rect(i, j)
+            x0, x1, y0, y1 = cell_rect(grid, i, j)
             for fx in fracs:
                 for fy in fracs:
                     x, y = x0 + fx * (x1 - x0), y0 + fy * (y1 - y0)
@@ -288,7 +290,7 @@ def test_correction_rhs_vanishes_at_cell_corner_for_k1():
     expansion = fd_solve(preset.problem, 4, 4, 0, 10)
     grid = expansion.grid
     for (i, j) in [(0, 0), (2, 1), (3, 3)]:
-        x0, _, y0, _ = grid.cell_rect(i, j)
+        x0, _, y0, _ = cell_rect(grid, i, j)
         assert correction_rhs(expansion, 1, (i, j), (x0, y0)) == pytest.approx(0.0, abs=1e-12)
 
 
@@ -300,10 +302,10 @@ def test_correction_rhs_k1_closed_form():
     rng = np.random.default_rng(2)
     for _ in range(20):
         i, j = rng.integers(0, 4, size=2)
-        x0, x1, y0, y1 = expansion.grid.cell_rect(i, j)
+        x0, x1, y0, y1 = cell_rect(expansion.grid, i, j)
         x = float(rng.uniform(x0, x1))
         y = float(rng.uniform(y0, y1))
-        u0 = expansion.corrections[0].evaluate_in_cell(i, j, x, y)
+        u0 = evaluate_in_cell(expansion.corrections[0], i, j, x, y)
         corner = expansion.corrections[0].values[i, j, 0, 0]
         ref = (float(nl.eval(corner)) - float(nl.eval(u0))) * u0
         assert correction_rhs(expansion, 1, (int(i), int(j)), (x, y)) == pytest.approx(ref, rel=1e-11, abs=1e-13)
@@ -324,11 +326,11 @@ def test_correction_rhs_matches_partition_sum_assembly():
         for k in range(1, 8):
             for _ in range(8):
                 i, j = (int(v) for v in rng.integers(0, 3, size=2))
-                x0, x1, y0, y1 = expansion.grid.cell_rect(i, j)
+                x0, x1, y0, y1 = cell_rect(expansion.grid, i, j)
                 x = float(rng.uniform(x0, x1))
                 y = float(rng.uniform(y0, y1))
                 corners = [expansion.corrections[s].values[i, j, 0, 0] for s in range(k)]
-                here = [expansion.corrections[s].evaluate_in_cell(i, j, x, y) for s in range(k)]
+                here = [evaluate_in_cell(expansion.corrections[s], i, j, x, y) for s in range(k)]
                 val = 0.0
                 for s in range(1, k):
                     val -= adomian_partition(nl, corners[: k - s + 1]) * here[s]
@@ -866,6 +868,19 @@ def test_complex_data_is_refused_by_name():
             problem(phi=lambda y: 0.5 + 0j)
 
 
+def test_an_axis_datum_that_raises_is_named():
+    # a scalar-only psi whose math.exp overflows: refused by name and node,
+    # with the OverflowError chained
+    problem = GoursatProblem(X=4.0, Y=4.0, psi=lambda x: math.exp(300 * x) - 1, phi=lambda y: 0.0,
+                             f=lambda x, y: 1.0, nonlinearity=Nonlinearity.from_series([1.0]))
+    with pytest.raises(ValueError, match=r"^psi: at node \d\S*: math range error$") as info:
+        fd_solve(problem, 3, 1, 0, 8)
+    assert isinstance(info.value.__cause__, OverflowError)
+    with pytest.raises(ValueError, match=r"^phi: at node 0.0: float division by zero$"):
+        GoursatProblem(X=1.0, Y=1.0, psi=lambda x: 0.0, phi=lambda y: 1 / y,
+                       f=lambda x, y: 1.0, nonlinearity=Nonlinearity.from_series([1.0]))
+
+
 def test_an_expansion_without_rank0_is_refused_by_name():
     # a hand-built 2x2 liouville expansion that holds no correction at all
     problem = liouville_problem().problem
@@ -1000,6 +1015,20 @@ def test_a_finite_field_whose_sum_overflows_is_accepted():
     assert np.isfinite(u).all() and u.max() <= 1e308
     with np.errstate(over="ignore"):
         assert np.isinf(u.sum())
+
+
+def test_a_residual_that_overflows_is_named():
+    # u = 1e308 x y, accepted by the march, overflows the residual's second
+    # derivative: both residuals name the cell, with no numpy warning
+    problem = GoursatProblem(X=1.0, Y=1.0, psi=lambda x: 0 * x, phi=lambda y: 0 * y,
+                             f=lambda x, y: 1e308, nonlinearity=Nonlinearity.from_series([0.0]))
+    expansion = fd_solve(problem, 1, 1, 1, P)
+    expansion.corrections[1] = expansion.corrections[0]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for read in (lambda: residual_basic(expansion), lambda: residual_correction(expansion, 1)):
+            with pytest.raises(FdSolverError, match=r"^cell \(0, 0\): the residual is not finite$"):
+                read()
 
 
 # metamorphic relations: the solver against itself on a transformed problem,
