@@ -83,14 +83,17 @@ def _build_parser():
     return parser, sub.choices
 
 
-def _read_key_values(path: str, kind: str) -> list:
-    """(line number, key, value) of every `key = value` line; `#` starts a comment."""
+def _read_key_values(path: str, kind: str, keys) -> dict:
+    """key -> (line number, value) of every `key = value` line; `#` starts a comment.
+
+    A `-` in a key reads as `_`.  A key outside `keys`, or one given twice, is refused.
+    """
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
         raise ConfigError(f"cannot read {kind} file {path}: {exc}") from exc
-    out = []
+    out = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -98,16 +101,18 @@ def _read_key_values(path: str, kind: str) -> list:
         if "=" not in line:
             raise ConfigError(f"{path}:{lineno}: expected `key = value`, got {raw!r}")
         key, _, val = line.partition("=")
-        out.append((lineno, key.strip(), val.strip()))
+        key = key.strip().replace("-", "_")
+        if key not in keys:
+            raise ConfigError(f"{path}:{lineno}: unknown key `{key}`")
+        if key in out:
+            raise ConfigError(f"{path}:{lineno}: key `{key}` repeats line {out[key][0]}")
+        out[key] = (lineno, val.strip())
     return out
 
 
 def _read_config(path: str, mode: str) -> dict:
     values = {}
-    for lineno, key, val in _read_key_values(path, "config"):
-        key = key.replace("-", "_")
-        if key not in _OPTIONS:
-            raise ConfigError(f"{path}:{lineno}: unknown key `{key}`")
+    for key, (lineno, val) in _read_key_values(path, "config", _OPTIONS).items():
         if key not in _mode_keys(mode):
             raise ConfigError(f"{path}:{lineno}: key `{key}` is not read by `{mode}`")
         caster = _OPTIONS[key][0]
@@ -203,39 +208,7 @@ def _validate(cfg: argparse.Namespace):
 # problem spec files: a small closed expression grammar
 
 _FUNCS = {"exp": np.exp, "log": np.log, "ln": np.log, "sin": np.sin, "cos": np.cos}
-_ALLOWED_OPS = (ast.Add, ast.Sub, ast.Mult, ast.Div, ast.Pow, ast.USub, ast.UAdd)
-
-
-def _check_expr(node: ast.AST, variables: set, text: str):
-    if isinstance(node, ast.Expression):
-        return _check_expr(node.body, variables, text)
-    if isinstance(node, ast.Constant):
-        if isinstance(node.value, (int, float)):
-            # CPython does not fold `9**9**9`; as an int power it would be
-            # computed in full at every call, so every literal is a float
-            node.value = float(node.value)
-            return
-        raise ConfigError(f"literal {node.value!r} not allowed in {text!r}")
-    if isinstance(node, ast.Name):
-        if node.id in variables or node.id in _FUNCS:
-            return
-        raise ConfigError(f"unknown symbol `{node.id}` in {text!r}")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, _ALLOWED_OPS):
-        _check_expr(node.left, variables, text)
-        _check_expr(node.right, variables, text)
-        return
-    if isinstance(node, ast.UnaryOp) and isinstance(node.op, _ALLOWED_OPS):
-        _check_expr(node.operand, variables, text)
-        return
-    if isinstance(node, ast.Call):
-        if isinstance(node.func, ast.Name) and node.func.id in _FUNCS and not node.keywords \
-                and len(node.args) == 1:
-            _check_expr(node.args[0], variables, text)
-            return
-        raise ConfigError(f"only {sorted(_FUNCS)} calls of one argument allowed, got {text!r}")
-    raise ConfigError(f"unsupported syntax in expression {text!r}")
-
-
+# the grammar's operators, each with the text that a compiled step spells it by
 _OP_TEXT = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "**",
             ast.USub: "-", ast.UAdd: "+"}
 
@@ -243,40 +216,57 @@ _OP_TEXT = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "*
 def compile_expression(text: str, variables: tuple):
     """Compile a polynomial/exp/ln/sin/cos expression of the named variables.
 
-    Numeric literals are floats, so arithmetic follows float rules.  The
-    checked tree becomes one function of straight-line steps, one per distinct
-    subexpression: a step is keyed by its operator and argument slots, which
-    its text spells, and a literal by its repr, so that 0.0 and -0.0 stay
-    apart.  The steps run in the text's left-to-right order and each
-    temporary is dropped after its last reader, so the values and the first
-    error are those of evaluating the text.
+    One walk of the parsed tree checks the grammar and lowers the tree into
+    one function of straight-line steps, one per distinct subexpression: a
+    step is keyed by its operator and argument slots, which its text spells,
+    and a literal by the repr of its float, so that 0.0 and -0.0 stay apart.
+    Every literal is a float, so arithmetic follows float rules.  The steps
+    run in the text's left-to-right order and each temporary is dropped after
+    its last reader, so the values and the first error are those of
+    evaluating the text.
     """
     try:
         tree = ast.parse(text, mode="eval")
     except SyntaxError as exc:
         raise ConfigError(f"cannot parse expression {text!r}: {exc.msg}") from exc
-    _check_expr(tree, set(variables), text)
     namespace = {"__builtins__": {}, **_FUNCS}
     slots, steps = {}, []  # key -> slot name; (slot, step text, argument slots)
 
     def lower(node) -> str:
         if isinstance(node, ast.Name):
-            return node.id
+            if node.id in variables:
+                return node.id
+            if node.id in _FUNCS:
+                raise ConfigError(f"function `{node.id}` used as a value in {text!r}")
+            raise ConfigError(f"unknown symbol `{node.id}` in {text!r}")
         if isinstance(node, ast.Constant):
-            key = ("literal", repr(node.value))
+            if not isinstance(node.value, (int, float)):
+                raise ConfigError(f"literal {node.value!r} not allowed in {text!r}")
+            try:
+                # CPython does not fold `9**9**9`; as an int power it would be
+                # computed in full at every call, so every literal is a float
+                value = float(node.value)
+            except OverflowError as exc:
+                raise ConfigError(f"literal beyond the double range in {text!r}") from exc
+            key = ("literal", repr(value))
             if key not in slots:
                 slots[key] = f"_c{len(slots)}"
-                namespace[slots[key]] = node.value
+                namespace[slots[key]] = value
             return slots[key]
-        if isinstance(node, ast.BinOp):
+        if isinstance(node, ast.BinOp) and type(node.op) in _OP_TEXT:
             args = (lower(node.left), lower(node.right))
             key = f"{args[0]} {_OP_TEXT[type(node.op)]} {args[1]}"
-        elif isinstance(node, ast.UnaryOp):
+        elif isinstance(node, ast.UnaryOp) and type(node.op) in _OP_TEXT:
             args = (lower(node.operand),)
             key = _OP_TEXT[type(node.op)] + args[0]
-        else:
+        elif isinstance(node, ast.Call):
+            if not (isinstance(node.func, ast.Name) and node.func.id in _FUNCS
+                    and not node.keywords and len(node.args) == 1):
+                raise ConfigError(f"only {sorted(_FUNCS)} calls of one argument allowed, got {text!r}")
             args = (lower(node.args[0]),)
             key = f"{node.func.id}({args[0]})"
+        else:
+            raise ConfigError(f"unsupported syntax in expression {text!r}")
         if key not in slots:
             slots[key] = f"_t{len(steps)}"
             steps.append((slots[key], key, args))
@@ -296,8 +286,9 @@ def compile_expression(text: str, variables: tuple):
 
 def load_problem_file(path: str) -> Preset:
     """Preset-style spec file: X, Y, psi, phi, f expressions and nu coefficients."""
-    entries = {key: val for _, key, val in _read_key_values(path, "problem")}
     required = ("X", "Y", "psi", "phi", "f", "nu")
+    entries = {key: val for key, (_, val) in
+               _read_key_values(path, "problem", required + ("exact",)).items()}
     for key in required:
         if key not in entries:
             raise ConfigError(f"problem file {path} is missing key `{key}`")
@@ -316,9 +307,10 @@ def load_problem_file(path: str) -> Preset:
         if key in entries:
             try:
                 compiled[key] = compile_expression(entries[key], variables)
-            except RecursionError as exc:
-                # the parser and the grammar check recurse once per nesting level
-                raise ConfigError(f"key `{key}` in {path}: expression nested too deeply") from exc
+            except (ConfigError, RecursionError) as exc:
+                # the parser and the walk recurse once per nesting level
+                why = exc if isinstance(exc, ConfigError) else "expression nested too deeply"
+                raise ConfigError(f"key `{key}` in {path}: {why}") from exc
     psi, phi, f = compiled["psi"], compiled["phi"], compiled["f"]
     for key, fn in (("psi", psi), ("phi", phi)):
         try:

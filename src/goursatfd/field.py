@@ -244,9 +244,12 @@ def max_edge_jump(f: PiecewiseField) -> float:
 
 
 def _real(v, name: str = "") -> float:
-    """float(v), refusing a complex v, which float() would cast or reject unnamed."""
+    """float(v), refusing a complex v or an array, which float() would cast or reject unnamed."""
+    prefix = f"{name}: " if name else ""
     if np.iscomplexobj(v):
-        raise ValueError(f"{name + ': ' if name else ''}complex value {v!r}: the data must be real")
+        raise ValueError(f"{prefix}complex value {v!r}: the data must be real")
+    if np.ndim(v):
+        raise ValueError(f"{prefix}value of shape {np.shape(v)}: the data must be one number per point")
     return float(v)
 
 

@@ -40,8 +40,9 @@
   `delta` and `norm1_delta` of a whole partial-sum field from it, against
   which the blocked error pass of the harness is checked bit for bit;
 - `eval_expression`: a problem-file expression evaluated by Python's own
-  `eval` of the checked tree, against which the straight-line compiled
-  expressions of `cli.compile_expression` are checked bit for bit;
+  `eval` of its tree, with its literals made floats, against which the
+  straight-line compiled expressions of `cli.compile_expression` are
+  checked bit for bit;
 - `cli_poly_text`: the problem file of the benchmark's cli-poly workload for
   one seed, from `perfbench/workloads.py`;
 - `mu_recurrence`, `mu_explicit`, `mu_bound_check`: the two-index
@@ -546,9 +547,16 @@ def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseF
 
 
 def eval_expression(text: str, variables: tuple):
-    """`text` evaluated by `eval` of its tree, checked by the grammar of problem files."""
+    """`text` evaluated by `eval` of its tree, with every numeric literal a float.
+
+    The grammar of problem files is checked by compiling the text with
+    `cli.compile_expression`, whose function is not used.
+    """
+    cli.compile_expression(text, variables)
     tree = ast.parse(text, mode="eval")
-    cli._check_expr(tree, set(variables), text)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Constant):
+            node.value = float(node.value)
     code = compile(tree, "<expression>", "eval")
     return lambda *args: eval(code, {"__builtins__": {}}, {**cli._FUNCS, **dict(zip(variables, args))})
 

@@ -647,6 +647,17 @@ def test_readme_lists_every_flag():
         assert documented[mode] == options, mode
 
 
+def test_readme_lists_the_expression_grammar():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n### Custom problems\n", 1)[1].split("\n#", 1)[0]
+    grammar = section.split("closed grammar (", 1)[1].split(")", 1)[0]
+    # the variables and function names, then the operators, each in backticks
+    quoted = re.findall(r"`([^`]+)`", grammar)
+    assert {q for q in quoted if q.isidentifier()} == {"x", "y"} | set(cli._FUNCS)
+    assert ({op for q in quoted if not q.isidentifier() for op in q.split()}
+            == set(cli._OP_TEXT.values()))
+
+
 def test_expression_grammar():
     f = compile_expression("x/2 - log(1 + exp(x))", ("x",))
     assert f(1.3) == pytest.approx(0.65 - math.log(1 + math.exp(1.3)))
@@ -659,13 +670,13 @@ def test_expression_grammar():
 def test_expression_grammar_rejects_bad_input():
     with pytest.raises(ConfigError, match="unknown symbol"):
         compile_expression("x + q", ("x",))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("only ['cos', 'exp', 'ln', 'log', 'sin'] calls")):
         compile_expression("__import__('os').system('true')", ("x",))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match=re.escape("only ['cos', 'exp', 'ln', 'log', 'sin'] calls")):
         compile_expression("exp(x, 2)", ("x",))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="unsupported syntax"):
         compile_expression("x if x else 0", ("x",))
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="literal 'hello' not allowed"):
         compile_expression("'hello'", ("x",))
 
 
@@ -828,7 +839,7 @@ def test_load_time_arithmetic_error_names_key(tmp_path, capsys):
 @pytest.mark.parametrize("key, term", [("psi", "0*x"), ("f", "0*x*y")])
 @pytest.mark.parametrize("terms", [2000, 20000])
 def test_deeply_nested_expression_is_a_config_error(tmp_path, capsys, key, term, terms):
-    # a long sum nests one level per term: the grammar check overflows the
+    # a long sum nests one level per term: the grammar walk overflows the
     # recursion limit at 2000 terms, and the parser itself at 20000
     lines = {"X": "1", "Y": "1", "psi": "0*x", "phi": "0*y", "f": "1", "nu": "1.0"}
     lines[key] = "+".join([term] * terms)
@@ -899,6 +910,59 @@ def test_problem_file_missing_key(tmp_path):
     spec.write_text("X = 1\nY = 1\npsi = 0*x\nphi = 0*y\nf = 1\n")
     with pytest.raises(ConfigError, match="`nu`"):
         load_problem_file(str(spec))
+
+
+def _problem_text(**edits) -> str:
+    lines = {"X": "1", "Y": "1", "psi": "0*x", "phi": "0*y", "f": "1", "nu": "1.0", **edits}
+    return "".join(f"{key} = {value}\n" for key, value in lines.items())
+
+
+def _refused_at_load(path, capsys, message):
+    """`solve` on the problem file exits 2 with `message` as its one error line."""
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        load_problem_file(str(path))
+    assert main(["solve", "--problem", str(path), "--n1", "2", "--cheb-order", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n" and captured.out == ""
+
+
+@pytest.mark.parametrize("key, text, reason", [
+    # a function name is a value only in call position
+    ("f", "exp", "function `exp` used as a value in {}"),
+    ("exact", "0*x + log", "function `log` used as a value in {}"),
+    # int literals that no double holds
+    ("f", "1" + "0" * 400, "literal beyond the double range in {}"),
+    ("psi", "0*x + 0x" + "f" * 300, "literal beyond the double range in {}"),
+    ("f", "x + q", "unknown symbol `q` in {}"),
+    ("phi", "y if y else 0", "unsupported syntax in expression {}"),
+], ids=["function-value", "function-value-in-exact", "int-literal", "hex-literal",
+        "unknown-symbol", "unsupported-syntax"])
+def test_grammar_error_names_key_and_file(tmp_path, capsys, key, text, reason):
+    spec = tmp_path / "bad.prob"
+    spec.write_text(_problem_text(**{key: text}))
+    _refused_at_load(spec, capsys, f"key `{key}` in {spec}: " + reason.format(repr(text)))
+
+
+def test_problem_file_refuses_unknown_and_repeated_keys(tmp_path, capsys):
+    spec = tmp_path / "typo.prob"
+    spec.write_text(_problem_text() + "excat = x + y\n")
+    _refused_at_load(spec, capsys, f"{spec}:7: unknown key `excat`")
+    spec.write_text(_problem_text() + "f = 2\n")
+    _refused_at_load(spec, capsys, f"{spec}:7: key `f` repeats line 5")
+
+
+def test_config_file_refuses_a_repeated_key(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("problem = pr1\nn1 = 2\nn1 = 3\n")
+    message = f"{cfgfile}:3: key `n1` repeats line 2"
+    with pytest.raises(ConfigError, match=re.escape(message)):
+        parse_config(["solve", "--config", str(cfgfile)])
+    assert main(["solve", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    # `-` reads as `_`, so the two spellings of one key are one key
+    cfgfile.write_text("problem = pr1\nn_list = 2\nn-list = 3\n")
+    with pytest.raises(ConfigError, match=re.escape(f"{cfgfile}:3: key `n_list` repeats line 2")):
+        parse_config(["study", "--config", str(cfgfile)])
 
 
 def test_selftest_mode_exits_zero(capsys):

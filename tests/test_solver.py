@@ -868,6 +868,19 @@ def test_complex_data_is_refused_by_name():
             problem(phi=lambda y: 0.5 + 0j)
 
 
+def test_an_axis_datum_that_returns_an_array_is_named():
+    # a scalar-only psi that gives two numbers per node: a ValueError naming
+    # it, as for a complex value, not float()'s bare TypeError
+    problem = GoursatProblem(X=1.0, Y=1.0, psi=lambda x: 0.0 if x == 0 else np.array([x, x]),
+                             phi=lambda y: 0.0 * y, f=lambda x, y: 1.0,
+                             nonlinearity=Nonlinearity.from_series([1.0]))
+    with pytest.raises(ValueError, match=r"^psi: value of shape \(2,\): the data must be one"):
+        fd_solve(problem, 2, 2, 0, 6)
+    with pytest.raises(ValueError, match=r"^phi: value of shape \(1,\)"):
+        GoursatProblem(X=1.0, Y=1.0, psi=lambda x: 0.0, phi=lambda y: [0.0],
+                       f=lambda x, y: 1.0, nonlinearity=Nonlinearity.from_series([1.0]))
+
+
 def test_an_axis_datum_that_raises_is_named():
     # a scalar-only psi whose math.exp overflows: refused by name and node,
     # with the OverflowError chained
