@@ -32,7 +32,7 @@ from .harness import (
 )
 from .field import _real, unit_cheb_nodes
 from .series import Nonlinearity
-from .solver import FdSolverError, GoursatProblem, _blocks
+from .solver import FdSolverError, GoursatProblem, _QUIET, _blocks
 from .kernels import KernelRangeError
 
 __all__ = ["parse_config", "run", "main"]
@@ -316,15 +316,16 @@ def load_problem_file(path: str) -> Preset:
         try:
             # the corner check below reads both at 0; a negative base to a
             # fractional power gives a complex value, which _real refuses
-            _real(fn(0.0))
+            with np.errstate(**_QUIET):
+                _real(fn(0.0))
         except (ArithmeticError, TypeError, ValueError) as exc:
             raise ConfigError(f"key `{key}` in {path} fails at 0: {exc}") from exc
     try:
         problem = GoursatProblem(X=X, Y=Y, psi=psi, phi=phi, f=f,
                                  nonlinearity=Nonlinearity.from_series(nu))
     except ValueError as exc:
-        # a non-finite or non-positive extent, or psi(0) != phi(0); the
-        # message names the keys
+        # a non-finite or non-positive extent, a non-finite psi(0) or
+        # phi(0), or psi(0) != phi(0); the message names the keys
         raise ConfigError(f"problem file {path}: {exc}") from exc
     name = os.path.splitext(os.path.basename(path))[0]
     return Preset(name, problem, compiled.get("exact"))

@@ -304,7 +304,7 @@ def _rank_errors(expansion: FdExpansion, exact, ranks, delta: bool = True,
             if delta:
                 lattice = _sample_cells(exact, *at_lattice, ii, jj)
             total = fields[0][block].copy()
-            e, d = np.empty_like(total), np.empty_like(total)
+            e, d = np.empty_like(total), np.empty_like(total) if norm1 else None
             done = 0
             for sup, m in zip(sups, ranks):
                 for k in range(done + 1, m + 1):

@@ -14,8 +14,11 @@ expansion and the order of the work.  The code relies on three facts:
   for bit as `Nonlinearity.eval` gives it, so the rank-1 source vanishes
   exactly where u0 is the cell's corner value.
 - A cell reads only cells of earlier anti-diagonals, all complete and
-  finite, so each anti-diagonal is one batched call, and a correction's
-  source, which reads only lower ranks, is assembled before its march.
+  finite, so each anti-diagonal is one batched call.  A correction's
+  source reads only lower ranks, so it is assembled on the whole mesh
+  before its march, which overwrites it: each anti-diagonal copies its
+  cells' sources before it writes their solutions, so a correction holds
+  one field.
 - Every march follows one plan per mesh, `_plan(N1, N2)`, built once: per
   anti-diagonal the flat ids of its cells and of their left and bottom
   neighbours, its slice of the march order and two axis flags.  A
@@ -80,9 +83,12 @@ class GoursatProblem:
 
     def __post_init__(self):
         _check_extents(self.X, self.Y)
-        p0, q0 = _axis_value(self.psi, 0.0, "psi"), _axis_value(self.phi, 0.0, "phi")
-        # written so that a NaN on either side fails
-        if not abs(p0 - q0) <= 1.0e-12 * (1.0 + abs(p0)):
+        with np.errstate(**_QUIET):
+            p0, q0 = _axis_value(self.psi, 0.0, "psi"), _axis_value(self.phi, 0.0, "phi")
+        for name, v in (("psi", p0), ("phi", q0)):
+            if not math.isfinite(v):
+                raise ValueError(f"incompatible corner data: {name}(0)={v!r} is not finite")
+        if abs(p0 - q0) > 1.0e-12 * (1.0 + abs(p0)):
             raise ValueError(f"incompatible corner data: psi(0)={p0!r}, phi(0)={q0!r}")
 
 
@@ -251,9 +257,10 @@ def _plan(n1: int, n2: int):
     the flat cell ids i N2 + j in march order.
 
     A step holds its cells (ii, jj), i ascending, their flat ids, the ids of
-    the cells (i - 1, j) and (i, j - 1), which are wrong cells only on an
-    axis, its slice `at` of the march order, and whether its first cell lies
-    on x = 0 and its last on y = 0.  The arrays are read-only.
+    the cells (i - 1, j) and (i, j - 1), which on an axis wrap to other
+    cells, whose traces the march replaces by the edge data, its slice `at`
+    of the march order, and whether its first cell lies on x = 0 and its
+    last on y = 0.  The arrays are read-only.
     """
     steps, start = [], 0
     for d in range(n1 + n2 - 1):
@@ -270,7 +277,7 @@ def _plan(n1: int, n2: int):
 
 
 def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
-           cells) -> np.ndarray:
+           cells, values: np.ndarray) -> np.ndarray:
     """Solve every cell, one anti-diagonal per `_solve_cells` call.
 
     `left_edge` (N2, P) and `bottom_edge` (N1, P) carry the data on x = 0 and
@@ -278,11 +285,12 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
     sources of the cells of one anti-diagonal, the `_Step` `step` of the
     mesh's plan, given their (n, P) left traces, whose first entries are the
     cells' corner values; it may read only cells of earlier anti-diagonals,
-    all complete.
+    all complete.  Each anti-diagonal's solutions go into `values`
+    (N1 N2, P, P), flat, after its `cells` call, so `values` may hold the
+    sources that `cells` copies.  Returns `values` as (N1, N2, P, P).
     """
     n1, n2 = grid.N1, grid.N2
     eng = _engine(p)
-    values = np.empty((n1 * n2, p, p))
     for step in _plan(n1, n2)[0]:
         left = values[step.left_ids, -1, :]
         bottom = values[step.bottom_ids, :, -1]
@@ -323,7 +331,8 @@ def solve_basic(problem: GoursatProblem, grid: Grid, p: int) -> PiecewiseField:
             return weights, _sample_cells(problem.f, xs, ys, step.ii, step.jj)
 
         values = _march(grid, p, _sample_axis(problem.phi, ys, "phi"),
-                        _sample_axis(problem.psi, xs, "psi"), cells)
+                        _sample_axis(problem.psi, xs, "psi"), cells,
+                        np.empty((grid.N1 * grid.N2, p, p)))
     return PiecewiseField(grid, values)
 
 
@@ -405,7 +414,9 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     of the mesh's largest |zeta|, and N' at the same corners, both in march
     order, and F^(k) on the whole mesh; each anti-diagonal then gathers its
     cells' sources, slices its weights and N', and solves them as rank 0
-    does.  Nothing is kept on the expansion.
+    does, writing the solutions over the sources it has gathered.  So the
+    correction holds one whole-mesh field, the one it returns.  Nothing is
+    kept on the expansion.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
@@ -423,11 +434,11 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
         source = _source_field(expansion, k).reshape(size, p, p)
 
         def cells(step, left):
-            rhs = source[step.ids]
+            rhs = source[step.ids]  # a copy: the march then writes these cells
             rhs -= (nprime[step.at] * left[:, 0])[:, None, None] * u0[step.ids]
             return [w[step.at] for w in weights], rhs
 
-        values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), cells)
+        values = _march(grid, p, np.zeros((grid.N2, p)), np.zeros((grid.N1, p)), cells, source)
     return PiecewiseField(grid, values)
 
 

@@ -538,8 +538,10 @@ def solve_correction_per_wavefront(expansion: FdExpansion, k: int) -> PiecewiseF
         weights = solver._kernel_weights(grid, p, expansion.cell_coeffs[ii, jj], ii, jj)
         return weights, source(ii, jj, left[:, 0])
 
+    # solved into storage of its own, where `solve_correction` overwrites its source
     return PiecewiseField(grid, solver._march(grid, p, np.zeros((grid.N2, p)),
-                                              np.zeros((grid.N1, p)), cells))
+                                              np.zeros((grid.N1, p)), cells,
+                                              np.empty((grid.N1 * grid.N2, p, p))))
 
 
 # ---------------------------------------------------------------------------

@@ -943,6 +943,17 @@ def test_grammar_error_names_key_and_file(tmp_path, capsys, key, text, reason):
     _refused_at_load(spec, capsys, f"key `{key}` in {spec}: " + reason.format(repr(text)))
 
 
+def test_an_infinite_corner_value_is_refused_at_load(tmp_path, capsys):
+    # log(0) = -inf passes the corner check, inf <= inf, so the solve used
+    # to fail at cell (0, 0) after a numpy warning; now the load names psi
+    spec = tmp_path / "log.prob"
+    spec.write_text(_problem_text(psi="log(x)"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _refused_at_load(spec, capsys,
+                         f"problem file {spec}: incompatible corner data: psi(0)=-inf is not finite")
+
+
 def test_problem_file_refuses_unknown_and_repeated_keys(tmp_path, capsys):
     spec = tmp_path / "typo.prob"
     spec.write_text(_problem_text() + "excat = x + y\n")

@@ -318,6 +318,47 @@ def test_error_metrics_hold_no_whole_mesh_field():
         assert peak < field_bytes / 4, (metric.__name__, peak / field_bytes)
 
 
+def test_the_sup_error_pass_holds_no_derivative_buffer():
+    # error_vs_exact reads no derivative, so its blocks hold one block-sized
+    # array fewer than error_norm1's: at most six, where a derivative buffer
+    # made it 6.7
+    preset, p = liouville_problem(), 16
+    expansion = fd_solve(preset.problem, 16, 16, 0, p)
+    block_bytes = harness._ERROR_BLOCK // (p * p) * (p * p) * 8
+    assert 2 * block_bytes <= expansion.corrections[0].values.nbytes
+    tracemalloc.start()
+    try:
+        error_vs_exact(expansion, preset.exact, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * block_bytes, peak / block_bytes
+
+
+def _poly_multiplier_problem():
+    return GoursatProblem(X=1.5, Y=1.0, psi=lambda x: 0.3 * np.sin(x), phi=lambda y: 0.2 * y * y,
+                          f=lambda x, y: 1.0 + x * y,
+                          nonlinearity=Nonlinearity.from_series([0.5, -0.4, 0.3, 0.1]))
+
+
+@pytest.mark.parametrize("problem", [liouville_problem().problem, _poly_multiplier_problem()],
+                         ids=["liouville", "poly"])
+def test_a_solve_to_rank_m_holds_m_plus_one_fields(problem):
+    # each correction marches in its source's storage, so past the m + 1
+    # fields it returns a solve holds only block temporaries and series
+    # weights, which do not grow with the rank; each correction once held
+    # its source beside its solution, m + 2.26 fields at this size
+    for m in (0, 1, 3):
+        tracemalloc.start()
+        try:
+            expansion = fd_solve(problem, 80, 80, m, 12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        fields = peak / expansion.corrections[0].values.nbytes
+        assert m + 1 <= fields <= m + 1.5, (m, fields)
+
+
 def test_error_norm1_samples_only_the_nodes():
     # the 5 x 5 lattice is read by `delta` alone, so `error_norm1` skips it
     preset = liouville_problem()

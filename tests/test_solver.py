@@ -650,8 +650,9 @@ def test_correction_reads_taylor_rows_of_n_only_at_corners(monkeypatch, problem)
 
 
 def test_correction_memory_stays_within_four_fields():
-    # the whole-mesh source is one field; its blocks add only small
-    # temporaries, so a rank-7 correction peaks at no more than four fields
+    # the march writes the solution over the whole-mesh source, one field;
+    # the source's blocks add only small temporaries, so a rank-7 correction
+    # peaks at no more than four fields
     expansion = fd_solve(liouville_problem().problem, 40, 40, 6, P)
     field_bytes = expansion.corrections[0].values.nbytes
     tracemalloc.start()
@@ -778,6 +779,34 @@ def test_correction_hoists_weights_and_source_out_of_the_march(monkeypatch):
     assert calls["_solve_cells", False] == 0
 
 
+def test_a_correction_holds_one_field():
+    # the march overwrites the whole-mesh source with the solution, so past
+    # the field it returns a correction holds only the source's block
+    # temporaries and its series weights; with the source beside the march's
+    # own output it peaked at 2.26 fields
+    expansion = fd_solve(liouville_problem().problem, 80, 80, 1, P)
+    field_bytes = expansion.corrections[0].values.nbytes
+    tracemalloc.start()
+    try:
+        solve_correction(expansion, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.4 * field_bytes, peak / field_bytes
+
+
+def test_marching_over_the_source_matches_a_march_into_new_storage(monkeypatch):
+    # each anti-diagonal copies its sources before it writes its cells, so
+    # the correction is bit for bit the one a march into fresh storage gives
+    expansion = fd_solve(_poly_problem(), 9, 7, 3, P)
+    march = solver._march
+    monkeypatch.setattr(solver, "_march",
+                        lambda *args: march(*args[:-1], np.full_like(args[-1], np.nan)))
+    for k in range(1, 4):
+        fresh = solve_correction(_prefix(expansion, k), k).values
+        assert fresh.tobytes() == expansion.corrections[k].values.tobytes(), k
+
+
 def test_standalone_correction_keeps_only_its_field():
     # after the call, traced memory has grown by the returned field alone, and
     # the expansion's attributes are the ones it had
@@ -866,6 +895,25 @@ def test_complex_data_is_refused_by_name():
             fd_solve(problem(psi=psi), 3, 3, 0, 8)
         with pytest.raises(ValueError, match=r"^phi: complex value \(0.5\+0j\)"):
             problem(phi=lambda y: 0.5 + 0j)
+
+
+def test_an_infinite_corner_value_is_refused_by_name():
+    # an infinite psi(0) would pass the corner check, inf <= inf, and fail
+    # the march at cell (0, 0); refused when the problem is made, with no
+    # numpy warning
+    def problem(**data):
+        data = {"psi": lambda x: 0.0, "phi": lambda y: 0.0, **data}
+        return GoursatProblem(X=1.0, Y=1.0, f=lambda x, y: 1.0,
+                              nonlinearity=Nonlinearity.from_series([1.0]), **data)
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"^incompatible corner data: psi\(0\)=-inf is not finite$"):
+            problem(psi=np.log)
+        with pytest.raises(ValueError, match=r"^incompatible corner data: phi\(0\)=inf is"):
+            problem(phi=lambda y: -np.log(y))
+        with pytest.raises(ValueError, match=r"^incompatible corner data: psi\(0\)=nan is"):
+            problem(psi=lambda x: math.nan)
 
 
 def test_an_axis_datum_that_returns_an_array_is_named():
@@ -975,7 +1023,7 @@ def test_march_refuses_a_trace_that_misses_its_corner(bad):
         return _kernel_weights(grid, p, zeros, step.ii, step.jj), np.zeros((len(step.ii), p, p))
 
     with pytest.raises(FdSolverError, match=r"cell \(0, 1\): .*corner"):
-        solver._march(grid, p, left_edge, bottom_edge, cells)
+        solver._march(grid, p, left_edge, bottom_edge, cells, np.empty((4, p, p)))
 
 
 @pytest.mark.parametrize("n1,n2", [(1, 1), (1, 7), (7, 1), (7, 3), (40, 40)])
