@@ -214,6 +214,11 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
     """Basic solve plus corrections 1..m; partial sums give every lower rank.
 
     Records in `wall_ms` the cumulative time at which each rank completed.
+    The solve holds the m + 1 fields it returns, N1 N2 P^2 doubles each,
+    each correction having marched in its source's storage.  Beyond them it
+    holds only a correction's series weights and N', (3 K + 1) / P^2 of a
+    field for K kernel terms, and the temporaries of one source block or
+    one anti-diagonal, which grow at most with the mesh's side.
     """
     if m < 0:
         raise ValueError(f"rank must be non-negative, got {m}")

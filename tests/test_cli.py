@@ -944,8 +944,8 @@ def test_grammar_error_names_key_and_file(tmp_path, capsys, key, text, reason):
 
 
 def test_an_infinite_corner_value_is_refused_at_load(tmp_path, capsys):
-    # log(0) = -inf passes the corner check, inf <= inf, so the solve used
-    # to fail at cell (0, 0) after a numpy warning; now the load names psi
+    # log(0) = -inf would pass the corner match, inf <= inf, and fail the
+    # march at cell (0, 0); the load names psi, with no numpy warning
     spec = tmp_path / "log.prob"
     spec.write_text(_problem_text(psi="log(x)"))
     with warnings.catch_warnings():

