@@ -505,12 +505,18 @@ _ROWS = {"csv": (_format_e17_cut, ("", ",", ",", "\n"), 0,
 def _run_solve(cfg: argparse.Namespace) -> int:
     preset = _resolve_problem(cfg.problem)
     expansion = fd_solve(preset.problem, cfg.n1, cfg.n2, cfg.rank, cfg.cheb_order)
+    # the rank-m partial sum in u^(0)'s storage, added as `partial_sum` adds it,
+    # each correction released once added: from here on one field is held
+    corrections = expansion.corrections
+    u0 = corrections[0].values
+    while len(corrections) > 1:
+        u0 += corrections.pop(1).values
     delta = norm1 = None
     if preset.exact is not None:
-        delta, norm1 = _rank_errors(expansion, preset.exact, [cfg.rank])[0]
+        delta, norm1 = _rank_errors(expansion, preset.exact, [0])[0]
         print("delta=%.16e\nnorm1_delta=%.16e" % (delta, norm1))
     p = cfg.cheb_order
-    fields = [u.values.reshape(-1, p, p) for u in expansion.corrections[:cfg.rank + 1]]
+    u0 = u0.reshape(-1, p, p)
     xs, ys = expansion.grid.cell_nodes(unit_cheb_nodes(p))
     value, text, drop, squeeze = _ROWS[cfg.format]
     lit = [np.frombuffer(t.encode(), np.uint8) for t in text]
@@ -530,13 +536,10 @@ def _run_solve(cfg: argparse.Namespace) -> int:
                      % (json.dumps(delta), json.dumps(norm1)))
         write = _byte_writer(fh, bool(cfg.output) or fh is sys.__stdout__)
         # one row per cell tensor node, cell-major, in blocks of whole cells; a block
-        # is a zero-padded byte array (cells, P, P, row), and the field's text is never
-        # held.  A block sums its own corrections, in the order `partial_sum` adds them
-        for block in _blocks(len(fields[0]), p, _ROW_BLOCK):
-            ii, jj = np.divmod(np.arange(len(fields[0]))[block], len(ys))
-            u = fields[0][block]
-            for f in fields[1:]:
-                u = u + f[block]
+        # is a zero-padded byte array (cells, P, P, row), and the field's text is never held
+        for block in _blocks(len(u0), p, _ROW_BLOCK):
+            ii, jj = np.divmod(np.arange(len(u0))[block], len(ys))
+            u = u0[block]
             ub = value(u.ravel())
             m = np.empty(u.shape + (ends[1] + ub.shape[1] + len(lit[3]),), np.uint8)
             _void(m[..., :ends[0]])[...] = xb[ii]

@@ -216,9 +216,12 @@ def fd_solve(problem: GoursatProblem, n1: int, n2: int, m: int, p: int) -> FdExp
     Records in `wall_ms` the cumulative time at which each rank completed.
     The solve holds the m + 1 fields it returns, N1 N2 P^2 doubles each,
     each correction having marched in its source's storage.  Beyond them it
-    holds only a correction's series weights and N', (3 K + 1) / P^2 of a
-    field for K kernel terms, and the temporaries of one source block or
-    one anti-diagonal, which grow at most with the mesh's side.
+    holds the temporaries of one source block, then a correction's series
+    weights and N', (3 K + 1) / P^2 of a field for K kernel terms, built
+    once the source is done, and the temporaries of one anti-diagonal,
+    which grow at most with the mesh's side.  A caller that reads only the
+    rank-m sum can add the corrections into u^(0)'s storage in place, in
+    `partial_sum`'s order, and keep one field, as `solve` does.
     """
     if m < 0:
         raise ValueError(f"rank must be non-negative, got {m}")
@@ -272,8 +275,8 @@ def _sup_abs(e: np.ndarray, ii: np.ndarray, jj: np.ndarray) -> float:
 # points per block of the error pass, rounded down to whole cells.  Chosen by
 # measurement (2-core Xeon, 2 MiB L2 per core): from 16 Ki to 128 Ki points the
 # 8-rank pass of the 40x40, P = 12 study took 25-28 ms and error_vs_exact at
-# 80x80, P = 16 took 19-21 ms, against 29 and 33 ms on the whole mesh.  A block
-# holds about six block-sized arrays at its peak, 1.7 MB at 32 Ki
+# 80x80, P = 16 took 19-21 ms, against 29 and 33 ms on the whole mesh.  The pass
+# holds about five block-sized arrays at its peak, 1.3 MB at 32 Ki
 _ERROR_BLOCK = 32768
 
 
@@ -286,9 +289,13 @@ def _rank_errors(expansion: FdExpansion, exact, ranks, delta: bool = True,
     lattice per cell, each point once; its running sum adds the corrections
     in the order `partial_sum` does, and each rank's sups fold into maxima
     over the blocks.  So no whole-mesh sample, sum or error is held, and the
-    numbers are those of the whole mesh bit for bit.  A metric not asked for
-    reads nan.  A rank outside the stored ones raises ValueError, and an exact
-    solution that is not finite at a sample FdSolverError naming its cell.
+    numbers are those of the whole mesh bit for bit.  A block's arrays are
+    released before the next block samples: the pass holds about four
+    block-sized arrays of doubles for one metric and five for both (1.3 MB
+    at 32 Ki points).  `solve` passes a rank-0 expansion whose one field is
+    the rank-m sum.  A metric not asked for reads nan.  A rank outside the
+    stored ones raises ValueError, and an exact solution that is not finite
+    at a sample FdSolverError naming its cell.
     """
     for m in (ranks[0], ranks[-1]):
         if not 0 <= m <= expansion.rank:
@@ -303,7 +310,9 @@ def _rank_errors(expansion: FdExpansion, exact, ranks, delta: bool = True,
         cells = np.arange(len(fields[0]))
         # per rank: the node, lattice and derivative sups
         sups = [[-math.inf] * 3 for _ in ranks]
-        for block in _blocks(len(cells), p, _ERROR_BLOCK):
+
+        def fold(block):
+            # one block's samples, sums and errors, all released on return
             ii, jj = np.divmod(cells[block], grid.N2)
             nodes = _sample_cells(exact, *at_nodes, ii, jj)
             if delta:
@@ -327,6 +336,9 @@ def _rank_errors(expansion: FdExpansion, exact, ranks, delta: bool = True,
                     np.matmul(e.reshape(-1, p), diff_t, out=d.reshape(-1, p))
                     sup_y = np.abs(d, out=d).max(axis=(1, 2)) / grid.h2
                     sup[2] = max(sup[2], float(np.max(np.hypot(sup_x, sup_y))))
+
+        for block in _blocks(len(cells), p, _ERROR_BLOCK):
+            fold(block)
     return [(max(node, lat) if delta else math.nan, max(node, der) if norm1 else math.nan)
             for node, lat, der in sups]
 

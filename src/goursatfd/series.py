@@ -35,17 +35,19 @@ def compose(taylor: np.ndarray, tail) -> np.ndarray:
     on truncated series, F = a_0 + w (a_1 + w (a_2 + ... + w a_d)), inner
     series first; below a_j only orders up to K - j are needed, so every
     order together costs about K^3 / 6 row products, and a polynomial of
-    degree d < K stops at a_d.  Each step h <- a_j + w h overwrites the
-    orders of h top first, in place: order n reads only orders below it.
+    degree d < K stops at a_d, whose first step, h = a_d, forms only the
+    products w_n a_d.  Each step h <- a_j + w h overwrites the orders of h
+    top first, in place: order n reads only orders below it.
     """
     k, d = len(tail) - 1, len(taylor) - 1
     out = np.zeros((k + 1,) + np.shape(taylor[0]))
     scratch = np.empty_like(out[0])
     for j in range(d - 1, -1, -1):
-        # order 0 of the inner series is a_(j+1) itself, read from its row
+        # order 0 of the inner series is a_(j+1) itself, read from its row; on
+        # the first step, j = d - 1, its orders above 0 are zero, so skipped
         for n in range(k - j, 0, -1):
             np.multiply(tail[n], taylor[j + 1], out=out[n, ...])
-            for i in range(1, n):
+            for i in range(1, n if j < d - 1 else 1):
                 out[n] += np.multiply(tail[i], out[n - i], out=scratch)
     out[0] = taylor[0]
     return out

