@@ -375,11 +375,6 @@ def _open_output(output: str | None):
         raise ConfigError(f"key `output`: cannot write {output}: {exc}") from exc
 
 
-def _emit(text: str, output: str | None):
-    with _open_output(output) as fh:
-        fh.write(text if text.endswith("\n") else text + "\n")
-
-
 # points per block of the solve writer, rounded down to whole cells
 _ROW_BLOCK = 4096
 _POW10 = np.array([float(10 ** k) for k in range(23)])  # exact doubles
@@ -564,10 +559,8 @@ def _run_study(cfg: argparse.Namespace) -> int:
         p=cfg.cheb_order,
     )
     report = convergence_study(spec)
-    if cfg.format == "csv":
-        _emit(_study_csv(report.rows), cfg.output)
-    else:
-        _emit(_study_json(report.rows), cfg.output)
+    with _open_output(cfg.output) as fh:
+        fh.write((_study_csv if cfg.format == "csv" else _study_json)(report.rows) + "\n")
     for n1, n2, message in report.failures:
         print(f"error: mesh ({n1},{n2}) failed: {message}", file=sys.stderr)
     return 1 if report.failures else 0

@@ -72,12 +72,9 @@ def _exp2_rows(n: int) -> np.ndarray:
 
 
 def _liouville_value(t: np.ndarray) -> np.ndarray:
-    # N(t) = -expm1(2t) / t in one pass, -2 at the removable singularity
-    out = np.multiply(t, 2.0)
-    np.expm1(out, out=out)
+    # N(t) = -expm1(2t) / t, -2 at the removable singularity
     with np.errstate(divide="ignore", invalid="ignore"):
-        np.divide(out, t, out=out)
-    np.negative(out, out=out)
+        out = -np.expm1(2.0 * t) / t
     out[t == 0.0] = -2.0
     return out
 

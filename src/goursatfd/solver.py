@@ -22,7 +22,7 @@ expansion and the order of the work.  The code relies on three facts:
 - Every march follows one plan per mesh, `_plan(N1, N2)`, built once: per
   anti-diagonal the flat ids of its cells and of their left and bottom
   neighbours, its slice of the march order and two axis flags.  A
-  correction puts its series weights and N' at the u0 corners in march
+  correction takes its series weights and N' on the u0 corners in march
   order before the march, so each anti-diagonal slices them.
 """
 
@@ -233,21 +233,6 @@ def _solve_cells(eng: _CellEngine, weights, left: np.ndarray, bottom: np.ndarray
     return u
 
 
-def _corner_mismatch(left: np.ndarray, bottom: np.ndarray):
-    """(index, message) of the first cell whose bottom trace misses its corner value.
-
-    A cell's corner value is its left trace's first entry.  Returns None if
-    every cell passes; a NaN on either side fails a cell.
-    """
-    corners = left[:, 0]
-    ok = np.abs(bottom[:, 0] - corners) <= TRACE_MATCH_TOL * (1.0 + np.abs(corners))
-    if ok.all():
-        return None
-    n = int(np.argmin(ok))
-    return n, (f"the bottom trace disagrees with the corner value: bottom[0]={bottom[n, 0]!r}, "
-               f"corner={corners[n]!r}")
-
-
 _Step = namedtuple("_Step", "ii jj ids left_ids bottom_ids at on_left on_bottom")
 
 
@@ -298,9 +283,15 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
             left[0] = left_edge[step.jj[0]]
         if step.on_bottom:
             bottom[-1] = bottom_edge[step.ii[-1]]
-        bad = _corner_mismatch(left, bottom)
-        if bad:
-            raise FdSolverError(f"cell ({step.ii[bad[0]]}, {step.jj[bad[0]]}): {bad[1]}")
+        # a cell's corner value is its left trace's first entry; a NaN on
+        # either side fails the cell
+        corners = left[:, 0]
+        ok = np.abs(bottom[:, 0] - corners) <= TRACE_MATCH_TOL * (1.0 + np.abs(corners))
+        if not ok.all():
+            n = int(np.argmin(ok))
+            raise FdSolverError(f"cell ({step.ii[n]}, {step.jj[n]}): the bottom trace disagrees "
+                                f"with the corner value: bottom[0]={bottom[n, 0]!r}, "
+                                f"corner={corners[n]!r}")
         weights, rhs = cells(step, left)
         out = _solve_cells(eng, weights, left, bottom, rhs)
         # a sum is not finite if a value is not, or if finite values overflow
@@ -313,7 +304,7 @@ def _march(grid: Grid, p: int, left_edge: np.ndarray, bottom_edge: np.ndarray,
                                     "non-finite values in the solution")
         values[step.ids] = out
         # nothing of this anti-diagonal is held while the next one allocates
-        del left, bottom, weights, rhs, out
+        del left, bottom, corners, weights, rhs, out
     return values.reshape(n1, n2, p, p)
 
 
@@ -412,10 +403,10 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
     Each cell solves u_xy + c_ij u = F^(k) - N'(u0_corner) * uk_corner * u0,
     where uk_corner is this correction's own lower-left corner value, already
     known from the march.  Before the march it assembles F^(k) on the whole
-    mesh, then takes the series weights of every cell on `cell_coeffs`, N at
-    the u^(0) corners, with the term count of the mesh's largest |zeta|, and
-    N' at the same corners, both in march order, so that these never meet
-    the source blocks' temporaries; each anti-diagonal then gathers its
+    mesh, then takes, on the u^(0) corners in march order, the series
+    weights of every cell from `cell_coeffs` (N at those corners), with the
+    term count of the mesh's largest |zeta|, and N', so that these never
+    meet the source blocks' temporaries; each anti-diagonal then gathers its
     cells' sources, slices its weights and N', and solves them as rank 0
     does, writing the solutions over the sources it has gathered.  So the
     correction holds one whole-mesh field, the one it returns, and peaks at
@@ -431,9 +422,8 @@ def solve_correction(expansion: FdExpansion, k: int) -> PiecewiseField:
         source = _source_field(expansion, k).reshape(size, p, p)
         u0 = expansion.corrections[0].values.reshape(size, p, p)
         order = _plan(grid.N1, grid.N2)[1]
-        flat_ii, flat_jj = np.divmod(np.arange(size), grid.N2)
-        coeffs = expansion.cell_coeffs.ravel()
-        weights = [w[order] for w in _kernel_weights(grid, p, coeffs, flat_ii, flat_jj)]
+        weights = _kernel_weights(grid, p, expansion.cell_coeffs.ravel()[order],
+                                  *np.divmod(order, grid.N2))
         nprime = expansion.problem.nonlinearity.deriv(u0[order, 0, 0])
 
         def cells(step, left):

@@ -45,6 +45,11 @@
   checked bit for bit;
 - `cli_poly_text`: the problem file of the benchmark's cli-poly workload for
   one seed, from `perfbench/workloads.py`;
+- `picard_reference`: the whole problem by Picard iteration on its integral
+  form on one global Chebyshev-Lobatto grid, numpy only, sharing no code
+  with the solver, against which solves of problems with and without an
+  exact solution are checked; `PicardReferenceError` when the iteration
+  does not contract;
 - `mu_recurrence`, `mu_explicit`, `mu_bound_check`: the two-index
   recurrence of the method's a-priori error bound, its closed form and the
   bound itself.
@@ -62,6 +67,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import numpy.polynomial.chebyshev as cheb
 
 from goursatfd import cli, solver
 from goursatfd.field import (
@@ -603,6 +609,78 @@ class _ExactSamples:
         sup_x = np.abs(self.diff @ e / self.grid.h1).max(axis=(2, 3))
         sup_y = np.abs(e @ self.diff.T / self.grid.h2).max(axis=(2, 3))
         return delta, max(node_sup, float(np.max(np.hypot(sup_x, sup_y))))
+
+
+# ---------------------------------------------------------------------------
+# the whole problem by Picard iteration: a reference for every problem
+
+# the iteration stops once a step changes u by at most PICARD_TOL (1 + sup|u|),
+# and fails after PICARD_STEPS steps
+PICARD_TOL = 1.0e-14
+PICARD_STEPS = 100
+
+
+class PicardReferenceError(ArithmeticError):
+    """The Picard iteration of `picard_reference` did not contract."""
+
+
+def _cheb_integral(n: int, length: float):
+    """Lobatto nodes t (ascending, on [-1, 1]), the values -> coefficients
+    matrix of their interpolant, and the matrix of its integral from the
+    interval's start, on an interval of `length`."""
+    t = -np.cos(np.pi * np.arange(n) / (n - 1))
+    to_coef = np.linalg.inv(cheb.chebvander(t, n - 1))
+    integral = cheb.chebint(np.eye(n), lbnd=-1.0, scl=length / 2.0)  # [(n + 1), n]
+    return t, to_coef, cheb.chebvander(t, n) @ integral @ to_coef
+
+
+def picard_reference(problem, n: int):
+    """The solution of `problem` as a callable u(x, y), by Picard iteration.
+
+    Iterates u = psi(x) + phi(y) - psi(0) + int_0^x int_0^y (f - N(u) u) on
+    one n x n Chebyshev-Lobatto grid of [0, X] x [0, Y], the integrals by
+    the cumulative integration matrices of the grid's interpolant
+    (`numpy.polynomial.chebyshev.chebint`), until a step changes u by at
+    most PICARD_TOL (1 + sup|u|).  The result evaluates that interpolant,
+    so it takes arrays that broadcast together.  No Riemann kernel, Adomian
+    polynomial, march or cell node is used: only the problem's data and
+    `Nonlinearity.eval`.  Raises PicardReferenceError if the iteration is
+    not finite or has not contracted within PICARD_STEPS steps.
+    """
+    tx, coef_x, ix = _cheb_integral(n, problem.X)
+    ty, coef_y, iy = _cheb_integral(n, problem.Y)
+    x, y = problem.X * (tx + 1.0) / 2.0, problem.Y * (ty + 1.0) / 2.0
+
+    def sample(fn, *at, shape):
+        # data that ignore a coordinate may return a scalar
+        return np.broadcast_to(np.asarray(fn(*at), dtype=float), shape)
+
+    data = (sample(problem.psi, x, shape=(n,))[:, None] + sample(problem.phi, y, shape=(n,))
+            - float(problem.psi(0.0)))
+    f = sample(problem.f, x[:, None], y[None, :], shape=(n, n))
+    u = data
+    with np.errstate(over="ignore", invalid="ignore"):
+        for step in range(1, PICARD_STEPS + 1):
+            new = data + ix @ (f - problem.nonlinearity.eval(u) * u) @ iy.T
+            change = float(np.max(np.abs(new - u)))
+            u = new
+            if not math.isfinite(change):
+                raise PicardReferenceError(f"the iteration is not finite at step {step}")
+            if change <= PICARD_TOL * (1.0 + float(np.max(np.abs(u)))):
+                break
+        else:
+            raise PicardReferenceError(f"no contraction within {PICARD_STEPS} steps: "
+                                       f"the last step changed u by {change:.3e}")
+    coef = coef_x @ u @ coef_y.T
+
+    def value(xv, yv):
+        xv, yv = np.broadcast_arrays(np.asarray(xv, dtype=float), np.asarray(yv, dtype=float))
+        vx = cheb.chebvander(2.0 * xv / problem.X - 1.0, n - 1)
+        vy = cheb.chebvander(2.0 * yv / problem.Y - 1.0, n - 1)
+        return np.sum((vx @ coef) * vy, axis=-1)[()]
+
+    value.steps = step
+    return value
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,11 @@ from goursatfd.harness import (
 )
 from goursatfd.series import Nonlinearity
 from goursatfd.solver import residual_basic, residual_correction
+import oracles
+from goursatfd.cli import load_problem_file
+from goursatfd.solver import GoursatProblem
 from oracles import (
+    PicardReferenceError,
     RiemannKernel,
     TruncatedSeries,
     adomian_partition,
@@ -33,7 +37,9 @@ from oracles import (
     mu_bound_check,
     mu_explicit,
     mu_recurrence,
+    cli_poly_text,
     picard_cell_oracle,
+    picard_reference,
     riemann,
     riemann_d1,
     riemann_d2,
@@ -312,3 +318,74 @@ def test_sine_gordon_kink_residuals_and_rank_series(kink):
         sups = [np.max(np.abs(c.values)) for c in expansion.corrections]
         for k in range(1, 8):
             assert sups[k] <= 0.5 * sups[k - 1], (k, sups)
+
+
+# ---------------------------------------------------------------------------
+# the whole-problem Picard reference (tests/oracles.py), which shares no code
+# with the solver
+
+
+def _product_problem():
+    # u = x y solves u_xy + u = 1 + x y with zero data on the axes
+    problem = GoursatProblem(X=2.0, Y=2.0, psi=lambda x: 0.0 * x, phi=lambda y: 0.0 * y,
+                             f=lambda x, y: 1.0 + x * y, nonlinearity=Nonlinearity.from_series([1.0]))
+    return problem, lambda x, y: x * y
+
+
+def _cli_poly(seed, tmp_path):
+    path = tmp_path / f"poly{seed}.problem"
+    path.write_text(cli_poly_text(seed), encoding="utf-8")
+    preset = load_problem_file(str(path))
+    return preset.problem, preset.exact
+
+
+def _cubic(side):
+    # N = 5 u^3, whose rank series diverges on [0, 3]^2 (ROADMAP State)
+    return GoursatProblem(X=side, Y=side, psi=lambda x: 0.1 * x, phi=lambda y: 0.2 * y,
+                          f=lambda x, y: 1.0,
+                          nonlinearity=Nonlinearity.from_series([0.0, 0.0, 0.0, 5.0]))
+
+
+@pytest.mark.parametrize("case", ["liouville", "kink", "product", "cli-poly-seed1",
+                                  "cli-poly-seed2", "cli-poly-seed79"])
+def test_picard_reference_reproduces_every_exact_solution(case, tmp_path):
+    # on a uniform 41 x 41 lattice, edges included, off the reference's nodes
+    if case.startswith("cli-poly"):
+        (problem, exact), n = _cli_poly(int(case.rpartition("seed")[2]), tmp_path), 40
+    elif case == "product":
+        (problem, exact), n = _product_problem(), 16
+    else:
+        preset = liouville_problem() if case == "liouville" else sine_gordon_problem()
+        problem, exact, n = preset.problem, preset.exact, 32 if case == "liouville" else 40
+    reference = picard_reference(problem, n)
+    x = np.linspace(0.0, problem.X, 41)[:, None]
+    y = np.linspace(0.0, problem.Y, 41)[None, :]
+    err = float(np.max(np.abs(reference(x, y) - exact(x, y))))
+    assert err <= 1e-13, err
+    print(f"\nPicard reference {case}: n = {n}, {reference.steps} steps, sup error {err:.1e}")
+
+
+def test_seed_79_misses_its_gate_by_the_methods_own_error(tmp_path):
+    # cli-poly seed 79 fails its 1e-8 gate at rank 4 (ROADMAP State); the
+    # rank-4 solve is as far from the independent reference as from the
+    # exact solution, so the miss is the method's error, not the problem's
+    problem, exact = _cli_poly(79, tmp_path)
+    reference = picard_reference(problem, 40)
+    expansion = fd_solve(problem, 40, 40, 4, 12)
+    delta = error_vs_exact(expansion, exact, 4)
+    against_reference = error_vs_exact(expansion, reference, 4)
+    assert delta > 1e-8
+    assert abs(against_reference - delta) <= 1e-13, (delta, against_reference)
+    print(f"\nseed 79, 40 x 40, m = 4: delta {delta:.10e}, against the reference "
+          f"{against_reference:.10e}")
+
+
+def test_picard_reference_refuses_what_does_not_contract(monkeypatch):
+    # the cubic contracts on [0, 1]^2 and blows up from [0, 1.5]^2 on
+    assert picard_reference(_cubic(1.0), 32).steps < oracles.PICARD_STEPS
+    with pytest.raises(PicardReferenceError, match="not finite"):
+        picard_reference(_cubic(1.5), 32)
+    # a contracting iteration cut short of its tolerance is refused too
+    monkeypatch.setattr(oracles, "PICARD_STEPS", 3)
+    with pytest.raises(PicardReferenceError, match="no contraction within 3 steps"):
+        picard_reference(liouville_problem().problem, 32)

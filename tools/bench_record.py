@@ -35,7 +35,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
-from src_lines import count_lines  # noqa: E402
+from src_lines import tree_lines  # noqa: E402
 
 METRICS = ("op_s", "setup_s", "us_per_cell_rank", "peak_rss_mb")
 WORKLOADS = ("deep-p12", "rank0-p16", "cli-poly")
@@ -70,14 +70,6 @@ def _commit(tree: Path) -> str | None:
     return proc.stdout.strip() + ("-dirty" if dirty else "")
 
 
-def _src_lines(tree: Path) -> dict:
-    total = code = 0
-    for path in sorted((tree / "src" / "goursatfd").glob("*.py")):
-        t, c = count_lines(path.read_text(encoding="utf-8"))
-        total, code = total + t, code + c
-    return {"total": total, "code": code}
-
-
 def run_once(tree: Path, workload: str, seconds: float) -> dict:
     """One perfbench run: its JSON result, or a failed one naming the exit code."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
@@ -100,7 +92,9 @@ def record(trees: dict, workloads, runs: int, seconds: float) -> dict:
     sides = list(trees)
     out = {"command": f"perfbench/run.py --workload W --seconds {seconds} --trace 0",
            "runs": runs,
-           "sides": {side: {"commit": _commit(tree), "src_lines": _src_lines(tree)}
+           "sides": {side: {"commit": _commit(tree),
+                            "src_lines": dict(zip(("total", "code"),
+                                                  tree_lines(tree / "src" / "goursatfd")))}
                      for side, tree in trees.items()},
            "workloads": {}}
     for workload in workloads:

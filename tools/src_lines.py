@@ -42,16 +42,29 @@ def count_lines(source: str) -> tuple:
     return len(source.splitlines()), len(code)
 
 
-def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "goursatfd"
+def tree_lines(src: Path, modules: list | None = None) -> tuple:
+    """(total lines, code lines) summed over the `*.py` modules of `src`.
+
+    Each module's (name, total lines, code lines) is appended to `modules`,
+    in name order, if a list is given.
+    """
     totals = [0, 0]
     for path in sorted(src.glob("*.py")):
         total, code = count_lines(path.read_text(encoding="utf-8"))
         totals[0] += total
         totals[1] += code
-        print(f"{path.name:16s} {total:6d} {code:6d}")
-    print(f"{'total':16s} {totals[0]:6d} {totals[1]:6d}")
+        if modules is not None:
+            modules.append((path.name, total, code))
+    return tuple(totals)
+
+
+def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    src = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "goursatfd"
+    modules = []
+    total, code = tree_lines(src, modules)
+    for row in modules + [("total", total, code)]:
+        print("%-16s %6d %6d" % row)
     return 0
 
 
